@@ -22,12 +22,13 @@ class _CompiledSuite:
 
     Evaluating model-by-model rebuilds per-model feature and design
     matrices from the same trace; the compiled form computes each
-    distinct feature once, assembles a single design matrix
-    ``[1, x1..xF, xj^2 ...]`` and evaluates every subsystem in one
-    matrix product against a stacked coefficient matrix (zero where a
-    subsystem does not use a column).  Attribution reuses the same
-    design columns, so enabling it costs one multiply per term instead
-    of a second design build per model.
+    distinct feature once and assembles a single design matrix
+    ``[1, x1..xF, xj^2 ...]``.  Each subsystem's prediction then
+    accumulates its own nonzero terms (``_terms``: design column times
+    coefficient) one by one, elementwise, so every row rounds the same
+    whatever the batch length (see :meth:`evaluate`).  Attribution
+    reuses the same design columns, so enabling it costs one multiply
+    per term instead of a second design build per model.
     """
 
     def __init__(self, suite: "TrickleDownSuite") -> None:
@@ -51,16 +52,12 @@ class _CompiledSuite:
                         squared.append(position)
         self.features = tuple(features)
         self._squared = np.asarray(squared, dtype=int)
-        n_columns = 1 + len(features) + len(squared)
-        coefficients = np.zeros((n_columns, len(self.subsystems)))
         terms: "list[list[tuple[str, int, float]]]" = []
-        for j, subsystem in enumerate(self.subsystems):
+        for subsystem in self.subsystems:
             model = suite.models[subsystem]
             if isinstance(model, ConstantModel):
-                coefficients[0, j] = model.value
                 terms.append([("constant", 0, model.value)])
                 continue
-            coefficients[0, j] = float(model.coefficients[0])
             model_terms = [("intercept", 0, float(model.coefficients[0]))]
             k = 1
             for power in range(1, model.degree + 1):
@@ -72,14 +69,12 @@ class _CompiledSuite:
                         else 1 + len(features) + sq_index[position]
                     )
                     coefficient = float(model.coefficients[k])
-                    coefficients[column, j] = coefficient
                     name = (
                         feature.name if power == 1 else f"{feature.name}^{power}"
                     )
                     model_terms.append((name, column, coefficient))
                     k += 1
             terms.append(model_terms)
-        self.coefficients = coefficients
         self._terms = terms
 
     def evaluate(
@@ -160,10 +155,10 @@ class TrickleDownSuite:
         """Batched per-subsystem prediction, optionally with attribution.
 
         One shared design-matrix pass evaluates every model at once
-        (each distinct feature computed a single time, one matrix
-        product for all subsystems); ``attribute=True`` additionally
-        returns the per-term watt decomposition from the same design
-        columns.  Returns ``(predictions, terms)`` with ``terms`` of
+        (each distinct feature computed a single time, each subsystem
+        accumulated term by term from its columns); ``attribute=True``
+        additionally returns the per-term watt decomposition from the
+        same design columns.  Returns ``(predictions, terms)`` with ``terms`` of
         the :meth:`attribute_all` shape, or ``None`` when not
         requested.  Model kinds the compiler does not recognise fall
         back to per-model evaluation.

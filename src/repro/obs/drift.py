@@ -30,6 +30,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro import obs
 
 #: Tables 3-4 bound: average per-subsystem error stays under 9 %.
@@ -123,50 +125,80 @@ class DriftMonitor:
 
     def observe(
         self,
-        timestamp_s: float,
+        timestamp_s,
         estimated_w: "dict",
         true_w: "dict",
         attribution=None,
     ) -> "list[DriftAlert]":
-        """Feed one window of per-subsystem power; returns transitions.
+        """Feed one window, or a frame of consecutive windows, of
+        per-subsystem power; returns the transitions.
 
         ``estimated_w`` and ``true_w`` map subsystems (enum members or
         plain strings) to Watts; only subsystems present in **both**
         dicts are compared.  A synthetic ``total`` stream over the
         summed power of the shared subsystems is always maintained.
 
+        A frame passes ``timestamp_s`` as a length-n sequence and every
+        watt value as a length-n column.  It is n single-window calls
+        in one: the same EWMAs, transitions and history, in the same
+        order, except that the ``drift_*`` gauges are written once per
+        call, with their final values.
+
         ``attribution`` (optional) is the window's per-term watt
         decomposition; any transition it produces then carries that
         stream's top-3 offending terms (the ``total`` stream gets
         namespaced ``subsystem/term`` labels).
         """
-        estimated = {self._name(s): float(w) for s, w in estimated_w.items()}
-        true = {self._name(s): float(w) for s, w in true_w.items()}
-        shared = [name for name in true if name in estimated]
-        pairs = [(name, estimated[name], true[name]) for name in shared]
-        if shared:
-            pairs.append(
-                (
-                    "total",
-                    sum(estimated[name] for name in shared),
-                    sum(true[name] for name in shared),
-                )
+        times = np.asarray(timestamp_s, dtype=float)
+        if times.ndim > 1:
+            raise ValueError("timestamp_s must be a number or a 1-d sequence")
+        if times.ndim and attribution is not None:
+            raise ValueError("attribution describes one window, not a frame")
+        estimated = {self._name(s): w for s, w in estimated_w.items()}
+        true = {self._name(s): w for s, w in true_w.items()}
+        names = [name for name in true if name in estimated]
+        if not names or not times.size:
+            return []
+        est = np.asarray([estimated[name] for name in names], dtype=float)
+        act = np.asarray([true[name] for name in names], dtype=float)
+        if not est.shape == act.shape == (len(names),) + times.shape:
+            raise ValueError(
+                "every watt value must match timestamp_s in shape "
+                f"{times.shape}"
             )
+        # The total stream adds the shared subsystems one by one in
+        # shared order (accumulate is sequential), the float
+        # association of a per-window sum() over them.
+        names.append("total")
+        rows = (len(names), times.size)
+        est = np.concatenate([est, np.add.accumulate(est)[-1:]]).reshape(rows)
+        act = np.concatenate([act, np.add.accumulate(act)[-1:]]).reshape(rows)
+        errors = np.abs(est - act) / np.maximum(np.abs(act), _EPS_W) * 100.0
+        top_terms: "list[tuple[tuple[str, float], ...]]" = [()] * len(names)
+        if attribution is not None:
+            top_terms = [
+                tuple(
+                    attribution.top_terms(None if name == "total" else name, n=3)
+                )
+                for name in names
+            ]
+        streams = list(zip(names, top_terms))
         transitions: "list[DriftAlert]" = []
-        for name, est, actual in pairs:
-            error_pct = abs(est - actual) / max(abs(actual), _EPS_W) * 100.0
-            top_terms: "tuple[tuple[str, float], ...]" = ()
-            if attribution is not None:
-                top_terms = tuple(
-                    attribution.top_terms(
-                        None if name == "total" else name, n=3
-                    )
+        # Window-major: window i of every stream before window i + 1,
+        # so transitions and history order exactly as n single calls.
+        for t, row in zip(times.reshape(-1).tolist(), errors.T.tolist()):
+            for (name, terms), error_pct in zip(streams, row):
+                transition = self._update(name, error_pct, t, terms)
+                if transition is not None:
+                    transitions.append(transition)
+        if obs.enabled():
+            for name in names:
+                stream = self._streams[name]
+                labels = {"subsystem": name}
+                obs.gauge("drift_error_pct", stream.ewma, labels)
+                obs.gauge(
+                    "drift_alert_active", 1.0 if stream.firing else 0.0, labels
                 )
-            transition = self._update(
-                name, error_pct, float(timestamp_s), top_terms
-            )
-            if transition is not None:
-                transitions.append(transition)
         return transitions
 
     def _update(
@@ -184,8 +216,6 @@ class DriftMonitor:
         else:
             stream.ewma += self.alpha * (error_pct - stream.ewma)
         stream.windows += 1
-
-        obs.gauge("drift_error_pct", stream.ewma, {"subsystem": name})
 
         transition: "DriftAlert | None" = None
         if (
@@ -207,9 +237,6 @@ class DriftMonitor:
                 timestamp_s,
                 top_terms,
             )
-        obs.gauge(
-            "drift_alert_active", 1.0 if stream.firing else 0.0, {"subsystem": name}
-        )
         return transition
 
     def _transition(

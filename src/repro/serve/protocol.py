@@ -104,10 +104,11 @@ def _as_float_list(value, *, what: str) -> "list[float]":
     if not isinstance(value, list) or not value:
         raise ProtocolError(f"{what} must be a non-empty array")
     # sum() is a C-speed sweep: a str/None/list element raises
-    # TypeError, and any NaN/Infinity poisons the total.
+    # TypeError, an integer too large for a float OverflowError, and
+    # any NaN/Infinity poisons the total.
     try:
         total = sum(value, 0.0)
-    except TypeError:
+    except (TypeError, OverflowError):
         raise ProtocolError(f"{what} must contain only finite numbers") from None
     if not math.isfinite(total):
         raise ProtocolError(f"{what} must contain only finite numbers")
@@ -127,9 +128,12 @@ def decode_line(
             passes its suite's :func:`required_events` so malformed
             input fails at the door instead of inside ``evaluate``.
     """
+    # Beyond malformed JSON (JSONDecodeError, a ValueError), an integer
+    # past the int-to-str digit limit raises a plain ValueError and deep
+    # nesting RecursionError.
     try:
         raw = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ProtocolError(f"payload is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ProtocolError("payload must be a JSON object")
@@ -153,7 +157,11 @@ def decode_line(
             raise ProtocolError("t and dur must have the same length")
     else:
         for what, value in (("t", t), ("dur", dur)):
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
+            try:
+                finite = isinstance(value, (int, float)) and math.isfinite(value)
+            except OverflowError:  # an integer too large for a float
+                finite = False
+            if not finite:
                 raise ProtocolError(f"{what} must be a finite number")
         timestamps = [t]
         durations = [dur]
@@ -182,6 +190,10 @@ def decode_line(
         except (TypeError, ValueError):
             raise ProtocolError(
                 f"counts[{name!r}] rows must be equal-width arrays of numbers"
+            ) from None
+        except OverflowError:  # an integer too large for a float
+            raise ProtocolError(
+                f"counts[{name!r}] values must be finite numbers"
             ) from None
         if array.ndim != 2 or array.shape[1] < 1:
             raise ProtocolError(

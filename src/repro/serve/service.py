@@ -513,13 +513,12 @@ class EstimationService:
             totals_arr = arr if totals_arr is None else totals_arr + arr
         totals = totals_arr.tolist()
         n_total = len(totals)
-        # Full per-sample columns are only needed for truth scoring and
-        # the keep-estimates ring; the hot path indexes the last row of
-        # the numpy arrays directly.
+        # Full per-sample columns are only needed for the keep-estimates
+        # ring; the hot path indexes the last row of the numpy arrays
+        # directly.
         columns = (
             {s: arr.tolist() for s, arr in predictions.items()}
             if self.keep_estimates
-            or any(batch.true_w is not None for batch in group)
             else None
         )
         error_good = error_bad = 0
@@ -562,9 +561,7 @@ class EstimationService:
                         for s in terms
                     }
                 if batch.true_w is not None:
-                    good, bad = self._score_truth(
-                        state, batch, columns, subsystems, totals, lo
-                    )
+                    good, bad = self._score_truth(state, batch, predictions, lo)
                     error_good += good
                     error_bad += bad
             if self.ops:
@@ -581,28 +578,39 @@ class EstimationService:
             for stage in ("evaluate", "publish"):
                 self._stage_exemplar[stage] = group[-1].trace_id
 
-    def _score_truth(
-        self, state, batch, columns, subsystems, totals, lo
-    ) -> "tuple[int, int]":
-        """Per-sample drift scoring against shipped truth watts."""
+    def _score_truth(self, state, batch, predictions, lo) -> "tuple[int, int]":
+        """Score one batch against its shipped truth watts.
+
+        Drift sees the batch as one frame.  The SLO tally and
+        ``last_error_pct`` compare the summed estimate and truth over
+        the subsystems present on both sides, as the drift ``total``
+        stream does, so a node that ships partial truth is scored on
+        what it shipped.
+        """
         if state.drift is None:
             state.drift = DriftMonitor(slo_pct=self.drift_slo_pct)
-        truth = batch.true_w
-        good = bad = 0
-        bound = self.slo.error_bound_pct
-        for i in range(batch.n_samples):
-            estimated = {s.value: columns[s][lo + i] for s in subsystems}
-            actual = {name: series[i] for name, series in truth.items()}
-            state.drift.observe(batch.timestamps[i], estimated, actual)
-            true_total = sum(actual.values())
-            if true_total > 0:
-                err = abs(totals[lo + i] - true_total) / true_total * 100.0
-                state.last_error_pct = err
-                if err <= bound:
-                    good += 1
-                else:
-                    bad += 1
-        return good, bad
+        hi = lo + batch.n_samples
+        estimated = {s.value: arr[lo:hi] for s, arr in predictions.items()}
+        truth = {
+            name: np.asarray(series, dtype=float)
+            for name, series in batch.true_w.items()
+        }
+        state.drift.observe(batch.timestamps, estimated, truth)
+        shared = [name for name in truth if name in estimated]
+        if not shared:
+            return 0, 0
+        est_total = estimated[shared[0]]
+        true_total = truth[shared[0]]
+        for name in shared[1:]:
+            est_total = est_total + estimated[name]
+            true_total = true_total + truth[name]
+        scored = true_total > 0
+        true_total = true_total[scored]
+        errors = np.abs(est_total[scored] - true_total) / true_total * 100.0
+        if errors.size:
+            state.last_error_pct = float(errors[-1])
+        good = int(np.count_nonzero(errors <= self.slo.error_bound_pct))
+        return good, errors.size - good
 
     @staticmethod
     def _span(name: str, trace_id: "str | None", **attrs):

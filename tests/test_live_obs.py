@@ -20,11 +20,14 @@ import urllib.request
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.core.estimator import SystemPowerEstimator
 from repro.core.events import Subsystem
 from repro.obs.drift import DEFAULT_SLO_PCT, DriftMonitor
+from repro.obs.fleet import FleetDriftMonitor
 from repro.obs.http import ObservabilityServer
 from repro.obs.live import LiveMonitor, WindowedRegistry
 from repro.obs.metrics import Histogram, MetricsRegistry
@@ -535,6 +538,155 @@ class TestDriftMonitor:
         ):
             with pytest.raises(ValueError):
                 DriftMonitor(**kwargs)
+
+
+def _drift_telemetry() -> dict:
+    """The drift gauges, counters and trace events recorded so far."""
+    registry = obs.registry()
+    return {
+        "gauges": {
+            k: v for k, v in registry.gauges.items() if k[0].startswith("drift_")
+        },
+        "counters": {
+            k: v for k, v in registry.counters.items() if k[0].startswith("drift_")
+        },
+        "events": [
+            (e["name"], e["attrs"])
+            for e in obs.tracer().events
+            if e["name"] == "drift.alert"
+        ],
+    }
+
+
+@st.composite
+def _drift_streams(draw):
+    """Monitor settings, a run of windows and a split of it into frames."""
+    names = draw(
+        st.lists(
+            st.sampled_from(["cpu", "chipset", "memory", "io", "disk"]),
+            min_size=1,
+            max_size=5,
+            unique=True,
+        )
+    )
+    n = draw(st.integers(1, 48))
+    true_w = {
+        name: draw(
+            st.lists(
+                st.one_of(st.just(0.0), st.floats(0.1, 500.0)),
+                min_size=n,
+                max_size=n,
+            )
+        )
+        for name in names
+    }
+    # Runs of small and large relative errors, so streams fire and
+    # resolve inside one frame.
+    ratios = st.sampled_from([1.0, 1.01, 1.05, 0.97, 1.2, 1.6, 0.5])
+    estimated_w = {
+        name: [w * draw(ratios) for w in column]
+        for name, column in true_w.items()
+    }
+    # A subsystem only one side reports is ignored by both forms.
+    estimated_w["fan"] = [1.0] * n
+    steps = draw(st.lists(st.floats(0.01, 5.0), min_size=n, max_size=n))
+    times = np.cumsum(steps).tolist()
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=4))) if n > 1 else []
+    settings_ = {
+        "alpha": draw(st.sampled_from([0.25, 0.5, 1.0, 0.1])),
+        "min_windows": draw(st.integers(1, 4)),
+        "resolve_ratio": draw(st.sampled_from([0.8, 0.5, 1.0])),
+        "slo_pct": draw(st.sampled_from([9.0, 15.0, 30.0])),
+    }
+    return settings_, times, estimated_w, true_w, [0, *cuts, n]
+
+
+class TestDriftMonitorFrames:
+    """One column-form ``observe`` over n windows is n single-window
+    calls: the same state, transitions, history and final gauges."""
+
+    @given(case=_drift_streams())
+    @settings(max_examples=80, deadline=None)
+    def test_frame_equals_single_windows(self, case):
+        config, times, estimated_w, true_w, bounds = case
+        obs.enable()
+
+        obs.reset()
+        single = DriftMonitor(**config)
+        single_out = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            frame_out = []
+            for i in range(lo, hi):
+                frame_out += single.observe(
+                    times[i],
+                    {k: v[i] for k, v in estimated_w.items()},
+                    {k: v[i] for k, v in true_w.items()},
+                )
+            single_out.append(frame_out)
+        single_telemetry = _drift_telemetry()
+
+        obs.reset()
+        framed = DriftMonitor(**config)
+        framed_out = [
+            framed.observe(
+                times[lo:hi],
+                # estimates as numpy columns, truth as lists: both forms
+                # the service passes
+                {k: np.asarray(v[lo:hi]) for k, v in estimated_w.items()},
+                {k: v[lo:hi] for k, v in true_w.items()},
+            )
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+
+        assert framed_out == single_out
+        assert framed.history() == single.history()
+        assert framed.to_json() == single.to_json()
+        assert _drift_telemetry() == single_telemetry
+
+        # Both forms share one code path; the lane engine is a separate
+        # implementation of the same arithmetic and must agree too.
+        lane = FleetDriftMonitor(1, **config)
+        for i, t in enumerate(times):
+            lane.observe(
+                t,
+                {k: [v[i]] for k, v in estimated_w.items()},
+                {k: [v[i]] for k, v in true_w.items()},
+            )
+        assert lane.lane_state(0) == framed.to_json()["streams"]
+
+    def test_one_frame_fires_and_resolves(self):
+        true_w = {"cpu": [100.0] * 12}
+        estimated_w = {"cpu": [100.0] * 3 + [150.0] * 4 + [100.0] * 5}
+        times = [float(i) for i in range(12)]
+        framed = DriftMonitor(alpha=1.0, min_windows=1)
+        transitions = framed.observe(times, estimated_w, true_w)
+        single = DriftMonitor(alpha=1.0, min_windows=1)
+        expected = []
+        for i, t in enumerate(times):
+            expected += single.observe(
+                t, {"cpu": estimated_w["cpu"][i]}, {"cpu": true_w["cpu"][i]}
+            )
+        assert [(a.subsystem, a.state, a.timestamp_s) for a in transitions] == [
+            ("cpu", "firing", 3.0),
+            ("total", "firing", 3.0),
+            ("cpu", "resolved", 7.0),
+            ("total", "resolved", 7.0),
+        ]
+        assert transitions == expected
+        assert framed.to_json() == single.to_json()
+
+    def test_frame_shape_errors(self):
+        monitor = DriftMonitor()
+        with pytest.raises(ValueError, match="shape"):
+            monitor.observe([1.0, 2.0], {"cpu": [1.0]}, {"cpu": [1.0, 1.0]})
+        with pytest.raises(ValueError, match="1-d"):
+            monitor.observe([[1.0]], {"cpu": [[1.0]]}, {"cpu": [[1.0]]})
+        with pytest.raises(ValueError, match="one window"):
+            monitor.observe(
+                [1.0], {"cpu": [1.0]}, {"cpu": [1.0]}, attribution=object()
+            )
+        assert monitor.observe([], {"cpu": []}, {"cpu": []}) == []
+        assert monitor.to_json()["streams"] == {}
 
 
 DURATION_TICKS = 2000  # 20 s at the fast config's 10 ms tick

@@ -31,6 +31,7 @@ from repro.core.events import Event, Subsystem
 from repro.core.features import FeatureSet
 from repro.core.models import ConstantModel, PolynomialModel
 from repro.core.suite import TrickleDownSuite
+from repro.obs.drift import DriftMonitor
 from repro.obs.flight import FlightRecorder
 from repro.obs.http import ObservabilityServer
 from repro.obs.live import WindowedRegistry
@@ -126,7 +127,65 @@ def _post(url: str, body: str):
         return error.code, json.load(error)
 
 
+def _scaled_truth_frames(
+    suite, run, factors, subsystems=None, node="n0", frame_samples=32
+):
+    """Frames of ``run``'s counters whose truth watts are the offline
+    estimates divided by ``factors`` — sample i is off by exactly
+    ``factors[i] - 1`` — for ``subsystems`` (default: all).  Returns
+    ``(lines, truth)``."""
+    trace = run.counters
+    estimates = SystemPowerEstimator(suite).estimate_trace(trace)
+    truth = {
+        s.value: [e.subsystem_w[s] / f for e, f in zip(estimates, factors)]
+        for s in (subsystems or suite.subsystems)
+    }
+    events = required_events(suite)
+    counts = {e: trace.counts[e].tolist() for e in events}
+    timestamps = trace.timestamps.tolist()
+    durations = trace.durations.tolist()
+    lines = []
+    for lo in range(0, len(timestamps), frame_samples):
+        hi = lo + frame_samples
+        lines.append(
+            encode_frame(
+                node,
+                timestamps[lo:hi],
+                durations[lo:hi],
+                {e: rows[lo:hi] for e, rows in counts.items()},
+                true_w={k: v[lo:hi] for k, v in truth.items()},
+            )
+        )
+    return lines, truth
+
+
+def _per_sample_scoring(suite, run, truth, bound_pct):
+    """The per-sample reference of the service's truth scoring: one
+    single-window drift call per sample, and the SLO verdict on the
+    summed estimate and truth of the shipped subsystems."""
+    drift = DriftMonitor()
+    good = bad = 0
+    last_error = None
+    estimates = SystemPowerEstimator(suite).estimate_trace(run.counters)
+    for i, estimate in enumerate(estimates):
+        estimated = {s.value: w for s, w in estimate.subsystem_w.items()}
+        actual = {name: series[i] for name, series in truth.items()}
+        drift.observe(estimate.timestamp_s, estimated, actual)
+        est_total = sum(estimated[name] for name in actual)
+        true_total = sum(actual.values())
+        if true_total > 0:
+            last_error = abs(est_total - true_total) / true_total * 100.0
+            if last_error <= bound_pct:
+                good += 1
+            else:
+                bad += 1
+    return drift, good, bad, last_error
+
+
 # -- wire protocol -----------------------------------------------------
+
+#: A valid JSON integer that no float can hold.
+_BIG = "9" * 400
 
 
 class TestProtocol:
@@ -258,6 +317,64 @@ class TestProtocol:
                 ' "counts": {"cycles": [1.0]},'
                 ' "true_w": {"cpu": "lots"}}',
                 "finite numbers",
+            ),
+            # Valid JSON integers too large for a float: float() and
+            # np.asarray raise OverflowError on them.
+            pytest.param(
+                '{"node": "n", "t": [' + _BIG + '], "dur": [1.0],'
+                ' "counts": {"cycles": [[1.0]]}}',
+                "t must contain only finite numbers",
+                id="overflow-t-column",
+            ),
+            pytest.param(
+                '{"node": "n", "t": ' + _BIG + ', "dur": 1.0,'
+                ' "counts": {"cycles": [1.0]}}',
+                "t must be a finite number",
+                id="overflow-t-scalar",
+            ),
+            pytest.param(
+                '{"node": "n", "t": [1.0], "dur": [' + _BIG + '],'
+                ' "counts": {"cycles": [[1.0]]}}',
+                "dur must contain only finite numbers",
+                id="overflow-dur-column",
+            ),
+            pytest.param(
+                '{"node": "n", "t": 1.0, "dur": ' + _BIG + ','
+                ' "counts": {"cycles": [1.0]}}',
+                "dur must be a finite number",
+                id="overflow-dur-scalar",
+            ),
+            pytest.param(
+                '{"node": "n", "t": [1.0], "dur": [1.0],'
+                ' "counts": {"cycles": [[1.0, ' + _BIG + ']]}}',
+                "values must be finite numbers",
+                id="overflow-count",
+            ),
+            pytest.param(
+                '{"node": "n", "t": [1.0], "dur": [1.0],'
+                ' "counts": {"cycles": [[1.0]]},'
+                ' "true_w": {"cpu": [' + _BIG + ']}}',
+                "true_w['cpu'] must contain only finite numbers",
+                id="overflow-true_w-column",
+            ),
+            pytest.param(
+                '{"node": "n", "t": 1.0, "dur": 1.0,'
+                ' "counts": {"cycles": [1.0]},'
+                ' "true_w": {"cpu": ' + _BIG + '}}',
+                "true_w['cpu'] must contain only finite numbers",
+                id="overflow-true_w-scalar",
+            ),
+            # Past the int-to-str digit limit json.loads raises a plain
+            # ValueError, and past its nesting limit RecursionError.
+            pytest.param(
+                '{"node": "n", "t": [' + "9" * 5000 + "]}",
+                "not valid JSON",
+                id="integer-digit-limit",
+            ),
+            pytest.param(
+                "[" * 100_000 + "]" * 100_000,
+                "not valid JSON",
+                id="nesting-limit",
             ),
         ],
     )
@@ -542,15 +659,55 @@ class TestEstimationService:
         assert service.decode_errors_total == 1
 
     def test_truth_scoring_sets_error_and_attaches_drift(self, suite, gcc_run):
-        service = EstimationService(suite, shards=1, ops=False)
-        for line in frames_from_run(
-            gcc_run, "n0", frame_samples=32, events=required_events(suite)
-        ):
+        """Frame-at-a-time scoring equals scoring every sample alone: the
+        node's drift state (EWMAs compared with ==, transitions, history)
+        and the SLO tally match a per-sample reference on a stream that
+        fires and resolves."""
+        n = gcc_run.counters.n_samples
+        # 2 % error for 40 samples, then 30 % for 40, and so on.
+        factors = np.where((np.arange(n) // 40) % 2 == 0, 1.02, 1.30)
+        lines, truth = _scaled_truth_frames(suite, gcc_run, factors)
+        service = EstimationService(suite, shards=1)
+        for line in lines:
             service.ingest_inline(line)
         document = service.node_document("n0")
-        assert document["error_pct"] is not None
-        assert document["drift"] is not None
-        assert document["n_samples"] == gcc_run.counters.n_samples
+        drift, good, bad, last_error = _per_sample_scoring(
+            suite, gcc_run, truth, service.slo.error_bound_pct
+        )
+        assert {a["state"] for a in drift.to_json()["history"]} == {
+            "firing", "resolved"
+        }
+        assert good and bad
+        assert document["drift"] == drift.to_json()
+        assert document["error_pct"] == last_error
+        assert document["n_samples"] == n
+        error_slo = service.slo.check()["slos"]["error"]
+        assert (error_slo["good_total"], error_slo["bad_total"]) == (good, bad)
+
+    def test_partial_truth_is_scored_on_the_shipped_subsystems(
+        self, suite, gcc_run
+    ):
+        """A node shipping only CPU truth is scored on CPU alone; the
+        sum of every predicted subsystem used to be compared with the
+        CPU truth and counted every sample against the error SLO."""
+        n = gcc_run.counters.n_samples
+        lines, truth = _scaled_truth_frames(
+            suite, gcc_run, np.full(n, 1.02), subsystems=[Subsystem.CPU]
+        )
+        service = EstimationService(suite, shards=1)
+        for line in lines:
+            service.ingest_inline(line)
+        document = service.node_document("n0")
+        drift, good, bad, last_error = _per_sample_scoring(
+            suite, gcc_run, truth, service.slo.error_bound_pct
+        )
+        assert (good, bad) == (n, 0)
+        assert last_error == pytest.approx(2.0)
+        assert document["error_pct"] == last_error
+        assert document["drift"] == drift.to_json()
+        assert set(document["drift"]["streams"]) == {"cpu", "total"}
+        error_slo = service.slo.check()["slos"]["error"]
+        assert (error_slo["good_total"], error_slo["bad_total"]) == (n, 0)
 
     def test_attribution_rides_along_when_enabled(self, suite, gcc_run):
         service = EstimationService(suite, shards=1, ops=False, attribute=True)
@@ -840,6 +997,36 @@ class TestHttpRoutes:
         assert receipt["accepted"] == 8
         assert len(receipt["errors"]) == 1
         assert _wait_for(lambda: service.samples_total >= 8)
+
+    @pytest.mark.parametrize("field", ["t", "dur", "counts", "true_w"])
+    def test_oversized_integer_line_is_a_counted_decode_error(
+        self, served, suite, gcc_run, field
+    ):
+        """An integer too large for a float is a bad line like any
+        other: 200 for the good frame beside it, one receipt error, one
+        counted decode error (it used to answer 500 and drop both)."""
+        service, endpoint, _ = served
+        good = frames_from_run(
+            gcc_run, "n0", frame_samples=8, events=required_events(suite)
+        )[0]
+        doc = json.loads(good)
+        doc["node"] = "n1"
+        big = 10 ** 400
+        if field == "counts":
+            doc["counts"][next(iter(doc["counts"]))][0][0] = big
+        elif field == "true_w":
+            doc["true_w"]["cpu"][0] = big
+        else:
+            doc[field][0] = big
+        bad = json.dumps(doc)
+        status, receipt = _post(endpoint.url("/ingest"), good + "\n" + bad + "\n")
+        assert status == 200
+        assert receipt["accepted"] == 8
+        assert len(receipt["errors"]) == 1
+        assert service.decode_errors_total == 1
+        assert _wait_for(lambda: service.samples_total >= 8)
+        assert _get(endpoint.url("/nodes/n0"))[1]["n_samples"] == 8
+        assert _get(endpoint.url("/nodes/n1"))[0] == 404
 
     def test_slo_route_serves_burn_state(self, served):
         _, endpoint, _ = served
