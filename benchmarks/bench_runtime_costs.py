@@ -190,7 +190,6 @@ def test_datacenter_scenario_throughput(benchmark, show):
             cap_w,
             config=config,
             calibration=calibration,
-            engine="fleet",
             seed=11,
         ).run(duration_s)
 

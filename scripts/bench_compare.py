@@ -144,7 +144,6 @@ def measure(fleet_widths: "list[int] | None" = None) -> "dict[str, dict]":
             dc_cap_w,
             config=fast_config(),
             calibration=dc_calibration,
-            engine="fleet",
             seed=11,
         ).run(dc_duration_s)
 

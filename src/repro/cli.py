@@ -396,13 +396,6 @@ def main(argv: "list[str] | None" = None) -> int:
         "(default 0.6)",
     )
     dc_group.add_argument(
-        "--dc-engine",
-        choices=("fleet", "scalar"),
-        default="fleet",
-        dest="dc_engine",
-        help="cluster engine for the zones (default fleet)",
-    )
-    dc_group.add_argument(
         "--no-static",
         action="store_true",
         dest="no_static",
@@ -567,7 +560,7 @@ def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
     context = _context(args)
     if command == "datacenter":
-        return _cmd_datacenter(args, context)
+        return _cmd_datacenter(args, parser, context)
     if command == "monitor":
         return _cmd_monitor(args, parser, context)
     if command == "serve":
@@ -698,7 +691,9 @@ def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     return 2
 
 
-def _cmd_datacenter(args: argparse.Namespace, context) -> int:
+def _cmd_datacenter(
+    args: argparse.Namespace, parser: argparse.ArgumentParser, context
+) -> int:
     """Run the multi-zone energy-proportionality scenario.
 
     Builds a diurnal + flash-crowd + failover traffic model over
@@ -718,9 +713,18 @@ def _cmd_datacenter(args: argparse.Namespace, context) -> int:
         train_zone_bank,
     )
 
+    if args.dc_zones < 1:
+        parser.error("--dc-zones must be positive")
+    if args.nodes_per_zone < 1:
+        parser.error("--nodes-per-zone must be positive")
+    # ``not x > 0`` also rejects NaN.
+    if not args.cap_w >= 0:
+        parser.error("--cap-w must not be negative (0 = use --cap-frac)")
+    if not args.cap_frac > 0:
+        parser.error("--cap-frac must be positive")
     duration = max(int(args.duration), 30)
-    n_zones = max(args.dc_zones, 1)
-    per_zone = max(args.nodes_per_zone, 1)
+    n_zones = args.dc_zones
+    per_zone = args.nodes_per_zone
     config = context.config
     print(
         f"calibrating sensor bank "
@@ -769,7 +773,7 @@ def _cmd_datacenter(args: argparse.Namespace, context) -> int:
     )
     print(
         f"running {total_nodes} nodes / {n_zones} zones for {duration}s "
-        f"under a {cap_w:.0f} W cap ({args.dc_engine} engine)...",
+        f"under a {cap_w:.0f} W cap...",
         file=sys.stderr,
     )
     store = None
@@ -784,7 +788,6 @@ def _cmd_datacenter(args: argparse.Namespace, context) -> int:
         cap_w,
         duration,
         config=config,
-        engine=args.dc_engine,
         seed=args.seed,
         calibration=calibration,
         include_true_sensor=not args.no_regret,

@@ -28,7 +28,6 @@ import numpy as np
 from repro import obs
 from repro.simulator.config import SystemConfig, fast_config
 from repro.simulator.fleet import FleetServer
-from repro.simulator.system import Server
 from repro.workloads.registry import get_workload
 
 #: Power drawn by a powered-down node (standby circuitry, Watts).
@@ -67,14 +66,14 @@ def _service_workload_spec(service_workload: str):
 
 
 class _NodeControl:
-    """Power/boot/nap/load state machine shared by both node frontends.
+    """Power/boot/nap/load state machine of one cluster node.
 
     Subclasses set ``node_id``, ``boot_time_s`` and ``capacity`` and
     call :meth:`_init_control`; everything observable about a node's
-    power state lives here so the scalar and fleet engines behave
-    alike.  Besides on/booting/off, a node supports a *nap* — the
-    subsystem-level low-power ensemble (DRAM self-refresh, disks spun
-    down) with a short exit latency — and a per-node DVFS pstate.
+    power state lives here, apart from the simulated server.  Besides
+    on/booting/off, a node supports a *nap* — the subsystem-level
+    low-power ensemble (DRAM self-refresh, disks spun down) with a short
+    exit latency — and a per-node DVFS pstate.
     """
 
     def _init_control(self) -> None:
@@ -83,7 +82,7 @@ class _NodeControl:
         self._wake_remaining_s = 0.0
         self._napping = False
         self.assigned_threads = 0
-        #: Requested DVFS operating point; the engine applies it before
+        #: Requested DVFS operating point; the cluster applies it before
         #: the node's next simulated second.
         self.pstate = 0
 
@@ -178,9 +177,8 @@ class _NodeControl:
         """Advance one second of *non-simulated* node state.
 
         Returns the node's power for that second when it is off,
-        booting, waking or napping — identically for both engines —
-        and ``None`` when the node is live and its server must be
-        stepped.
+        booting, waking or napping, and ``None`` when the node is live
+        and its server must be stepped.
         """
         if not self.powered:
             return STANDBY_POWER_W
@@ -195,63 +193,14 @@ class _NodeControl:
         return None
 
 
-class ClusterNode(_NodeControl):
-    """One server in the ensemble, serving up to eight worker threads."""
-
-    def __init__(
-        self,
-        node_id: int,
-        config: SystemConfig,
-        seed: int,
-        service_workload: str = "SPECjbb",
-        boot_time_s: float = BOOT_TIME_S,
-    ) -> None:
-        self.node_id = node_id
-        self.config = config
-        self.boot_time_s = boot_time_s
-        spec = _service_workload_spec(service_workload)
-        self._server = Server(config, spec, seed=seed)
-        self._server.sampler.disable()
-        self._all_threads = list(self._server.threads)
-        self._server.threads = []
-        self._applied_pstate = 0
-        self._init_control()
-
-    @property
-    def server(self) -> Server:
-        """The node's simulated server (counter bank, energy account).
-
-        External control loops read the counter bank through this —
-        the node's own sampler is disabled precisely so one reader
-        owns the clear-on-read counters.
-        """
-        return self._server
-
-    @property
-    def capacity(self) -> int:
-        return len(self._all_threads)
-
-    def tick_second(self) -> float:
-        """Advance one second; returns the node's true power (Watts)."""
-        idle_w = self.idle_power_second()
-        if idle_w is not None:
-            return idle_w
-        if self.pstate != self._applied_pstate:
-            self._server.set_all_pstates(self.pstate)
-            self._applied_pstate = self.pstate
-        self._server.threads = self._all_threads[: self.assigned_threads]
-        ticks = int(round(1.0 / self.config.tick_s))
-        return self._server.run_ticks(ticks)
-
-
 class FleetNodeHandle(_NodeControl):
-    """One fleet lane presented through the ``ClusterNode`` surface.
+    """One cluster node: the control state machine over a fleet lane.
 
-    Same control state machine, but the simulated server is a lane of
-    the cluster's shared :class:`FleetServer`, stepped once per second
-    for all nodes together by :meth:`Cluster.run`.  ``server`` returns
-    the lane's read-only view, so observers reading counters and
-    energy work unchanged.
+    The simulated server is a lane of the cluster's shared
+    :class:`FleetServer`, stepped once per second for all nodes
+    together by :meth:`Cluster.run`.  ``server`` returns the lane's
+    read-only ``Server``-shaped view, so observers read counters and
+    energy as they would off a scalar server.
     """
 
     def __init__(
@@ -398,14 +347,12 @@ class PowerAwareManager:
 class Cluster:
     """A fixed set of nodes driven by a manager and a demand trace.
 
-    ``engine="fleet"`` (the default) holds every node as one lane of a
-    single :class:`FleetServer` and steps all running nodes in one
-    vectorized pass per second; ``engine="scalar"`` keeps one scalar
-    :class:`ClusterNode` per node.  Node power numbers are bit-exact
-    between the engines (the fleet's per-lane energy accounting is
-    bit-identical to the scalar server's), so the choice is purely a
-    throughput one — fleet runs large clusters an order of magnitude
-    faster.
+    Every node is one lane of a single :class:`FleetServer`, and all
+    running nodes step in one vectorized pass per second.  A lane's
+    energy accounting is bit-identical to a scalar
+    :class:`~repro.simulator.system.Server` with the same seed and
+    schedule, which ``tests/replay.py`` checks by replaying a run's
+    per-second schedule on one ``Server`` per node.
     """
 
     def __init__(
@@ -415,41 +362,22 @@ class Cluster:
         seed: int = 1,
         service_workload: str = "SPECjbb",
         boot_time_s: float = BOOT_TIME_S,
-        engine: str = "fleet",
     ) -> None:
         if n_nodes < 1:
             raise ValueError("need at least one node")
-        if engine not in ("fleet", "scalar"):
-            raise ValueError(
-                f"engine must be 'fleet' or 'scalar' (got {engine!r})"
-            )
         config = config or fast_config()
         self.config = config
-        self.engine = engine
-        if engine == "scalar":
-            self._fleet = None
-            self.nodes = [
-                ClusterNode(
-                    i,
-                    config,
-                    seed=seed + i,
-                    service_workload=service_workload,
-                    boot_time_s=boot_time_s,
-                )
-                for i in range(n_nodes)
-            ]
-        else:
-            spec = _service_workload_spec(service_workload)
-            self._fleet = FleetServer(
-                config, spec, [seed + i for i in range(n_nodes)]
-            )
-            self._fleet.disable_sampling()
-            for lane in range(n_nodes):
-                self._fleet.set_lane_threads(lane, 0)
-            self.nodes = [
-                FleetNodeHandle(i, self._fleet, i, boot_time_s)
-                for i in range(n_nodes)
-            ]
+        spec = _service_workload_spec(service_workload)
+        self._fleet = FleetServer(
+            config, spec, [seed + i for i in range(n_nodes)]
+        )
+        self._fleet.disable_sampling()
+        for lane in range(n_nodes):
+            self._fleet.set_lane_threads(lane, 0)
+        self.nodes = [
+            FleetNodeHandle(i, self._fleet, i, boot_time_s)
+            for i in range(n_nodes)
+        ]
         self._applied_pstates: "np.ndarray | None" = None
 
     @property
@@ -458,8 +386,6 @@ class Cluster:
 
     def _step_second(self) -> "list[float]":
         """One second of simulated time for every node; per-node Watts."""
-        if self._fleet is None:
-            return [node.tick_second() for node in self.nodes]
         fleet = self._fleet
         pstates = np.fromiter(
             (node.pstate for node in self.nodes),

@@ -1,9 +1,10 @@
 """The simulated datacenter: zones of fleet lanes under estimated-power
 policies, scored against ground truth.
 
-One :class:`~repro.cluster.Cluster` per zone (fleet engine by default,
-so a thousand nodes step as lanes of a few ``FleetServer`` passes); per
-second the loop is
+One :class:`~repro.cluster.Cluster` per zone, each one
+:class:`~repro.simulator.fleet.FleetServer` whose lanes are the zone's
+nodes, so a thousand nodes step in a few vectorized passes; per second
+the loop is
 
 1. the open-loop :class:`~repro.dc.traffic.TrafficModel` offers each
    zone its thread demand;
@@ -164,7 +165,6 @@ class DatacenterReport:
 
     policy: str
     sensor: str
-    engine: str
     cap_w: float
     duration_s: int
     n_nodes: int
@@ -220,7 +220,6 @@ class DatacenterReport:
         return {
             "policy": self.policy,
             "sensor": self.sensor,
-            "engine": self.engine,
             "cap_w": self.cap_w,
             "duration_s": self.duration_s,
             "n_nodes": self.n_nodes,
@@ -306,8 +305,6 @@ class Datacenter:
             define the layout.
         cap_w: datacenter-wide power cap (Watts).
         config: per-node system config (default :func:`fast_config`).
-        engine: ``"fleet"`` (lanes of shared vector servers) or
-            ``"scalar"`` (one scalar server per node).
         policy: ``"subsystem"`` (DVFS + naps + capping on estimated
             power) or ``"static"`` (all nodes on at p0, round-robin —
             the uncapped baseline EP is scored against).
@@ -323,7 +320,6 @@ class Datacenter:
         traffic: TrafficModel,
         cap_w: float,
         config: "SystemConfig | None" = None,
-        engine: str = "fleet",
         policy: str = "subsystem",
         sensor: str = "estimated",
         calibration: "ZoneCalibration | None" = None,
@@ -343,7 +339,6 @@ class Datacenter:
         self.traffic = traffic
         self.cap_w = float(cap_w)
         self.config = config or fast_config()
-        self.engine = engine
         self.policy = policy
         self.sensor = sensor
         self.drop_penalty_j = drop_penalty_j
@@ -360,7 +355,6 @@ class Datacenter:
                 seed=seed + offset,
                 service_workload=service_workload,
                 boot_time_s=boot_time_s,
-                engine=engine,
             )
             offset += zone.n_nodes
             if policy == "subsystem":
@@ -414,21 +408,10 @@ class Datacenter:
         )
         if not active:
             return float(parked_w)
-        if cluster._fleet is not None:
-            lanes = np.fromiter(
-                (i for i, _ in active), dtype=np.int64, count=len(active)
-            )
-            counts = cluster._fleet.read_and_clear_lanes(lanes)
-            rows = {event: arr for event, arr in counts.items()}
-        else:
-            per_node = [node.server.counters.read_and_clear() for _, node in active]
-            events = list(per_node[0])
-            rows = {
-                event: np.vstack(
-                    [np.asarray(c[event], dtype=float) for c in per_node]
-                )
-                for event in events
-            }
+        lanes = np.fromiter(
+            (i for i, _ in active), dtype=np.int64, count=len(active)
+        )
+        rows = cluster._fleet.read_and_clear_lanes(lanes)
         estimated = 0.0
         pstates = np.fromiter(
             (node.pstate for _, node in active),
@@ -454,7 +437,6 @@ class Datacenter:
         report = DatacenterReport(
             policy=self.policy,
             sensor=self.sensor,
-            engine=self.engine,
             cap_w=self.cap_w,
             duration_s=int(duration_s),
             n_nodes=self.n_nodes,
@@ -606,7 +588,6 @@ def run_scenario(
     duration_s: int,
     *,
     config: "SystemConfig | None" = None,
-    engine: str = "fleet",
     seed: int = 11,
     calibration: "ZoneCalibration | None" = None,
     include_true_sensor: bool = True,
@@ -633,7 +614,6 @@ def run_scenario(
             traffic,
             cap_w,
             config=config,
-            engine=engine,
             policy=policy,
             sensor=sensor,
             calibration=calibration,

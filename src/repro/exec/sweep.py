@@ -264,7 +264,6 @@ def sweep_specs(
     retry: "RetryPolicy | None" = None,
     faults: "FaultPlan | None" = None,
     allow_partial: bool = False,
-    fleet: str = "auto",
 ) -> SweepResult:
     """Run every spec, in parallel, returning runs in spec order.
 
@@ -273,14 +272,14 @@ def sweep_specs(
     runs inline in this process — the results are identical either
     way, only the wall-clock differs.
 
-    ``fleet="auto"`` (the default) batches specs that differ *only in
-    seed* — same workload, duration, pstate, warmup and config — into
-    one vectorized :func:`~repro.simulator.fleet.simulate_fleet` pass,
-    one lane per seed.  Lane results match the per-spec path exactly on
-    the simulation side (counters, energy, metadata); measured power
-    traces are tolerance-bounded per the fleet's documented epsilon.
-    ``fleet="off"`` forces the per-spec path, and fault injection
-    disables fleet batching automatically (faults key on per-spec
+    Specs that differ *only in seed* — same workload, duration, pstate,
+    warmup and config — run as one vectorized
+    :func:`~repro.simulator.fleet.simulate_fleet` pass, one lane per
+    seed.  Lane results match the per-spec path exactly on the
+    simulation side (counters, energy, metadata); measured power traces
+    are tolerance-bounded per the fleet's documented epsilon.  A spec
+    whose group has no other member takes the per-spec path, and so
+    does every spec under fault injection (faults key on per-spec
     attempts, which a batched pass does not have).  A fleet pass that
     fails falls back to per-spec execution for its specs.
 
@@ -293,8 +292,6 @@ def sweep_specs(
     ``allow_partial=True``.
     """
     specs = list(specs)
-    if fleet not in ("auto", "off"):
-        raise ValueError(f"fleet must be 'auto' or 'off' (got {fleet!r})")
     if n_workers is None:
         n_workers = default_workers()
     if retry is None:
@@ -302,7 +299,7 @@ def sweep_specs(
     if faults is None:
         faults = FaultPlan.from_env()
     with obs.span("sweep.sweep_specs", n_specs=len(specs)) as sweep_span:
-        result = _sweep_specs(specs, n_workers, cache, retry, faults, fleet)
+        result = _sweep_specs(specs, n_workers, cache, retry, faults)
         if sweep_span is not None:
             sweep_span.set("n_simulated", len(result.simulated))
             sweep_span.set("n_workers", result.n_workers)
@@ -465,7 +462,6 @@ def _sweep_specs(
     cache: "RunCache | None",
     retry: RetryPolicy,
     faults: "FaultPlan | None",
-    fleet: str = "auto",
 ) -> SweepResult:
     runs: "list[MeasuredRun | None]" = [None] * len(specs)
     caching = cache is not None and cache.enabled
@@ -486,7 +482,7 @@ def _sweep_specs(
     telemetry = obs.enabled()
     state = _ExecState()
     to_execute = pending
-    if fleet == "auto" and faults is None:
+    if faults is None:
         to_execute = _run_fleet_groups(specs, pending, runs, cache, state)
     effective_workers = min(n_workers, len(to_execute)) if to_execute else 0
     if effective_workers > 1:

@@ -25,7 +25,7 @@ counterpart:
   bounded history for the ``/fleet/lane/<i>`` drill-down;
 * :func:`publish_lane_aggregates` publishes cross-lane min / mean /
   p50 / p95 / max gauges — shared by the fleet plane and the
-  fleet-engine cluster's per-node rollup.
+  cluster's per-node rollup.
 
 Everything is clocked by the caller (simulation time), so fixed seeds
 give identical windows, EWMAs and alerts.

@@ -28,7 +28,7 @@ foundation of the streamed-equals-batch guarantee in
 
 Both shapes normalise into :class:`SampleBatch`; decode is strict about
 structure **and element types** (missing keys, ragged arrays, unknown
-shapes, and non-numeric or non-finite values raise
+shapes, non-numeric or non-finite values, and non-positive ``dur`` raise
 :class:`ProtocolError` — nothing that passes decode can blow up inside
 ``evaluate``) but lenient about extra events — nodes may ship their
 full counter set and the service keeps only what the suite's features
@@ -165,6 +165,8 @@ def decode_line(
                 raise ProtocolError(f"{what} must be a finite number")
         timestamps = [t]
         durations = [dur]
+    if min(durations) <= 0:
+        raise ProtocolError("dur must be positive")
     n = len(timestamps)
 
     counts: "dict[Event, np.ndarray]" = {}

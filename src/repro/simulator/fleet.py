@@ -26,19 +26,18 @@ within ~1 ulp but are not guaranteed bit-equal, so DAQ power traces
 (and anything derived from them, e.g. ``MeasuredRun.power``) are
 tolerance-bounded rather than bit-exact — relative error is bounded by
 a few 1e-16 per tick and stays far below the modelled acquisition
-noise.  Callers that need bit-exact traces can pass
-``compat="scalar"`` to :func:`simulate_fleet` / :class:`FleetServer`,
-which runs real scalar ``Server`` objects behind the same fleet API.
-The drift term feeds no simulation state back, so counters and energy
-stay bit-exact even in the default vector mode.
+noise.  Callers that need bit-exact traces run
+:func:`~repro.simulator.system.simulate_workload` once per seed.  The
+drift term feeds no simulation state back, so counters and energy stay
+bit-exact.
 
 Lanes are independent: lane ``i``'s entire trace depends only on its
 own seed and workload, never on the fleet width or on other lanes.
 
-Not supported in vector mode (use ``compat="scalar"``): custom counter
-banks (multiplexed PMUs), per-package DVFS differing *within* a lane
-(per-lane uniform pstates are fine), and the RC thermal model (which
-the scalar server also keeps outside its tick loop).
+Not supported by the fleet (use :class:`~repro.simulator.system.Server`):
+custom counter banks (multiplexed PMUs), per-package DVFS differing
+*within* a lane (per-lane uniform pstates are fine), and the RC thermal
+model (which the scalar server also keeps outside its tick loop).
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ from repro.simulator.config import SystemConfig
 from repro.simulator.disk import _RANDOM_REQUEST_BYTES, _SEQUENTIAL_REQUEST_BYTES
 from repro.simulator.power import PowerBreakdown, ProcessStats
 from repro.simulator.rng import _stable_hash
-from repro.simulator.system import _BATCH_BUCKETS, _CROSS_COHERENCE_FRACTION, Server
+from repro.simulator.system import _BATCH_BUCKETS, _CROSS_COHERENCE_FRACTION
 from repro.workloads.base import ThreadPlan, WorkloadSpec
 
 __all__ = ["FleetServer", "simulate_fleet"]
@@ -275,9 +274,6 @@ class FleetServer:
         seeds: one RNG seed per lane.  Lane ``i`` reproduces exactly
             what ``Server(config, workload, seeds[i])`` would (see the
             module docstring for the one tolerance-bounded exception).
-        compat: ``"vector"`` (default) runs the numpy SoA kernel;
-            ``"scalar"`` runs real :class:`Server` objects behind the
-            same API (slower, but bit-exact everywhere).
     """
 
     def __init__(
@@ -285,10 +281,7 @@ class FleetServer:
         config: SystemConfig,
         workload: WorkloadSpec,
         seeds: "list[int] | tuple[int, ...]",
-        compat: str = "vector",
     ) -> None:
-        if compat not in ("vector", "scalar"):
-            raise ValueError(f"compat must be 'vector' or 'scalar', got {compat!r}")
         seeds = tuple(int(s) for s in seeds)
         if not seeds:
             raise ValueError("a fleet needs at least one lane")
@@ -296,17 +289,10 @@ class FleetServer:
         self.workload = workload
         self.seeds = seeds
         self.width = len(seeds)
-        self.compat = compat
         #: lane -> live monitor stack (see :meth:`attach_monitor`).
         self._monitors: "dict[int, list]" = {}
         #: Optional fleet-wide monitor (see :meth:`attach_fleet_monitor`).
         self._fleet_monitor = None
-        if compat == "scalar":
-            self._servers: "list[Server] | None" = [
-                Server(config, workload, seed) for seed in seeds
-            ]
-            return
-        self._servers = None
 
         width = self.width
         n_pkg = config.num_packages
@@ -600,16 +586,10 @@ class FleetServer:
     @property
     def now_s(self) -> float:
         """Simulated time of lane 0 (all active lanes share a clock)."""
-        if self._servers is not None:
-            return self._servers[0].now_s
         return float(self._now[0])
 
     def set_all_pstates(self, state_index: int) -> None:
         """Switch every package of every lane to one DVFS point."""
-        if self._servers is not None:
-            for server in self._servers:
-                server.set_all_pstates(state_index)
-            return
         if not 0 <= state_index < len(self.config.cpu.dvfs_states):
             raise ValueError(
                 f"pstate {state_index} out of range; package has "
@@ -638,10 +618,6 @@ class FleetServer:
             raise ValueError(
                 f"pstates must lie in [0, {n_states - 1}]"
             )
-        if self._servers is not None:
-            for server, state in zip(self._servers, idx):
-                server.set_all_pstates(int(state))
-            return
         if np.all(idx == idx[0]):
             self.set_all_pstates(int(idx[0]))
             return
@@ -651,11 +627,6 @@ class FleetServer:
 
     def lane_pstates(self) -> np.ndarray:
         """Current per-lane pstate indices, shape ``(width,)``."""
-        if self._servers is not None:
-            return np.array(
-                [server.packages[0].pstate_index for server in self._servers],
-                dtype=np.int64,
-            )
         if self._lane_pstates is not None:
             return self._lane_pstates.copy()
         return np.full(self.width, self._pstate_index, dtype=np.int64)
@@ -669,17 +640,13 @@ class FleetServer:
         :meth:`TrickleDownSuite.evaluate` design-matrix pass wants —
         and zeroes exactly those lanes' counters, in one numpy slice
         per event instead of a python loop over ``_LaneCounters``.
+        Out-of-range lanes raise :class:`IndexError`.
         """
-        if self._servers is not None:
-            snaps = [
-                self._servers[int(lane)].counters.read_and_clear()
-                for lane in lanes
-            ]
-            return {
-                event: np.vstack([snap[event] for snap in snaps])
-                for event in _EVENTS
-            }
         sel = np.asarray(lanes, dtype=np.int64)
+        if sel.size and (sel.min() < 0 or sel.max() >= self.width):
+            raise IndexError(
+                f"lanes must lie in [0, {self.width - 1}] for width {self.width}"
+            )
         c3 = self._counts3d
         out = {}
         for event in _EVENTS:
@@ -693,23 +660,19 @@ class FleetServer:
 
         Cluster load control: a node serving ``n`` request threads runs
         the first ``n`` plans of the shared service workload.  Disabled
-        threads behave as if their plan never started.
+        threads behave as if their plan never started.  Out-of-range
+        lanes raise :class:`IndexError`.
         """
+        lane = self._check_lane(lane)
         if not 0 <= n_threads <= self.workload.n_threads:
             raise ValueError(
                 f"n_threads must be in [0, {self.workload.n_threads}]"
             )
-        if self._servers is not None:
-            raise NotImplementedError("set_lane_threads requires vector mode")
         self._enabled[:, lane] = False
         self._enabled[:n_threads, lane] = True
 
     def disable_sampling(self) -> None:
         """Stop counter sampling on every lane (external counter reader)."""
-        if self._servers is not None:
-            for server in self._servers:
-                server.sampler.disable()
-            return
         self._samp_deadline[:] = np.inf
 
     def attach_monitor(self, monitor, lane: "int | None" = 0) -> None:
@@ -729,18 +692,9 @@ class FleetServer:
         for lane_i in lanes:
             stack = self._monitors.setdefault(lane_i, [])
             stack.append(monitor)
-            if self._servers is not None:
-                if len(stack) == 1:
-                    # The scalar server has a single monitor slot; give
-                    # it a fan-out view of this lane's (live) stack.
-                    self._servers[lane_i]._monitor = _MonitorFanout(stack)
-                on_attach = getattr(monitor, "on_attach", None)
-                if on_attach is not None:
-                    on_attach(self._servers[lane_i])
-            else:
-                on_attach = getattr(monitor, "on_attach", None)
-                if on_attach is not None:
-                    on_attach(self.lane(lane_i))
+            on_attach = getattr(monitor, "on_attach", None)
+            if on_attach is not None:
+                on_attach(self.lane(lane_i))
 
     def detach_monitor(self, lane: "int | None" = 0, monitor=None) -> None:
         """Detach ``monitor`` (default: all monitors) from ``lane``.
@@ -759,8 +713,6 @@ class FleetServer:
                 stack.remove(monitor)
             if not stack:
                 del self._monitors[lane_i]
-                if self._servers is not None:
-                    self._servers[lane_i].detach_monitor()
 
     def attach_fleet_monitor(self, monitor) -> None:
         """Attach a fleet-wide monitor pulsed on every closing lane.
@@ -773,10 +725,6 @@ class FleetServer:
         when present, fires now.  Unattached, the tick loop pays one
         ``is not None`` check per closing tick.
         """
-        if self._servers is not None:
-            raise NotImplementedError(
-                "attach_fleet_monitor requires vector mode"
-            )
         self._fleet_monitor = monitor
         on_attach = getattr(monitor, "on_attach_fleet", None)
         if on_attach is not None:
@@ -795,24 +743,13 @@ class FleetServer:
     # -- lane access / measured runs -----------------------------------
 
     def lane(self, lane: int):
-        """A read-only ``Server``-shaped view of one lane.
-
-        In ``compat="scalar"`` mode this is the lane's real scalar
-        server; in vector mode it is a :class:`_LaneView` facade over
-        the lane's slice of the fleet arrays.
-        """
-        if not 0 <= lane < self.width:
-            raise IndexError(
-                f"lane {lane} out of range for width {self.width}"
-            )
-        if self._servers is not None:
-            return self._servers[lane]
-        return _LaneView(self, lane)
+        """A read-only ``Server``-shaped view of one lane: a
+        :class:`_LaneView` facade over the lane's slice of the fleet
+        arrays."""
+        return _LaneView(self, self._check_lane(lane))
 
     def run(self, duration_s: float) -> "list[MeasuredRun]":
         """Step every lane ``duration_s`` and return one run per lane."""
-        if self._servers is not None:
-            return [server.run(duration_s) for server in self._servers]
         if duration_s < 2.0 * self.config.measurement.sample_period_s:
             raise ValueError(
                 "duration must cover at least two sampling windows; "
@@ -872,11 +809,6 @@ class FleetServer:
         width = self.width
         energies = np.zeros(width)
         if n_ticks <= 0:
-            return energies
-        if self._servers is not None:
-            for lane, server in enumerate(self._servers):
-                if active is None or active[lane]:
-                    energies[lane] = server.run_ticks(n_ticks)
             return energies
 
         obs_on = obs.enabled()
@@ -1578,25 +1510,6 @@ class FleetServer:
 # unchanged.
 
 
-class _MonitorFanout:
-    """Fans a scalar server's single monitor slot out to a stack.
-
-    ``compat="scalar"`` lanes are real :class:`Server` objects with one
-    ``_monitor`` slot; this shim holds the fleet's live per-lane stack
-    (the same list object :meth:`FleetServer.attach_monitor` mutates)
-    so multiple monitors attach to a compat lane too.
-    """
-
-    __slots__ = ("monitors",)
-
-    def __init__(self, monitors: list) -> None:
-        self.monitors = monitors
-
-    def on_window(self, server, pulse_s: float) -> None:
-        for monitor in self.monitors:
-            monitor.on_window(server, pulse_s)
-
-
 class _LaneCounters:
     """One lane's counter bank (``CounterBank``-shaped slice)."""
 
@@ -1768,22 +1681,19 @@ def simulate_fleet(
     seeds: "tuple[int, ...] | list[int]" = (1,),
     config: "SystemConfig | None" = None,
     pstate: int = 0,
-    compat: str = "vector",
 ) -> "list[MeasuredRun]":
     """Simulate ``workload`` on ``len(seeds)`` lanes in one fleet pass.
 
     Lane ``i`` reproduces ``simulate_workload(workload, duration_s,
     seed=seeds[i], config, pstate)`` — same seed mixing, same metadata —
     with counters and energy bit-identical and DAQ power traces
-    tolerance-bounded (bit-identical under ``compat="scalar"``).
+    tolerance-bounded.
     """
     mixed = [
         (int(seed) * 1000003 + _stable_hash(workload.name)) % (2**31)
         for seed in seeds
     ]
-    fleet = FleetServer(
-        config or SystemConfig(), workload, mixed, compat=compat
-    )
+    fleet = FleetServer(config or SystemConfig(), workload, mixed)
     if pstate:
         fleet.set_all_pstates(pstate)
     runs = fleet.run(duration_s)

@@ -7,7 +7,6 @@ from repro.cluster import (
     BOOT_TIME_S,
     BOOT_POWER_W,
     Cluster,
-    ClusterNode,
     NAP_EXIT_POWER_W,
     NAP_EXIT_TIME_S,
     NAP_POWER_W,
@@ -19,40 +18,53 @@ from repro.cluster import (
 )
 from repro.simulator.config import fast_config
 from tests.conftest import TEST_SEED
+from tests.replay import record, replay
 
 
 @pytest.fixture()
-def node():
-    return ClusterNode(0, fast_config(), seed=TEST_SEED)
+def cluster():
+    return Cluster(n_nodes=1, seed=TEST_SEED)
+
+
+@pytest.fixture()
+def node(cluster):
+    return cluster.nodes[0]
+
+
+def _tick(cluster) -> float:
+    """Advance one simulated second; the node's power (Watts)."""
+    return cluster._step_second()[0]
 
 
 class TestClusterNode:
-    def test_powered_idle_node_draws_server_idle_power(self, node):
+    """The per-node state machine, on a one-node cluster."""
+
+    def test_powered_idle_node_draws_server_idle_power(self, cluster, node):
         node.set_load(0)
-        power = node.tick_second()
+        power = _tick(cluster)
         assert 130.0 < power < 150.0  # the simulated server's idle
 
-    def test_load_raises_power(self, node):
+    def test_load_raises_power(self, cluster, node):
         node.set_load(0)
-        idle = node.tick_second()
+        idle = _tick(cluster)
         node.set_load(node.capacity)
         for _ in range(5):
-            loaded = node.tick_second()
+            loaded = _tick(cluster)
         assert loaded > idle + 20.0
 
-    def test_power_down_draws_standby(self, node):
+    def test_power_down_draws_standby(self, cluster, node):
         node.set_load(0)
         node.power_down()
-        assert node.tick_second() == STANDBY_POWER_W
+        assert _tick(cluster) == STANDBY_POWER_W
         assert not node.available
 
-    def test_boot_sequence(self, node):
+    def test_boot_sequence(self, cluster, node):
         node.set_load(0)
         node.power_down()
         node.power_up()
         assert node.booting and not node.available
         for _ in range(int(BOOT_TIME_S)):
-            assert node.tick_second() == BOOT_POWER_W
+            assert _tick(cluster) == BOOT_POWER_W
         assert node.available
 
     def test_power_up_when_already_on_is_noop(self, node):
@@ -77,15 +89,15 @@ class TestClusterNode:
         with pytest.raises(ValueError):
             node.set_load(node.capacity + 1)
 
-    def test_nap_draws_nap_power_and_wakes_quickly(self, node):
+    def test_nap_draws_nap_power_and_wakes_quickly(self, cluster, node):
         node.set_load(0)
         node.nap()
         assert node.napping and not node.available
-        assert node.tick_second() == NAP_POWER_W
+        assert _tick(cluster) == NAP_POWER_W
         node.wake()
         assert node.waking and not node.available
         for _ in range(int(NAP_EXIT_TIME_S)):
-            assert node.tick_second() == NAP_EXIT_POWER_W
+            assert _tick(cluster) == NAP_EXIT_POWER_W
         assert node.available
 
     def test_power_up_wakes_a_napping_node(self, node):
@@ -103,19 +115,19 @@ class TestClusterNode:
         with pytest.raises(ValueError, match="cannot nap"):
             node.nap()
 
-    def test_power_down_from_nap(self, node):
+    def test_power_down_from_nap(self, cluster, node):
         node.set_load(0)
         node.nap()
         node.power_down()
         assert not node.powered and not node.napping
-        assert node.tick_second() == STANDBY_POWER_W
+        assert _tick(cluster) == STANDBY_POWER_W
 
-    def test_set_pstate_validates_and_applies(self, node):
+    def test_set_pstate_validates_and_applies(self, cluster, node):
         node.set_pstate(2)
         assert node.pstate == 2
         node.set_load(0)
-        node.tick_second()
-        assert node._server.packages[0].pstate_index == 2
+        _tick(cluster)
+        assert cluster._fleet.lane_pstates()[0] == 2
         with pytest.raises(ValueError, match="out of range"):
             node.set_pstate(99)
 
@@ -307,7 +319,7 @@ class TestCluster:
 
 
 class _ScriptedManager:
-    """Deterministic DVFS + nap + load schedule for engine equality."""
+    """Deterministic DVFS + nap + load schedule for the replay oracle."""
 
     def __init__(self):
         self.t = 0
@@ -339,13 +351,14 @@ class _ScriptedManager:
 
 class TestEngineEquality:
     def test_fleet_matches_scalar_under_dvfs_and_nap(self):
-        """Per-lane DVFS shifts, naps and freezes keep the fleet engine
-        bit-identical to per-node scalar servers."""
-        demand = [8, 9, 10, 7, 6, 8, 9, 10, 10, 9]
-        traces = {}
-        for engine in ("fleet", "scalar"):
-            cluster = Cluster(n_nodes=3, seed=TEST_SEED, engine=engine)
-            traces[engine] = cluster.run(demand, _ScriptedManager())
-        assert traces["fleet"].power_w == traces["scalar"].power_w
-        assert traces["fleet"].node_power_w == traces["scalar"].node_power_w
-        assert traces["fleet"].served == traces["scalar"].served
+        """Per-lane DVFS shifts, naps and frozen lanes: the fleet
+        cluster replays bit for bit on one scalar Server per node.  The
+        floors keep the case honest, so a script change that stops
+        freezing lanes or shifting P-states fails here instead of
+        quietly shrinking what the replay checks."""
+        cluster = Cluster(n_nodes=3, seed=TEST_SEED)
+        schedule = record(cluster)
+        cluster.run([8, 9, 10, 7, 6, 8, 9, 10, 10, 9], _ScriptedManager())
+        replay(schedule)
+        assert schedule.frozen_lane_seconds >= 1
+        assert len(schedule.pstates_run) >= 2

@@ -22,6 +22,7 @@ from repro.dc import (
     train_zone_bank,
 )
 from repro.simulator.config import fast_config
+from tests.replay import record, replay
 
 
 @pytest.fixture(scope="module")
@@ -323,7 +324,6 @@ class TestDatacenter:
             cap,
             config=config,
             calibration=calibration,
-            engine="fleet",
             seed=31,
         )
         report = dc.run(40)
@@ -359,30 +359,23 @@ class TestDatacenter:
         assert json.loads(body)["datacenter"] is None
 
     def test_fleet_and_scalar_engines_agree(self, config, calibration):
+        """Each zone's fleet lanes, under the capped policy's DVFS, naps
+        and frozen lanes, replay bit for bit on one scalar Server per
+        node, including every counter snapshot the sensor path read."""
         cap = 0.7 * calibration.reference_peak_w * 4
         zones = (ZoneSpec("a", 2, 2.8e5), ZoneSpec("b", 2, 2.4e5))
         traffic = TrafficModel(zones, period_s=24.0, seed=9)
-        reports = {}
-        for engine in ("fleet", "scalar"):
-            dc = Datacenter(
-                traffic,
-                cap,
-                config=config,
-                calibration=calibration,
-                engine=engine,
-                seed=77,
-            )
-            reports[engine] = dc.run(24)
-        assert reports["fleet"].power_w == reports["scalar"].power_w
-        assert np.allclose(
-            reports["fleet"].estimated_power_w,
-            reports["scalar"].estimated_power_w,
-            rtol=1.0e-9,
+        dc = Datacenter(
+            traffic, cap, config=config, calibration=calibration, seed=77
         )
-        assert (
-            reports["fleet"].served_threads
-            == reports["scalar"].served_threads
-        )
+        schedules = [record(cluster) for cluster in dc.clusters.values()]
+        report = dc.run(24)
+        for schedule in schedules:
+            replay(schedule)
+        assert report.cap_violations == 0
+        assert sum(s.frozen_lane_seconds for s in schedules) >= 1
+        assert len(set().union(*(s.pstates_run for s in schedules))) >= 2
+        assert all(s.n_reads for s in schedules)
 
     def test_gauges_published(self, config, calibration):
         cap = 0.7 * calibration.reference_peak_w * 4
@@ -443,7 +436,6 @@ class TestAcceptanceScenario:
             cap,
             duration,
             config=config,
-            engine="fleet",
             seed=13,
             calibration=calibration,
         )
@@ -461,3 +453,33 @@ class TestAcceptanceScenario:
         # static all-on baseline.
         assert doc["ep_comparison"]["ep_gain"] > 0.0
         assert doc["static"]["energy_proportionality"] is not None
+
+
+class TestDatacenterCli:
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--cap-frac", "0"], "--cap-frac must be positive"),
+            (["--cap-frac", "-0.5"], "--cap-frac must be positive"),
+            (["--cap-frac", "nan"], "--cap-frac must be positive"),
+            (["--cap-w", "-100"], "--cap-w must not be negative"),
+            (["--dc-zones", "0"], "--dc-zones must be positive"),
+            (["--nodes-per-zone", "0"], "--nodes-per-zone must be positive"),
+        ],
+    )
+    def test_bad_arguments_exit_2_before_calibrating(
+        self, monkeypatch, capsys, flags, message
+    ):
+        """A cap or layout that cannot run is a usage error (exit 2),
+        raised before the sensor bank calibrates, not a late traceback
+        whose exit code 1 reads as a cap violation."""
+        from repro.cli import main as cli_main
+
+        def calibrate(*args, **kwargs):
+            raise AssertionError("calibrated before validating arguments")
+
+        monkeypatch.setattr("repro.dc.train_zone_bank", calibrate)
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["datacenter", *flags])
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err

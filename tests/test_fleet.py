@@ -6,7 +6,9 @@ The vectorized :class:`FleetServer` claims lane ``i`` reproduces
 stay sequential per lane), with one tolerance-bounded exception: the
 DAQ's sinusoidal gain drift uses ``np.sin`` where the scalar path uses
 ``math.sin``.  These tests pin both halves of that contract, plus the
-integrations that ride on it (cluster engine, sweep lane-grouping).
+integrations that ride on it: cluster lanes (frozen lanes, per-lane
+P-states, thread control), replayed on scalar servers, and sweep
+lane-grouping.
 """
 
 import numpy as np
@@ -19,6 +21,7 @@ from repro.simulator.config import fast_config
 from repro.simulator.fleet import FleetServer, simulate_fleet
 from repro.simulator.system import Server, simulate_workload
 from repro.workloads.registry import get_workload
+from tests.replay import record, replay
 
 SEED = 11
 N_TICKS = 300
@@ -47,39 +50,6 @@ def _assert_lane_matches_server(view, server, exact_power=True):
         assert lane_stats.fetched_uops == stats.fetched_uops
         assert lane_stats.bus_transactions == stats.bus_transactions
     assert view.sampler.n_samples == server.sampler.n_samples
-
-
-class TestCompatScalarMode:
-    def test_every_lane_bit_identical(self):
-        """compat="scalar" runs real Servers: exact on every surface."""
-        config = fast_config()
-        workload = get_workload("gcc")
-        seeds = [SEED + i for i in range(3)]
-        fleet = FleetServer(config, workload, seeds, compat="scalar")
-        servers = [Server(config, workload, seed=s) for s in seeds]
-        fleet_energy = fleet.run_ticks(N_TICKS)
-        for lane, server in enumerate(servers):
-            assert fleet_energy[lane] == server.run_ticks(N_TICKS)
-            _assert_lane_matches_server(fleet.lane(lane), server)
-
-    def test_compat_run_power_bit_identical(self):
-        """Full measured runs (DAQ included) are exact in compat mode."""
-        runs = simulate_fleet(
-            get_workload("gcc"), 40.0, seeds=(5,), config=fast_config(),
-            compat="scalar",
-        )
-        reference = simulate_workload(
-            get_workload("gcc"), 40.0, seed=5, config=fast_config()
-        )
-        run = runs[0]
-        for subsystem in run.power.subsystems:
-            assert np.array_equal(
-                run.power.power(subsystem), reference.power.power(subsystem)
-            )
-
-    def test_compat_validated(self):
-        with pytest.raises(ValueError, match="compat"):
-            FleetServer(fast_config(), get_workload("gcc"), [1], compat="simd")
 
 
 class TestVectorLaneEquivalence:
@@ -133,8 +103,19 @@ class TestVectorLaneEquivalence:
 
     def test_lane_out_of_range(self):
         fleet = FleetServer(fast_config(), get_workload("gcc"), [1, 2])
-        with pytest.raises(IndexError):
-            fleet.lane(2)
+        fleet.run_ticks(N_TICKS)
+        rows = [_scalar_rows(fleet.lane(lane)) for lane in (0, 1)]
+        for lane in (2, -1):
+            with pytest.raises(IndexError):
+                fleet.lane(lane)
+            with pytest.raises(IndexError):
+                fleet.set_lane_threads(lane, 0)
+            with pytest.raises(IndexError):
+                fleet.read_and_clear_lanes([0, lane])
+        # Nothing was edited, read or zeroed on the way to the error
+        # (unchecked, -1 would alias the last lane).
+        assert fleet._enabled.all()
+        assert [_scalar_rows(fleet.lane(lane)) for lane in (0, 1)] == rows
 
 
 class TestRngStreamIndependence:
@@ -210,29 +191,22 @@ class TestMonitoredRunIdentity:
 
 class TestClusterEngineEquivalence:
     @pytest.mark.parametrize(
-        "manager_factory",
-        [StaticManager, lambda: PowerAwareManager(headroom_threads=6)],
+        "manager_factory, min_frozen",
+        [(StaticManager, 0), (lambda: PowerAwareManager(headroom_threads=6), 1)],
         ids=["static", "power-aware"],
     )
-    def test_fleet_engine_bit_exact(self, manager_factory):
+    def test_fleet_engine_bit_exact(self, manager_factory, min_frozen):
+        """The cluster's fleet lanes replay bit for bit on one scalar
+        Server per node (see ``tests/replay.py``); the power-aware run
+        must freeze lanes, so the masked path is really covered."""
         demand = diurnal_demand(
             45, peak_threads=14, trough_threads=2, period_s=60.0, seed=5
         )
-        scalar = Cluster(n_nodes=3, seed=123, engine="scalar").run(
-            demand, manager_factory()
-        )
-        fleet = Cluster(n_nodes=3, seed=123, engine="fleet").run(
-            demand, manager_factory()
-        )
-        assert scalar.demand == fleet.demand
-        assert scalar.served == fleet.served
-        assert scalar.nodes_on == fleet.nodes_on
-        assert scalar.power_w == fleet.power_w
-        assert scalar.node_power_w == fleet.node_power_w
-
-    def test_engine_validated(self):
-        with pytest.raises(ValueError, match="engine"):
-            Cluster(n_nodes=2, engine="warp")
+        cluster = Cluster(n_nodes=3, seed=123)
+        schedule = record(cluster)
+        cluster.run(demand, manager_factory())
+        replay(schedule)
+        assert schedule.frozen_lane_seconds >= min_frozen
 
 
 class TestSweepFleetGrouping:
@@ -248,9 +222,10 @@ class TestSweepFleetGrouping:
             SweepSpec(workload="idle", seed=3, duration_s=20.0, config=fast_config())
         )
         grouped = sweep_specs(specs, n_workers=1)
-        reference = sweep_specs(specs, n_workers=1, fleet="off")
-        assert len(grouped.runs) == len(reference.runs)
-        for fleet_run, scalar_run in zip(grouped.runs, reference.runs):
+        # A one-spec sweep is a singleton group: the per-spec path.
+        reference = [sweep_specs([spec], n_workers=1).runs[0] for spec in specs]
+        assert len(grouped.runs) == len(reference)
+        for fleet_run, scalar_run in zip(grouped.runs, reference):
             assert fleet_run.workload == scalar_run.workload
             assert fleet_run.seed == scalar_run.seed
             assert fleet_run.metadata == scalar_run.metadata
@@ -288,10 +263,3 @@ class TestSweepFleetGrouping:
         assert all(
             run.n_samples == full.runs[0].n_samples - 3 for run in trimmed.runs
         )
-
-    def test_fleet_mode_validated(self):
-        with pytest.raises(ValueError, match="fleet"):
-            sweep_specs(
-                [SweepSpec(workload="gcc", seed=3, duration_s=20.0)],
-                fleet="sometimes",
-            )

@@ -332,24 +332,6 @@ class TestAttachMonitorStacking:
         assert keep.pulses
         assert not drop.pulses
 
-    def test_compat_mode_stacks_monitors_too(self):
-        fleet = FleetServer(
-            fast_config(), get_workload("gcc"), [1, 2], compat="scalar"
-        )
-        first, second = self._Recorder(), self._Recorder()
-        fleet.attach_monitor(first, lane=1)
-        fleet.attach_monitor(second, lane=1)
-        fleet.run_ticks(300)
-        assert first.pulses and second.pulses
-        assert [p for _, p in first.pulses] == [p for _, p in second.pulses]
-
-    def test_fleet_monitor_rejected_in_compat_mode(self, paper_suite):
-        fleet = FleetServer(
-            fast_config(), get_workload("gcc"), [1], compat="scalar"
-        )
-        with pytest.raises(NotImplementedError):
-            fleet.attach_fleet_monitor(FleetMonitor(paper_suite))
-
 
 class TestFleetRoutes:
     """The /fleet* routes, exercised through payload() (no sockets)."""

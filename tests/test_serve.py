@@ -24,6 +24,8 @@ import urllib.request
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.core.estimator import SystemPowerEstimator
@@ -31,6 +33,7 @@ from repro.core.events import Event, Subsystem
 from repro.core.features import FeatureSet
 from repro.core.models import ConstantModel, PolynomialModel
 from repro.core.suite import TrickleDownSuite
+from repro.core.traces import CounterTrace
 from repro.obs.drift import DriftMonitor
 from repro.obs.flight import FlightRecorder
 from repro.obs.http import ObservabilityServer
@@ -187,6 +190,51 @@ def _per_sample_scoring(suite, run, truth, bound_pct):
 #: A valid JSON integer that no float can hold.
 _BIG = "9" * 400
 
+#: Arbitrary JSON values, with the numbers decode must think about
+#: (zero, negatives, denormals, float-overflowing integers) weighted in.
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=6)
+    | st.sampled_from([0, -1, 0.0, -0.0, 5e-324, 1.0e308, 10**400]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _json_paths(value, prefix=()):
+    """Every key/index path into a JSON document, the root excluded."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _json_paths(child, prefix + (key,))
+
+
+@pytest.fixture(scope="module")
+def wire_payloads(suite, gcc_run):
+    """One valid single-sample payload and one valid two-sample frame."""
+    frame = frames_from_run(
+        gcc_run, "n0", frame_samples=2, events=required_events(suite)
+    )[0]
+    doc = json.loads(frame)
+    sample = {
+        "node": doc["node"],
+        "t": doc["t"][0],
+        "dur": doc["dur"][0],
+        "counts": {name: rows[0] for name, rows in doc["counts"].items()},
+        "true_w": {name: col[0] for name, col in doc["true_w"].items()},
+        "trace": "req-1",
+    }
+    return json.dumps(sample), frame
+
 
 class TestProtocol:
     def test_single_sample_round_trip_is_exact(self, rng):
@@ -318,6 +366,26 @@ class TestProtocol:
                 ' "true_w": {"cpu": "lots"}}',
                 "finite numbers",
             ),
+            # CounterTrace rejects a window of no length, so decode
+            # must: past the door it poisons a whole shard group.
+            pytest.param(
+                '{"node": "n", "t": 1.0, "dur": 0,'
+                ' "counts": {"cycles": [1.0]}}',
+                "dur must be positive",
+                id="zero-dur-scalar",
+            ),
+            pytest.param(
+                '{"node": "n", "t": 1.0, "dur": -1.0,'
+                ' "counts": {"cycles": [1.0]}}',
+                "dur must be positive",
+                id="negative-dur-scalar",
+            ),
+            pytest.param(
+                '{"node": "n", "t": [1.0, 2.0], "dur": [1.0, 0.0],'
+                ' "counts": {"cycles": [[1.0], [1.0]]}}',
+                "dur must be positive",
+                id="zero-dur-column",
+            ),
             # Valid JSON integers too large for a float: float() and
             # np.asarray raise OverflowError on them.
             pytest.param(
@@ -394,6 +462,37 @@ class TestProtocol:
         )
         batch = decode_line(line, frozenset({Event.CYCLES}))
         assert set(batch.counts) == {Event.CYCLES}
+
+    @given(data=st.data())
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_fuzzed_payload_is_rejected_or_evaluates(
+        self, suite, wire_payloads, data
+    ):
+        """Swap one value of a valid payload for arbitrary JSON: decode
+        either raises ProtocolError or hands back a batch that
+        CounterTrace and evaluate accept, as a shard worker would."""
+        doc = json.loads(data.draw(st.sampled_from(wire_payloads)))
+        # Field first, then a path inside it, so the short fields (t,
+        # dur, node) are hit as often as the many counter values.
+        field = data.draw(st.sampled_from(sorted(doc)))
+        path = data.draw(
+            st.sampled_from([(field,), *_json_paths(doc[field], (field,))])
+        )
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = data.draw(_JSON_VALUES)
+        keep = required_events(suite)
+        try:
+            batch = decode_line(json.dumps(doc), keep)
+        except ProtocolError:
+            return
+        trace = CounterTrace(
+            timestamps=np.asarray(batch.timestamps, dtype=float),
+            durations=np.asarray(batch.durations, dtype=float),
+            counts=batch.counts,
+        )
+        suite.evaluate(trace)
 
     def test_decode_lines_isolates_bad_lines(self):
         good = encode_sample("n", 1.0, 1.0, {Event.CYCLES: [1.0]})
@@ -1027,6 +1126,36 @@ class TestHttpRoutes:
         assert _wait_for(lambda: service.samples_total >= 8)
         assert _get(endpoint.url("/nodes/n0"))[1]["n_samples"] == 8
         assert _get(endpoint.url("/nodes/n1"))[0] == 404
+
+    def test_non_positive_dur_is_a_decode_error_not_poison(
+        self, served, suite, gcc_run
+    ):
+        """A frame with a zero ``dur`` is refused at the door and the
+        good frames beside it publish.  It used to be accepted, then
+        fail inside the shard worker and drop every node's samples in
+        its coalesced group."""
+        service, endpoint, _ = served
+        lines = []
+        for node in ("a", "b", "c"):
+            doc = json.loads(
+                frames_from_run(
+                    gcc_run, node, frame_samples=8, events=required_events(suite)
+                )[0]
+            )
+            if node == "b":
+                doc["dur"][3] = 0.0
+            lines.append(json.dumps(doc))
+        status, receipt = _post(endpoint.url("/ingest"), "\n".join(lines) + "\n")
+        assert status == 200
+        assert receipt["accepted"] == 16
+        assert len(receipt["errors"]) == 1
+        assert "dur must be positive" in receipt["errors"][0]
+        assert service.decode_errors_total == 1
+        assert _wait_for(lambda: service.samples_total >= 16)
+        assert service.poison_samples_total == 0
+        assert _get(endpoint.url("/nodes/a"))[1]["n_samples"] == 8
+        assert _get(endpoint.url("/nodes/c"))[1]["n_samples"] == 8
+        assert _get(endpoint.url("/nodes/b"))[0] == 404
 
     def test_slo_route_serves_burn_state(self, served):
         _, endpoint, _ = served

@@ -664,7 +664,7 @@ class TestServiceStore:
         from repro.dc.datacenter import DatacenterReport
 
         report = DatacenterReport(
-            policy="subsystem", sensor="estimated", engine="fleet",
+            policy="subsystem", sensor="estimated",
             cap_w=100.0, duration_s=3, n_nodes=2,
             power_w=[10.0, 20.0, 30.0],
             estimated_power_w=[11.0, 19.0, 31.0],
