@@ -196,31 +196,20 @@ class _NodeControl:
 class FleetNodeHandle(_NodeControl):
     """One cluster node: the control state machine over a fleet lane.
 
-    The simulated server is a lane of the cluster's shared
+    The simulated server is lane ``node_id`` of the cluster's shared
     :class:`FleetServer`, stepped once per second for all nodes
-    together by :meth:`Cluster.run`.  ``server`` returns the lane's
-    read-only ``Server``-shaped view, so observers read counters and
-    energy as they would off a scalar server.
+    together by :meth:`Cluster.run`; observers read a second's
+    counters and energy for many nodes at once off that fleet.
     """
 
     def __init__(
-        self,
-        node_id: int,
-        fleet: FleetServer,
-        lane: int,
-        boot_time_s: float,
+        self, node_id: int, fleet: FleetServer, boot_time_s: float
     ) -> None:
         self.node_id = node_id
         self.config = fleet.config
         self.boot_time_s = boot_time_s
         self._fleet = fleet
-        self._lane = lane
         self._init_control()
-
-    @property
-    def server(self):
-        """The lane's server view (counter bank, energy account)."""
-        return self._fleet.lane(self._lane)
 
     @property
     def capacity(self) -> int:
@@ -375,7 +364,7 @@ class Cluster:
         for lane in range(n_nodes):
             self._fleet.set_lane_threads(lane, 0)
         self.nodes = [
-            FleetNodeHandle(i, self._fleet, i, boot_time_s)
+            FleetNodeHandle(i, self._fleet, boot_time_s)
             for i in range(n_nodes)
         ]
         self._applied_pstates: "np.ndarray | None" = None
@@ -425,8 +414,8 @@ class Cluster:
         ``observer`` (e.g. :class:`repro.obs.live.ClusterObserver`) is
         called once per second with
         ``on_second(cluster, t_s, demand, served, node_powers)`` —
-        the hook live monitoring, per-node estimation and drift
-        detection plug into.  With telemetry enabled, per-node and
+        the hook live monitoring, estimation and drift detection plug
+        into.  With telemetry enabled, per-node and
         cluster-level gauges are published every second regardless of
         the observer.  ``start_s`` offsets the observer's clock so a
         driving loop can feed the trace in slices (node state carries

@@ -58,6 +58,12 @@ class MultiplexedCounterBank(CounterBank):
         self._groups = [
             frozenset(self._multiplexed[i::n_groups]) for i in range(n_groups)
         ]
+        #: Per group, the live rows of the multiplexed events it leaves
+        #: unwatched (the counts the gated :meth:`add` drops).
+        self._unwatched_rows = [
+            [self._rows[self._index[e]] for e in self._multiplexed if e not in group]
+            for group in self._groups
+        ]
         self._active_group = 0
         self._rotation_elapsed = 0.0
         self._window_time = 0.0
@@ -83,6 +89,20 @@ class MultiplexedCounterBank(CounterBank):
         if self._rotation_elapsed >= self.rotation_s:
             self._rotation_elapsed = 0.0
             self._active_group = (self._active_group + 1) % len(self._groups)
+
+    def advance_and_hold(
+        self, dt_s: float
+    ) -> "list[tuple[list[float], list[float]]]":
+        """:meth:`advance`, then save the rows the slots are not watching.
+
+        For callers that accumulate a tick's counts straight into
+        :meth:`row` storage (``Server.run_ticks``): once the tick's
+        counts are in, putting each returned ``(row, saved)`` pair back
+        with ``row[:] = saved`` leaves exactly what the gated
+        :meth:`add` would have.
+        """
+        self.advance(dt_s)
+        return [(row, row[:]) for row in self._unwatched_rows[self._active_group]]
 
     def add(self, event: Event, cpu: int, count: float) -> None:
         if event in self._observed_time and event not in self.active_events:

@@ -59,13 +59,15 @@ class CounterBank:
     def row(self, event: Event) -> "list[float]":
         """The live per-CPU accumulator row for ``event``.
 
-        The returned list is the bank's own storage: callers on the
-        simulator's fast path accumulate into it directly
-        (``row[cpu] += count``), avoiding per-event method dispatch.
-        The reference stays valid across :meth:`read_and_clear` because
-        clearing zeroes rows in place.  Only valid for a plain
-        ``CounterBank`` — multiplexed banks gate :meth:`add` and must be
-        driven through it.
+        The returned list is the bank's own storage: the simulator's
+        tick loop accumulates into it directly (``row[cpu] += count``),
+        avoiding per-event method dispatch, and so skips :meth:`add`'s
+        negative-count check.  The reference stays valid across
+        :meth:`read_and_clear` because clearing zeroes rows in place.
+        Multiplexed banks use rows too:
+        :meth:`~repro.counters.multiplex.MultiplexedCounterBank.advance_and_hold`
+        saves the rows their gated ``add`` would leave alone, for the
+        caller to put back once the tick's counts are in.
         """
         return self._rows[self._index[event]]
 

@@ -8,9 +8,9 @@ batching: N monitors mean N single-sample estimator calls and N python
 EWMA updates per sampling period.  This module is the vectorized
 counterpart:
 
-* :class:`FleetMonitor` hooks the fleet tick loop **once** (the
-  disabled path stays one ``is not None`` check, mirroring
-  ``attach_monitor``), captures each closing lane's counter snapshot
+* :class:`FleetMonitor` — the one way fleet lanes are watched — hooks
+  the fleet tick loop **once** (the disabled path stays one
+  ``is not None`` check), captures each closing lane's counter snapshot
   and true energy delta per pulse, and defers the heavy work: one
   batched :meth:`TrickleDownSuite.evaluate` design-matrix pass over all
   pending windows per :meth:`FleetMonitor.flush`;
@@ -51,6 +51,30 @@ DEFAULT_LANE_HISTORY = 32
 
 #: Default offender count for ``/fleet/lanes``.
 DEFAULT_TOP_LANES = 8
+
+
+def _lane_array(lanes, width: int) -> np.ndarray:
+    """``lanes`` as an int64 array; a lane outside ``[0, width)`` raises
+    :class:`IndexError` (unchecked, -1 would alias the last lane)."""
+    lanes = np.asarray(lanes, dtype=np.int64)
+    if lanes.size and (lanes.min() < 0 or lanes.max() >= width):
+        raise IndexError(f"lanes must lie in [0, {width - 1}] for width {width}")
+    return lanes
+
+
+def _aggregates(values) -> "dict[str, float]":
+    """min/mean/p50/p95/max of the non-NaN values (``{}`` if none)."""
+    values = np.asarray(values, dtype=float)
+    values = values[~np.isnan(values)]
+    if values.size == 0:
+        return {}
+    return {
+        "min": float(values.min()),
+        "mean": float(values.mean()),
+        "p50": float(np.percentile(values, 50.0)),
+        "p95": float(np.percentile(values, 95.0)),
+        "max": float(values.max()),
+    }
 
 
 @dataclass(frozen=True)
@@ -140,9 +164,10 @@ class FleetDriftMonitor:
         arrays, one entry per lane in ``lanes`` (default: all lanes).
         ``timestamp_s`` is a scalar or a ``(k,)`` array of per-lane
         window-close times.  Each lane must appear at most once per
-        call; feed successive windows of a lane through successive
-        calls (the update order is what the scalar equivalence rests
-        on).
+        call (else :class:`ValueError`); feed successive windows of a
+        lane through successive calls (the update order is what the
+        scalar equivalence rests on).  A lane outside ``[0, width)``
+        raises :class:`IndexError`.
         """
         estimated = {
             self._name(s): np.asarray(w, dtype=float)
@@ -165,7 +190,9 @@ class FleetDriftMonitor:
         if lanes is None:
             lanes = np.arange(self.width)
         else:
-            lanes = np.asarray(lanes, dtype=np.int64)
+            lanes = _lane_array(lanes, self.width)
+            if np.unique(lanes).size != lanes.size:
+                raise ValueError("a lane may appear at most once per call")
         times = np.broadcast_to(
             np.asarray(timestamp_s, dtype=float), lanes.shape
         )
@@ -450,36 +477,22 @@ def publish_lane_aggregates(
     the computed aggregates for callers that render them directly.
     NaN lanes (never compared, powered down) are ignored.
     """
-
-    def _aggs(values: np.ndarray) -> "dict[str, float]":
-        values = np.asarray(values, dtype=float)
-        values = values[~np.isnan(values)]
-        if values.size == 0:
-            return {}
-        return {
-            "min": float(values.min()),
-            "mean": float(values.mean()),
-            "p50": float(np.percentile(values, 50.0)),
-            "p95": float(np.percentile(values, 95.0)),
-            "max": float(values.max()),
-        }
-
     base = dict(labels) if labels else {}
-    out: "dict[str, dict[str, float]]" = {"true": _aggs(true_w)}
+    out: "dict[str, dict[str, float]]" = {"true": _aggregates(true_w)}
     for agg, value in out["true"].items():
         obs.gauge(
             f"{prefix}_power_watts", value,
             {**base, "agg": agg, "source": "true"},
         )
     if estimated_w is not None:
-        out["estimated"] = _aggs(estimated_w)
+        out["estimated"] = _aggregates(estimated_w)
         for agg, value in out["estimated"].items():
             obs.gauge(
                 f"{prefix}_power_watts", value,
                 {**base, "agg": agg, "source": "estimated"},
             )
     if error_pct is not None:
-        out["error_pct"] = _aggs(error_pct)
+        out["error_pct"] = _aggregates(error_pct)
         for agg, value in out["error_pct"].items():
             obs.gauge(f"{prefix}_error_pct", value, {**base, "agg": agg})
     return out
@@ -588,7 +601,8 @@ class FleetMonitor:
         :meth:`TrickleDownSuite.scaled`'s coefficient-scaled suite up to
         float round-off, so this seeds the same per-lane
         mis-calibration the scalar CLI injects with ``suite.scaled`` —
-        without forking the design-matrix pass per lane.
+        without forking the design-matrix pass per lane.  A lane
+        outside ``[0, width)`` raises :class:`IndexError`.
         """
         if self._fleet is None:
             raise RuntimeError("attach the monitor to a fleet first")
@@ -597,7 +611,7 @@ class FleetMonitor:
             if subsystems is not None
             else [s.value for s in SUBSYSTEMS]
         )
-        lanes = np.asarray(list(lanes), dtype=np.int64)
+        lanes = _lane_array(list(lanes), self._fleet.width)
         for name in names:
             scale = self._scale.get(name)
             if scale is None:
@@ -748,19 +762,6 @@ class FleetMonitor:
     def fleet_document(self) -> dict:
         """The ``/fleet`` summary: width, aggregates, alert rollups."""
         board, drift = self.board, self.drift
-
-        def _aggs(values: np.ndarray) -> "dict[str, float]":
-            values = values[~np.isnan(values)]
-            if values.size == 0:
-                return {}
-            return {
-                "min": float(values.min()),
-                "mean": float(values.mean()),
-                "p50": float(np.percentile(values, 50.0)),
-                "p95": float(np.percentile(values, 95.0)),
-                "max": float(values.max()),
-            }
-
         history = drift.history()
         return {
             "width": self.width,
@@ -768,10 +769,10 @@ class FleetMonitor:
             "n_flushes": self.n_flushes,
             "pending_windows": int(sum(len(p.lanes) for p in self._pending)),
             "power_w": {
-                "true": _aggs(board.true_total_w),
-                "estimated": _aggs(board.est_total_w),
+                "true": _aggregates(board.true_total_w),
+                "estimated": _aggregates(board.est_total_w),
             },
-            "error_pct": _aggs(board.error_pct),
+            "error_pct": _aggregates(board.error_pct),
             "slo_pct": drift.slo_pct,
             "firing_lanes": list(drift.firing_lanes()),
             "firing": list(drift.firing),

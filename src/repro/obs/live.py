@@ -18,9 +18,12 @@ throughput **right now**?  This module provides the three pieces:
   ``live_*`` gauges, and feeds the per-subsystem residuals to a
   :class:`~repro.obs.drift.DriftMonitor`;
 * :class:`ClusterObserver` — the same loop for
-  :class:`~repro.cluster.Cluster` runs, reading each powered node's
-  counter bank once per second (the control-loop-owns-the-counters
-  pattern the sampler's ``disable()`` exists for).
+  :class:`~repro.cluster.Cluster` runs: once per second one batched
+  counter read of the available nodes (the control-loop-owns-the-
+  counters pattern the sampler's ``disable()`` exists for) and one
+  batched estimate, summed over nodes.
+
+Fleet lanes are watched by :class:`~repro.obs.fleet.FleetMonitor`.
 
 Everything here is stdlib-only and clocked by the caller (simulation
 time), so a fixed-seed run produces identical windows, residuals and
@@ -531,12 +534,19 @@ class LiveMonitor:
 class ClusterObserver:
     """Per-second live telemetry for :meth:`repro.cluster.Cluster.run`.
 
-    With a fitted ``suite``, every powered-up node's counter bank is
-    read (and cleared) once per second — the external-control-loop
-    pattern ``CounterSampler.disable()`` exists for — estimated, and
-    compared against the node's true per-subsystem energy deltas; the
-    aggregate residuals stream into the :class:`DriftMonitor`.  Without
-    a suite the observer still windows the cluster gauges.
+    With a fitted ``suite``, every second reads (and clears) the
+    counters of all available nodes in one
+    :meth:`~repro.simulator.fleet.FleetServer.read_and_clear_lanes`
+    call — the external-control-loop pattern the sampler's
+    ``disable()`` exists for.  Nodes that were also available at the
+    previous read are compared: one batched
+    :meth:`TrickleDownSuite.evaluate` pass (with the per-term
+    attribution when ``attribute=True``) estimates them, their true
+    per-subsystem watts come from the fleet's energy array, and both
+    are summed over nodes in node order into the cluster residuals the
+    :class:`DriftMonitor` watches.  A node's first available second
+    only primes its energy baseline.  Without a suite the observer
+    still windows the cluster gauges.
     """
 
     def __init__(
@@ -547,41 +557,24 @@ class ClusterObserver:
         window_s: float = DEFAULT_WINDOW_S,
         attribute: bool = False,
         flight=None,
-        per_node: bool = False,
     ) -> None:
-        self.estimator = None
+        self.suite = suite
         self.attribute = bool(attribute)
         self.flight = flight
-        if suite is not None:
-            from repro.core.estimator import SystemPowerEstimator
-
-            self.estimator = SystemPowerEstimator(
-                suite, max_history=8, attribute=self.attribute
-            )
         self.drift = drift if drift is not None else DriftMonitor()
         self.windows = (
             windows if windows is not None else WindowedRegistry(window_s=window_s)
         )
-        #: With ``per_node=True`` (and a suite), each node's residuals
-        #: also stream into a per-node
-        #: :class:`~repro.obs.fleet.FleetDriftMonitor` — the cluster
-        #: face of the fleet observability plane — and per-node
-        #: estimate gauges are published.
-        self.per_node = bool(per_node)
-        self.node_drift = None
         self.n_seconds = 0
         self.last: "LiveSample | None" = None
-        self._node_energy: "dict[int, dict]" = {}
+        #: Per-node energy at its last read, ``(5, n_nodes)``, and which
+        #: nodes were read then (available) and so can be compared now.
+        self._last_energy = None
+        self._was_read = None
 
     def set_suite(self, suite) -> None:
-        if self.estimator is None:
-            from repro.core.estimator import SystemPowerEstimator
-
-            self.estimator = SystemPowerEstimator(
-                suite, max_history=8, attribute=self.attribute
-            )
-        else:
-            self.estimator.suite = suite
+        """Swap the model suite (e.g. after recalibration)."""
+        self.suite = suite
 
     def on_second(
         self,
@@ -593,182 +586,103 @@ class ClusterObserver:
     ) -> "list":
         """Per-second callback from ``Cluster.run``; returns transitions."""
         transitions: "list" = []
-        if self.estimator is not None:
-            true_w: "dict[str, float]" = {}
-            estimated_w: "dict[str, float]" = {}
-            terms_acc: "dict[str, dict[str, float]]" = {}
-            pending: "list[tuple]" = []
-            for index, node in enumerate(cluster.nodes):
-                if not node.available:
-                    self._node_energy.pop(node.node_id, None)
-                    continue
-                energy = node.server.energy._energy_j
-                previous = self._node_energy.get(node.node_id)
-                self._node_energy[node.node_id] = dict(energy)
-                counts = node.server.counters.read_and_clear()
-                if previous is None:
-                    continue  # first full second on this node
-                pending.append((index, node, counts, energy, previous))
-            compared = len(pending)
-            node_estimates = self._estimate_nodes(pending, t_s, terms_acc)
-            for (index, node, counts, energy, previous), node_est in zip(
-                pending, node_estimates
-            ):
-                for name, watts in node_est.items():
-                    estimated_w[name] = estimated_w.get(name, 0.0) + watts
-                for subsystem, joules in energy.items():
-                    name = subsystem.value
-                    true_w[name] = (
-                        true_w.get(name, 0.0) + joules - previous[subsystem]
-                    )
-            if self.per_node and pending:
-                self._observe_nodes(cluster, t_s, pending, node_estimates)
-            if compared:
-                sample = LiveSample(
-                    timestamp_s=float(t_s),
-                    duration_s=1.0,
-                    true_w=true_w,
-                    estimated_w=estimated_w,
-                    error_pct={
-                        name: abs(estimated_w[name] - true)
-                        / max(abs(true), 1.0e-9)
-                        * 100.0
-                        for name, true in true_w.items()
-                        if name in estimated_w
-                    },
-                )
-                self.last = sample
-                obs.gauge(
-                    "cluster_estimated_power_watts", sample.total_estimated_w
-                )
-                obs.gauge("cluster_estimation_error_pct", sample.total_error_pct)
-                attribution = None
-                if terms_acc:
-                    from repro.obs.attribution import Attribution
-
-                    attribution = Attribution(
-                        terms_w=terms_acc,
-                        residual_w={
-                            name: estimated_w[name] - true
-                            for name, true in true_w.items()
-                            if name in estimated_w
-                        },
-                    )
-                transitions = self.drift.observe(
-                    t_s, estimated_w, true_w, attribution=attribution
-                )
-                if self.flight is not None:
-                    self.flight.record(
-                        t_s,
-                        attribution=attribution,
-                        true_w=sample.total_true_w,
-                        estimated_w=sample.total_estimated_w,
-                        error_pct=sample.total_error_pct,
-                        nodes_compared=compared,
-                    )
-                    for transition in transitions:
-                        if transition.state == "firing":
-                            self.flight.trigger(
-                                "drift.alert", detail=transition.to_dict()
-                            )
+        if self.suite is not None:
+            transitions = self._compare(cluster, t_s)
         self.windows.ingest(t_s, obs.registry())
         self.n_seconds += 1
         return transitions
 
-    def _estimate_nodes(
-        self, pending: "list[tuple]", t_s: float, terms_acc: dict
-    ) -> "list[dict[str, float]]":
-        """Per-node subsystem estimates for one second.
-
-        With attribution off (the default), every compared node's
-        counter sample goes through **one** batched
-        :meth:`TrickleDownSuite.evaluate` design-matrix pass — the
-        fleet-observability path — instead of N single-sample
-        estimator calls.  With ``attribute=True`` the scalar estimator
-        runs per node so each estimate carries its term decomposition.
-        """
-        if not pending:
-            return []
-        if self.attribute:
-            out = []
-            for _, _, counts, _, _ in pending:
-                estimate = self.estimator.estimate(
-                    counts, duration_s=1.0, timestamp_s=t_s
-                )
-                if estimate.attribution is not None:
-                    # Fleet-level attribution: term watts add across
-                    # powered-up nodes (they share one fitted suite).
-                    for sub, terms in estimate.attribution.terms_w.items():
-                        acc = terms_acc.setdefault(sub, {})
-                        for term, watts in terms.items():
-                            acc[term] = acc.get(term, 0.0) + watts
-                out.append(
-                    {s.value: w for s, w in estimate.subsystem_w.items()}
-                )
-            return out
+    def _compare(self, cluster, t_s: float) -> "list":
+        """Read, estimate and compare one second of the available nodes."""
         import numpy as np
 
+        from repro.core.events import SUBSYSTEMS
         from repro.core.traces import CounterTrace
 
-        n = len(pending)
-        events = list(pending[0][2])
+        fleet = cluster._fleet
+        width = len(cluster.nodes)
+        if self._was_read is None or self._was_read.shape != (width,):
+            self._last_energy = np.zeros((len(SUBSYSTEMS), width))
+            self._was_read = np.zeros(width, dtype=bool)
+        available = np.fromiter(
+            (node.available for node in cluster.nodes), dtype=bool, count=width
+        )
+        lanes = np.nonzero(available)[0]
+        keep = self._was_read[lanes]  # also read last second: comparable
+        self._was_read = available
+        if not lanes.size:
+            return []
+        counts = fleet.read_and_clear_lanes(lanes)
+        energy = fleet._energy5[:, lanes]
+        previous = self._last_energy[:, lanes[keep]]
+        self._last_energy[:, lanes] = energy
+        n = int(keep.sum())
+        if not n:
+            return []
+        # Sums over nodes run in node order, each node's truth added as
+        # ``(sum + joules) - previous``: a node-by-node loop's rounding.
+        true5 = np.zeros(len(SUBSYSTEMS))
+        for now_j, prev_j in zip(energy[:, keep].T, previous.T):
+            true5 = true5 + now_j - prev_j
+        true_w = {s.value: w for s, w in zip(SUBSYSTEMS, true5.tolist())}
         trace = CounterTrace(
             timestamps=np.full(n, float(t_s)),
             durations=np.ones(n),
-            counts={
-                event: np.vstack(
-                    [
-                        np.asarray(counts[event], dtype=float)
-                        for _, _, counts, _, _ in pending
-                    ]
-                )
-                for event in events
+            counts={event: rows[keep] for event, rows in counts.items()},
+        )
+        predictions, terms = self.suite.evaluate(trace, attribute=self.attribute)
+        estimated_w = {s.value: _node_sum(w) for s, w in predictions.items()}
+        sample = LiveSample(
+            timestamp_s=float(t_s),
+            duration_s=1.0,
+            true_w=true_w,
+            estimated_w=estimated_w,
+            error_pct={
+                name: abs(estimated_w[name] - true) / max(abs(true), 1.0e-9) * 100.0
+                for name, true in true_w.items()
+                if name in estimated_w
             },
         )
-        predictions, _ = self.estimator.suite.evaluate(trace)
-        return [
-            {s.value: float(column[i]) for s, column in predictions.items()}
-            for i in range(n)
-        ]
+        self.last = sample
+        obs.gauge("cluster_estimated_power_watts", sample.total_estimated_w)
+        obs.gauge("cluster_estimation_error_pct", sample.total_error_pct)
+        attribution = None
+        if terms is not None:
+            from repro.obs.attribution import Attribution
 
-    def _observe_nodes(
-        self,
-        cluster,
-        t_s: float,
-        pending: "list[tuple]",
-        node_estimates: "list[dict[str, float]]",
-    ) -> "list":
-        """Feed per-node residuals to the per-node drift plane."""
-        import numpy as np
+            # Term watts add across nodes: they share one fitted suite.
+            attribution = Attribution(
+                terms_w={
+                    s.value: {name: _node_sum(w) for name, w in sub_terms.items()}
+                    for s, sub_terms in terms.items()
+                },
+                residual_w={
+                    name: estimated_w[name] - true
+                    for name, true in true_w.items()
+                    if name in estimated_w
+                },
+            )
+        transitions = self.drift.observe(
+            t_s, estimated_w, true_w, attribution=attribution
+        )
+        if self.flight is not None:
+            self.flight.record(
+                t_s,
+                attribution=attribution,
+                true_w=sample.total_true_w,
+                estimated_w=sample.total_estimated_w,
+                error_pct=sample.total_error_pct,
+                nodes_compared=n,
+            )
+            for transition in transitions:
+                if transition.state == "firing":
+                    self.flight.trigger("drift.alert", detail=transition.to_dict())
+        return transitions
 
-        from repro.obs.fleet import FleetDriftMonitor
 
-        if self.node_drift is None:
-            self.node_drift = FleetDriftMonitor(
-                len(cluster.nodes),
-                slo_pct=self.drift.slo_pct,
-                alpha=self.drift.alpha,
-                min_windows=self.drift.min_windows,
-                resolve_ratio=self.drift.resolve_ratio,
-            )
-        lanes = np.array([index for index, *_ in pending], dtype=np.int64)
-        estimated = {
-            name: np.array([est[name] for est in node_estimates])
-            for name in node_estimates[0]
-        }
-        true = {
-            subsystem.value: np.array(
-                [
-                    energy[subsystem] - previous[subsystem]
-                    for _, _, _, energy, previous in pending
-                ]
-            )
-            for subsystem in pending[0][3]
-        }
-        for (_, node, *_), est in zip(pending, node_estimates):
-            obs.gauge(
-                "cluster_node_estimated_power_watts",
-                sum(est.values()),
-                {"node": node.node_id},
-            )
-        return self.node_drift.observe(t_s, estimated, true, lanes=lanes)
+def _node_sum(column) -> float:
+    """Sum of a per-node column, added one node at a time in order."""
+    total = 0.0
+    for watts in column.tolist():
+        total += watts
+    return total

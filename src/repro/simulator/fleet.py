@@ -18,7 +18,7 @@ same seed would (same stream names, same draw order), and the per-tick
 arithmetic mirrors the scalar code term by term in the same evaluation
 order.  Lane state is therefore *bit-identical* to the scalar server
 for everything on the simulation side: performance counters, sampler
-windows, per-subsystem energy, power breakdowns, and process stats.
+windows, per-subsystem energy, and process stats.
 
 One measurement-side term differs: the sensor drift factor uses
 ``np.sin`` where the scalar path uses ``math.sin``.  The two agree to
@@ -33,6 +33,13 @@ bit-exact.
 
 Lanes are independent: lane ``i``'s entire trace depends only on its
 own seed and workload, never on the fleet width or on other lanes.
+
+Lanes are watched in batches: :meth:`FleetServer.attach_fleet_monitor`
+pulses one monitor (:class:`~repro.obs.fleet.FleetMonitor`) with every
+tick's closing lanes, and an external control loop reads counters with
+:meth:`FleetServer.read_and_clear_lanes`.  :meth:`FleetServer.lane`
+returns a read-only ``Server``-shaped view of one lane for checks
+against the scalar server.
 
 Not supported by the fleet (use :class:`~repro.simulator.system.Server`):
 custom counter banks (multiplexed PMUs), per-package DVFS differing
@@ -55,7 +62,7 @@ from repro.osim.process import _ou_coefficients
 from repro.osim.procfs import Vector
 from repro.simulator.config import SystemConfig
 from repro.simulator.disk import _RANDOM_REQUEST_BYTES, _SEQUENTIAL_REQUEST_BYTES
-from repro.simulator.power import PowerBreakdown, ProcessStats
+from repro.simulator.power import ProcessStats
 from repro.simulator.rng import _stable_hash
 from repro.simulator.system import _BATCH_BUCKETS, _CROSS_COHERENCE_FRACTION
 from repro.workloads.base import ThreadPlan, WorkloadSpec
@@ -289,8 +296,6 @@ class FleetServer:
         self.workload = workload
         self.seeds = seeds
         self.width = len(seeds)
-        #: lane -> live monitor stack (see :meth:`attach_monitor`).
-        self._monitors: "dict[int, list]" = {}
         #: Optional fleet-wide monitor (see :meth:`attach_fleet_monitor`).
         self._fleet_monitor = None
 
@@ -481,7 +486,6 @@ class FleetServer:
         self._energy5 = np.zeros((5, width))
         self._e_time = np.zeros(width)
         self._wenergy = np.zeros((5, width))
-        self._last_powers = np.zeros((5, width))
         self._proc_runtime = np.zeros((n_thr, width))
         self._proc_exec = np.zeros((n_thr, width))
         self._proc_fetch = np.zeros((n_thr, width))
@@ -537,7 +541,6 @@ class FleetServer:
         "_energy5",
         "_e_time",
         "_wenergy",
-        "_last_powers",
         "_proc_runtime",
         "_proc_exec",
         "_proc_fetch",
@@ -675,54 +678,14 @@ class FleetServer:
         """Stop counter sampling on every lane (external counter reader)."""
         self._samp_deadline[:] = np.inf
 
-    def attach_monitor(self, monitor, lane: "int | None" = 0) -> None:
-        """Attach a live monitor to one lane (sampler-window callbacks).
-
-        Mirrors :meth:`Server.attach_monitor`: ``monitor.on_window(view,
-        pulse_s)`` fires whenever that lane closes a sampling window;
-        ``on_attach(view)``, when present, fires now per attached lane.
-        The view passed is :meth:`lane`'s read-only server facade.
-
-        A lane holds a *stack* of monitors — attaching a second one
-        adds it instead of silently replacing the first — and
-        ``lane=None`` attaches the monitor to every lane.  Out-of-range
-        lanes raise :class:`IndexError`.
-        """
-        lanes = range(self.width) if lane is None else (self._check_lane(lane),)
-        for lane_i in lanes:
-            stack = self._monitors.setdefault(lane_i, [])
-            stack.append(monitor)
-            on_attach = getattr(monitor, "on_attach", None)
-            if on_attach is not None:
-                on_attach(self.lane(lane_i))
-
-    def detach_monitor(self, lane: "int | None" = 0, monitor=None) -> None:
-        """Detach ``monitor`` (default: all monitors) from ``lane``.
-
-        ``lane=None`` sweeps every lane.  Detaching a monitor that is
-        not attached is a no-op.
-        """
-        lanes = range(self.width) if lane is None else (self._check_lane(lane),)
-        for lane_i in lanes:
-            stack = self._monitors.get(lane_i)
-            if stack is None:
-                continue
-            if monitor is None:
-                stack.clear()
-            elif monitor in stack:
-                stack.remove(monitor)
-            if not stack:
-                del self._monitors[lane_i]
-
     def attach_fleet_monitor(self, monitor) -> None:
         """Attach a fleet-wide monitor pulsed on every closing lane.
 
         ``monitor.on_pulse(fleet, lanes, now_s)`` fires once per tick
         on which any lane closes a sampling window, with the closing
-        lane indices — the batched analogue of per-lane
-        :meth:`attach_monitor` (see
-        :class:`repro.obs.fleet.FleetMonitor`).  ``on_attach_fleet``,
-        when present, fires now.  Unattached, the tick loop pays one
+        lane indices (see :class:`repro.obs.fleet.FleetMonitor`, the one
+        way fleet lanes are watched).  ``on_attach_fleet``, when
+        present, fires now.  Unattached, the tick loop pays one
         ``is not None`` check per closing tick.
         """
         self._fleet_monitor = monitor
@@ -891,7 +854,7 @@ class FleetServer:
         daq_rate, daq_noise_rel = self._daq_rate, self._daq_noise_rel
         two_pi = 2.0 * math.pi
         energy5, e_time = self._energy5, self._e_time
-        wenergy, last_powers = self._wenergy, self._last_powers
+        wenergy = self._wenergy
         proc_runtime, proc_exec = self._proc_runtime, self._proc_exec
         proc_fetch, proc_bus = self._proc_fetch, self._proc_bus
         ran_ever = self._ran_ever
@@ -945,7 +908,6 @@ class FleetServer:
         start_col, cycle_col = self._start_col, self._cycle_col
         loop_col, nph_col = self._loop_col, self._nph_col
         has_nonloop = self._has_nonloop
-        monitors = self._monitors
         fleet_monitor = self._fleet_monitor
         batch_energy = np.zeros(width)
 
@@ -1364,11 +1326,6 @@ class FleetServer:
                     (((cpu_power + chipset_power) + memory_power) + io_power)
                     + disk_power
                 ) * dt
-                last_powers[0] = cpu_power
-                last_powers[1] = chipset_power
-                last_powers[2] = memory_power
-                last_powers[3] = io_power
-                last_powers[4] = disk_power
 
                 # (10) Per-process accounting (needs the bus grant).
                 proc_runtime += np.where(runm2, dt * occ2, 0.0)
@@ -1458,11 +1415,6 @@ class FleetServer:
                             wenergy[si, lane] = 0.0
                         daq_ts[lane].append(now_l)
                         daq_wstart[lane] = now_l
-                        stack = monitors.get(lane)
-                        if stack:
-                            view = self.lane(lane)
-                            for monitor in stack:
-                                monitor.on_window(view, now_l)
                     if fleet_monitor is not None:
                         fleet_monitor.on_pulse(
                             self, closed, float(now[closed[0]])
@@ -1502,43 +1454,27 @@ class FleetServer:
 
 # -- lane views --------------------------------------------------------
 #
-# Read-only facades exposing one lane of the SoA state through the same
-# attribute surface the scalar ``Server`` offers (``counters.
-# _rows``/``peek``, ``sampler.last_window``/``finish``, ``energy.
-# _energy_j``/``mean_power_w``, ``process_stats``, ``_last_breakdown``)
-# so monitors and tests written against ``Server`` read fleet lanes
-# unchanged.
+# Read-only facades exposing one lane of the SoA state through the
+# attribute surface of the scalar ``Server`` that measured runs and the
+# lane-vs-``Server`` checks read (``counters._rows``/``events``,
+# ``sampler.n_samples``/``finish``, ``energy._energy_j``/
+# ``mean_power_w``/``total_energy_j``, ``process_stats``, ``now_s``).
 
 
 class _LaneCounters:
     """One lane's counter bank (``CounterBank``-shaped slice)."""
 
-    __slots__ = ("_fleet", "_lane", "events", "n_cpus")
+    __slots__ = ("_fleet", "_lane", "events")
 
     def __init__(self, fleet: "FleetServer", lane: int) -> None:
         self._fleet = fleet
         self._lane = lane
         self.events = _EVENTS
-        self.n_cpus = fleet._n_pkg
 
     @property
     def _rows(self) -> "list[list[float]]":
         c3 = self._fleet._counts3d
         return [c3[i, :, self._lane].tolist() for i in range(_N_EVENTS)]
-
-    def peek(self, event: Event) -> np.ndarray:
-        return np.array(
-            self._fleet._counts3d[_EIDX[event], :, self._lane], dtype=float
-        )
-
-    def read_and_clear(self) -> "dict[Event, np.ndarray]":
-        c3 = self._fleet._counts3d
-        snapshot = {}
-        for event in _EVENTS:
-            row = c3[_EIDX[event], :, self._lane]
-            snapshot[event] = np.array(row, dtype=float)
-            row[:] = 0.0
-        return snapshot
 
 
 class _LaneSampler:
@@ -1553,17 +1489,6 @@ class _LaneSampler:
     @property
     def n_samples(self) -> int:
         return len(self._fleet._samp_ts[self._lane])
-
-    def last_window(self):
-        fleet, lane = self._fleet, self._lane
-        if not fleet._samp_ts[lane]:
-            return None
-        snap = fleet._samp_counts[lane][-1]
-        counts = {event: snap[_EIDX[event]] for event in _EVENTS}
-        return fleet._samp_ts[lane][-1], fleet._samp_dur[lane][-1], counts
-
-    def disable(self) -> None:
-        self._fleet._samp_deadline[self._lane] = np.inf
 
     def finish(self) -> CounterTrace:
         fleet, lane = self._fleet, self._lane
@@ -1599,10 +1524,6 @@ class _LaneEnergy:
         lane = self._lane
         return {s: float(row[i, lane]) for i, s in enumerate(SUBSYSTEMS)}
 
-    @property
-    def elapsed_s(self) -> float:
-        return float(self._fleet._e_time[self._lane])
-
     def mean_power_w(self, subsystem: Subsystem) -> float:
         fleet, lane = self._fleet, self._lane
         elapsed = float(fleet._e_time[lane])
@@ -1623,20 +1544,16 @@ _SIDX = {s: i for i, s in enumerate(SUBSYSTEMS)}
 class _LaneView:
     """Read-only ``Server`` facade over one fleet lane.
 
-    Everything monitors and analysis code read off a scalar server —
-    ``now_s``, ``counters``, ``sampler``, ``energy``, ``process_stats``,
-    ``_last_breakdown`` — resolves to the lane's slice of the fleet
-    arrays.  It is a *view*: stepping the fleet advances what it reads.
+    ``now_s``, ``counters``, ``sampler``, ``energy`` and
+    ``process_stats`` resolve to the lane's slice of the fleet arrays.
+    It is a *view*: stepping the fleet advances what it reads.
     """
 
-    __slots__ = ("_fleet", "_lane", "config", "workload", "counters",
-                 "sampler", "energy")
+    __slots__ = ("_fleet", "_lane", "counters", "sampler", "energy")
 
     def __init__(self, fleet: "FleetServer", lane: int) -> None:
         self._fleet = fleet
         self._lane = lane
-        self.config = fleet.config
-        self.workload = fleet.workload
         self.counters = _LaneCounters(fleet, lane)
         self.sampler = _LaneSampler(fleet, lane)
         self.energy = _LaneEnergy(fleet, lane)
@@ -1644,20 +1561,6 @@ class _LaneView:
     @property
     def now_s(self) -> float:
         return float(self._fleet._now[self._lane])
-
-    @property
-    def _last_breakdown(self) -> "PowerBreakdown | None":
-        fleet, lane = self._fleet, self._lane
-        if fleet._e_time[lane] == 0:
-            return None
-        p = fleet._last_powers[:, lane]
-        return PowerBreakdown(
-            cpu_w=float(p[0]),
-            chipset_w=float(p[1]),
-            memory_w=float(p[2]),
-            io_w=float(p[3]),
-            disk_w=float(p[4]),
-        )
 
     @property
     def process_stats(self) -> "dict[int, ProcessStats]":

@@ -23,6 +23,7 @@ from time import monotonic as _monotonic
 from repro import obs
 from repro.core.events import Event, Subsystem, SUBSYSTEMS
 from repro.core.traces import MeasuredRun
+from repro.counters.multiplex import MultiplexedCounterBank
 from repro.counters.perfctr import CounterBank
 from repro.counters.sampler import CounterSampler
 from repro.measurement.daq import DataAcquisition
@@ -72,7 +73,8 @@ class Server:
 
         ``counter_bank`` overrides the default full counter bank — pass
         a :class:`~repro.counters.multiplex.MultiplexedCounterBank` to
-        emulate a PMU with fewer slots than events.
+        emulate a PMU with fewer slots than events.  The tick loop
+        accumulates into the bank's :meth:`~CounterBank.row` storage.
         """
         self.config = config
         self.workload = workload
@@ -168,9 +170,9 @@ class Server:
         — same model arithmetic, same RNG draw order, same counter
         accumulation order — but hoists per-tick constants out of the
         loop, fuses the per-package aggregation passes, and accumulates
-        directly into the counter bank's rows when the bank is a plain
-        :class:`CounterBank` (a multiplexed bank gates ``add`` per
-        event, so it is driven through the generic path).
+        directly into the counter bank's rows.  A multiplexed bank
+        rotates its slots before each tick's counts and afterwards
+        puts back the rows of the events its slots were not watching.
 
         Returns the true energy consumed over the batch in joules
         (``sum(breakdown.total_w * tick_s)``), which is what cluster
@@ -255,33 +257,34 @@ class Server:
         vector_network = Vector.NETWORK
 
         counters = self.counters
-        fast = type(counters) is CounterBank
-        if fast:
-            row = counters.row
-            r_cycles = row(Event.CYCLES)
-            r_halted = row(Event.HALTED_CYCLES)
-            r_fetched = row(Event.FETCHED_UOPS)
-            r_l3 = row(Event.L3_MISSES)
-            r_tlb = row(Event.TLB_MISSES)
-            r_unc = row(Event.UNCACHEABLE_ACCESSES)
-            r_dma = row(Event.DMA_ACCESSES)
-            r_bus = row(Event.BUS_TRANSACTIONS)
-            r_irq = row(Event.INTERRUPTS)
-            r_disk_irq = row(Event.DISK_INTERRUPTS)
-            r_net_irq = row(Event.NETWORK_INTERRUPTS)
-            r_dram_reads = row(Event.DRAM_READS)
-            r_dram_writes = row(Event.DRAM_WRITES)
-            r_dram_act = row(Event.DRAM_ACTIVATIONS)
-            r_dram_time = row(Event.DRAM_ACTIVE_TIME)
-            r_prefetch = row(Event.PREFETCH_TRANSACTIONS)
-            r_writeback = row(Event.WRITEBACK_TRANSACTIONS)
-            r_io_bytes = row(Event.IO_BYTES)
-            r_io_tx = row(Event.IO_TRANSACTIONS)
-            r_seek = row(Event.DISK_SEEK_TIME)
-            r_xfer = row(Event.DISK_TRANSFER_TIME)
-            r_disk_bytes = row(Event.DISK_BYTES)
-            r_sectors = row(Event.OS_DISK_SECTORS)
-            r_ctx = row(Event.OS_CONTEXT_SWITCHES)
+        multiplexed = (
+            counters if isinstance(counters, MultiplexedCounterBank) else None
+        )
+        row = counters.row
+        r_cycles = row(Event.CYCLES)
+        r_halted = row(Event.HALTED_CYCLES)
+        r_fetched = row(Event.FETCHED_UOPS)
+        r_l3 = row(Event.L3_MISSES)
+        r_tlb = row(Event.TLB_MISSES)
+        r_unc = row(Event.UNCACHEABLE_ACCESSES)
+        r_dma = row(Event.DMA_ACCESSES)
+        r_bus = row(Event.BUS_TRANSACTIONS)
+        r_irq = row(Event.INTERRUPTS)
+        r_disk_irq = row(Event.DISK_INTERRUPTS)
+        r_net_irq = row(Event.NETWORK_INTERRUPTS)
+        r_dram_reads = row(Event.DRAM_READS)
+        r_dram_writes = row(Event.DRAM_WRITES)
+        r_dram_act = row(Event.DRAM_ACTIVATIONS)
+        r_dram_time = row(Event.DRAM_ACTIVE_TIME)
+        r_prefetch = row(Event.PREFETCH_TRANSACTIONS)
+        r_writeback = row(Event.WRITEBACK_TRANSACTIONS)
+        r_io_bytes = row(Event.IO_BYTES)
+        r_io_tx = row(Event.IO_TRANSACTIONS)
+        r_seek = row(Event.DISK_SEEK_TIME)
+        r_xfer = row(Event.DISK_TRANSFER_TIME)
+        r_disk_bytes = row(Event.DISK_BYTES)
+        r_sectors = row(Event.OS_DISK_SECTORS)
+        r_ctx = row(Event.OS_CONTEXT_SWITCHES)
 
         now = self.now_s
         dram_latency_factor = self._dram_latency_factor
@@ -487,57 +490,55 @@ class Server:
 
             # 9. Counters: per-package events.  ``traffic_weight`` is
             #    the sum of ``own_tx`` in the same order, so it carries
-            #    the cross-package coherence total.
-            if fast:
-                driver_uncacheable = (
-                    dma_tick.uncacheable_accesses
-                    + nic_tick.dma.uncacheable_accesses
-                ) / n
-                snoops = bus_tick.granted_dma_snoops
-                disk_irqs = vector_irq_counts[vector_disk]
-                net_irqs = vector_irq_counts[vector_network]
-                for i in range(n):
-                    pt = package_ticks[i]
-                    t = granted[i]
-                    tx = own_tx[i]
-                    r_cycles[i] += pt.cycles
-                    r_halted[i] += pt.halted_cycles
-                    r_fetched[i] += pt.fetched_uops
-                    r_l3[i] += t.demand_load_misses
-                    r_tlb[i] += t.tlb_misses
-                    r_unc[i] += t.uncacheable_accesses + driver_uncacheable
-                    # Every package snoops the shared bus: its
-                    # DMA/Other event counts all DMA snoops plus
-                    # coherence from other packages.
-                    other_coherence = (
-                        traffic_weight - tx
-                    ) * _CROSS_COHERENCE_FRACTION
-                    r_dma[i] += snoops + other_coherence
-                    r_bus[i] += tx + snoops + other_coherence
-                    r_irq[i] += irq_counts[i]
-                    r_disk_irq[i] += disk_irqs[i]
-                    r_net_irq[i] += net_irqs[i]
-                # Subsystem-local events (column 0 carries system-wide
-                # totals).
-                r_dram_reads[0] += dram_tick.reads
-                r_dram_writes[0] += dram_tick.writes
-                r_dram_act[0] += dram_tick.activations
-                r_dram_time[0] += dram_tick.active_fraction * dt
-                r_prefetch[0] += prefetch_total
-                r_writeback[0] += cpu_writes
-                r_io_bytes[0] += io_bytes
-                r_io_tx[0] += io_transactions
-                r_seek[0] += disk_tick.seek_time_s
-                r_xfer[0] += disk_tick.transfer_time_s
-                served = disk_tick.served_bytes
-                r_disk_bytes[0] += served
-                r_sectors[0] += served / 512.0
-                r_ctx[0] += float(scheduler.context_switches)
-            else:
-                self._count_events(
-                    package_ticks, granted, bus_tick, dma_tick, nic_tick,
-                    disk_tick, dram_tick, irq_counts, vector_irq_counts,
-                )
+            #    the cross-package coherence total.  A multiplexed PMU
+            #    rotates first; the rows of the events its slots were
+            #    not watching are put back afterwards, exactly what its
+            #    gated ``add`` would have left.
+            if multiplexed is not None:
+                unwatched = multiplexed.advance_and_hold(dt)
+            driver_uncacheable = (
+                dma_tick.uncacheable_accesses + nic_tick.dma.uncacheable_accesses
+            ) / n
+            snoops = bus_tick.granted_dma_snoops
+            disk_irqs = vector_irq_counts[vector_disk]
+            net_irqs = vector_irq_counts[vector_network]
+            for i in range(n):
+                pt = package_ticks[i]
+                t = granted[i]
+                tx = own_tx[i]
+                r_cycles[i] += pt.cycles
+                r_halted[i] += pt.halted_cycles
+                r_fetched[i] += pt.fetched_uops
+                r_l3[i] += t.demand_load_misses
+                r_tlb[i] += t.tlb_misses
+                r_unc[i] += t.uncacheable_accesses + driver_uncacheable
+                # Every package snoops the shared bus: its DMA/Other
+                # event counts all DMA snoops plus coherence from other
+                # packages.
+                other_coherence = (traffic_weight - tx) * _CROSS_COHERENCE_FRACTION
+                r_dma[i] += snoops + other_coherence
+                r_bus[i] += tx + snoops + other_coherence
+                r_irq[i] += irq_counts[i]
+                r_disk_irq[i] += disk_irqs[i]
+                r_net_irq[i] += net_irqs[i]
+            # Subsystem-local events (column 0 carries system-wide totals).
+            r_dram_reads[0] += dram_tick.reads
+            r_dram_writes[0] += dram_tick.writes
+            r_dram_act[0] += dram_tick.activations
+            r_dram_time[0] += dram_tick.active_fraction * dt
+            r_prefetch[0] += prefetch_total
+            r_writeback[0] += cpu_writes
+            r_io_bytes[0] += io_bytes
+            r_io_tx[0] += io_transactions
+            r_seek[0] += disk_tick.seek_time_s
+            r_xfer[0] += disk_tick.transfer_time_s
+            served = disk_tick.served_bytes
+            r_disk_bytes[0] += served
+            r_sectors[0] += served / 512.0
+            r_ctx[0] += float(scheduler.context_switches)
+            if multiplexed is not None:
+                for held_row, saved in unwatched:
+                    held_row[:] = saved
 
             # 10. Instrumentation: DAQ integrates power; the sampler
             #    may close a window (emitting the sync pulse to the
@@ -606,87 +607,6 @@ class Server:
             reg.gauge(
                 "sim_idle_cache_hit_ratio", 1.0 - rebuilds / idle_ticks, labels
             )
-
-    def _count_events(
-        self,
-        package_ticks,
-        granted,
-        bus_tick,
-        dma_tick,
-        nic_tick,
-        disk_tick,
-        dram_tick,
-        irq_counts,
-        vector_irq_counts,
-    ) -> None:
-        """Accumulate this tick's events into the counter bank."""
-        counters = self.counters
-        advance = getattr(counters, "advance", None)
-        if advance is not None:
-            advance(self.config.tick_s)  # multiplexed PMU rotation
-        n = self.config.num_packages
-        own_tx = [
-            t.demand_transactions + t.prefetch_requests for t in granted
-        ]
-        total_own = sum(own_tx)
-        snoops = bus_tick.granted_dma_snoops
-        for i, (pt, t) in enumerate(zip(package_ticks, granted)):
-            counters.add(Event.CYCLES, i, pt.cycles)
-            counters.add(Event.HALTED_CYCLES, i, pt.halted_cycles)
-            counters.add(Event.FETCHED_UOPS, i, pt.fetched_uops)
-            counters.add(Event.L3_MISSES, i, t.demand_load_misses)
-            counters.add(Event.TLB_MISSES, i, t.tlb_misses)
-            driver_uncacheable = (
-                dma_tick.uncacheable_accesses + nic_tick.dma.uncacheable_accesses
-            ) / n
-            counters.add(
-                Event.UNCACHEABLE_ACCESSES,
-                i,
-                t.uncacheable_accesses + driver_uncacheable,
-            )
-            # Every package snoops the shared bus: its DMA/Other event
-            # counts all DMA snoops plus coherence from other packages.
-            other_coherence = (total_own - own_tx[i]) * _CROSS_COHERENCE_FRACTION
-            counters.add(Event.DMA_ACCESSES, i, snoops + other_coherence)
-            counters.add(
-                Event.BUS_TRANSACTIONS, i, own_tx[i] + snoops + other_coherence
-            )
-            counters.add(Event.INTERRUPTS, i, irq_counts[i])
-            counters.add(Event.DISK_INTERRUPTS, i, vector_irq_counts[Vector.DISK][i])
-            counters.add(
-                Event.NETWORK_INTERRUPTS, i, vector_irq_counts[Vector.NETWORK][i]
-            )
-
-        # Subsystem-local events (column 0 carries system-wide totals).
-        counters.add(Event.DRAM_READS, 0, dram_tick.reads)
-        counters.add(Event.DRAM_WRITES, 0, dram_tick.writes)
-        counters.add(Event.DRAM_ACTIVATIONS, 0, dram_tick.activations)
-        counters.add(
-            Event.DRAM_ACTIVE_TIME, 0, dram_tick.active_fraction * self.config.tick_s
-        )
-        counters.add(
-            Event.PREFETCH_TRANSACTIONS,
-            0,
-            sum(t.prefetch_requests for t in granted),
-        )
-        counters.add(
-            Event.WRITEBACK_TRANSACTIONS, 0, sum(t.writebacks for t in granted)
-        )
-        counters.add(
-            Event.IO_BYTES, 0, dma_tick.io_bytes + nic_tick.dma.io_bytes
-        )
-        counters.add(
-            Event.IO_TRANSACTIONS,
-            0,
-            dma_tick.io_transactions + nic_tick.dma.io_transactions,
-        )
-        counters.add(Event.DISK_SEEK_TIME, 0, disk_tick.seek_time_s)
-        counters.add(Event.DISK_TRANSFER_TIME, 0, disk_tick.transfer_time_s)
-        counters.add(Event.DISK_BYTES, 0, disk_tick.served_bytes)
-        counters.add(Event.OS_DISK_SECTORS, 0, disk_tick.served_bytes / 512.0)
-        counters.add(
-            Event.OS_CONTEXT_SWITCHES, 0, float(self.scheduler.context_switches)
-        )
 
     # -- DVFS (extension) ------------------------------------------------
 

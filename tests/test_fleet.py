@@ -140,25 +140,31 @@ class TestRngStreamIndependence:
 
 
 class _RecordingMonitor:
-    """Minimal live monitor: records every window pulse it sees."""
+    """Minimal live monitor: records every window pulse of one lane.
 
-    def __init__(self):
-        self.attached = None
+    ``on_window`` is the scalar ``Server`` hook; ``on_pulse`` is the
+    fleet's, which names the closing lanes, so the recorder reads its
+    lane through the fleet's ``Server``-shaped view.
+    """
+
+    def __init__(self, lane=0):
+        self.lane = lane
         self.pulses = []
-
-    def on_attach(self, server):
-        self.attached = server
 
     def on_window(self, server, pulse_s):
         self.pulses.append(
             (pulse_s, server.sampler.n_samples, sum(server.energy._energy_j.values()))
         )
 
+    def on_pulse(self, fleet, lanes, now_s):
+        if self.lane in lanes:
+            self.on_window(fleet.lane(self.lane), now_s)
+
 
 class TestMonitoredRunIdentity:
     def test_fleet_monitor_sees_scalar_pulses(self):
-        """attach_monitor on lane 0 fires the same windows, same state,
-        as the same monitor attached to the scalar Server."""
+        """A fleet monitor sees lane 0 close the same windows, with the
+        same state, as the same recorder attached to the scalar Server."""
         config = fast_config()
         workload = get_workload("gcc")
 
@@ -168,11 +174,10 @@ class TestMonitoredRunIdentity:
         server.run_ticks(N_TICKS)
 
         fleet = FleetServer(config, workload, [SEED, SEED + 1])
-        fleet_monitor = _RecordingMonitor()
-        fleet.attach_monitor(fleet_monitor, lane=0)
+        fleet_monitor = _RecordingMonitor(lane=0)
+        fleet.attach_fleet_monitor(fleet_monitor)
         fleet.run_ticks(N_TICKS)
 
-        assert fleet_monitor.attached is not None
         assert fleet_monitor.pulses  # windows actually closed
         assert fleet_monitor.pulses == scalar_monitor.pulses
 
@@ -182,11 +187,20 @@ class TestMonitoredRunIdentity:
         workload = get_workload("gcc")
         plain = FleetServer(config, workload, [SEED, SEED + 1])
         monitored = FleetServer(config, workload, [SEED, SEED + 1])
-        monitored.attach_monitor(_RecordingMonitor(), lane=0)
+        monitor = _RecordingMonitor(lane=0)
+        monitored.attach_fleet_monitor(monitor)
         plain_energy = plain.run_ticks(N_TICKS)
         monitored_energy = monitored.run_ticks(N_TICKS)
+        assert monitor.pulses
         assert np.array_equal(plain_energy, monitored_energy)
-        assert _scalar_rows(plain.lane(0)) == _scalar_rows(monitored.lane(0))
+        for lane in (0, 1):
+            assert _scalar_rows(plain.lane(lane)) == _scalar_rows(
+                monitored.lane(lane)
+            )
+            assert (
+                plain.lane(lane).energy._energy_j
+                == monitored.lane(lane).energy._energy_j
+            )
 
 
 class TestClusterEngineEquivalence:
@@ -207,6 +221,24 @@ class TestClusterEngineEquivalence:
         cluster.run(demand, manager_factory())
         replay(schedule)
         assert schedule.frozen_lane_seconds >= min_frozen
+
+    def test_monitored_cluster_replays_on_servers(self, paper_suite):
+        """A ClusterObserver's per-second counter reads go through
+        ``read_and_clear_lanes``, so the replay sees (and re-reads on
+        each Server) every snapshot the observer estimated from."""
+        from repro.obs.live import ClusterObserver
+
+        demand = diurnal_demand(
+            30, peak_threads=14, trough_threads=2, period_s=40.0, seed=5
+        )
+        cluster = Cluster(n_nodes=3, seed=123)
+        schedule = record(cluster)
+        observer = ClusterObserver(suite=paper_suite, attribute=True)
+        cluster.run(demand, PowerAwareManager(headroom_threads=4), observer=observer)
+        replay(schedule)
+        assert schedule.n_reads >= 1
+        assert schedule.frozen_lane_seconds >= 1
+        assert observer.last is not None
 
 
 class TestSweepFleetGrouping:

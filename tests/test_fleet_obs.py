@@ -243,6 +243,34 @@ class TestFleetDriftMonitorUnit:
         with pytest.raises(IndexError):
             FleetDriftMonitor(2).lane_state(2)
 
+    def test_out_of_range_lane_rejected(self):
+        fleet = FleetDriftMonitor(2)
+        for lanes in ([-1], [2], [0, 2]):
+            with pytest.raises(IndexError):
+                fleet.observe(
+                    1.0,
+                    {"cpu": [50.0] * len(lanes)},
+                    {"cpu": [40.0] * len(lanes)},
+                    lanes=np.array(lanes),
+                )
+        # Nothing was updated on the way to the error (unchecked, -1
+        # would update the last lane).
+        assert fleet.history() == []
+        assert np.isnan(fleet.error_pct("cpu")).all()
+
+    def test_lane_given_twice_rejected(self):
+        fleet = FleetDriftMonitor(2)
+        # 25 % then 50 % error on lane 1 in one call: rejected, not
+        # one window at the last value.
+        with pytest.raises(ValueError, match="once"):
+            fleet.observe(
+                1.0,
+                {"cpu": [50.0, 60.0]},
+                {"cpu": [40.0, 40.0]},
+                lanes=np.array([1, 1]),
+            )
+        assert np.isnan(fleet.error_pct("cpu")).all()
+
     def test_alert_serialization_carries_lane(self):
         alert = LaneDriftAlert(
             subsystem="cpu",
@@ -281,56 +309,19 @@ class TestMonitoredFleetUnperturbedState:
             )
 
 
-class TestAttachMonitorStacking:
-    """Satellite: multi-monitor / all-lane attachment, range checks."""
-
-    class _Recorder:
-        def __init__(self):
-            self.attached = []
-            self.pulses = []
-
-        def on_attach(self, server):
-            self.attached.append(server)
-
-        def on_window(self, server, pulse_s):
-            self.pulses.append((server, pulse_s))
-
-    def test_two_monitors_on_one_lane_both_fire(self):
-        fleet = FleetServer(fast_config(), get_workload("gcc"), [1, 2])
-        first, second = self._Recorder(), self._Recorder()
-        fleet.attach_monitor(first, lane=0)
-        fleet.attach_monitor(second, lane=0)
-        fleet.run_ticks(300)
-        assert first.pulses and second.pulses
-        assert [p for _, p in first.pulses] == [p for _, p in second.pulses]
-
-    def test_all_lane_attachment(self):
-        fleet = FleetServer(fast_config(), get_workload("gcc"), [1, 2, 3])
-        monitor = self._Recorder()
-        fleet.attach_monitor(monitor, lane=None)
-        assert len(monitor.attached) == 3
-        fleet.run_ticks(300)
-        seen_lanes = {view._lane for view, _ in monitor.pulses}
-        assert seen_lanes == {0, 1, 2}
-
+class TestPerturbLanes:
     def test_out_of_range_lane_raises(self):
         fleet = FleetServer(fast_config(), get_workload("gcc"), [1, 2])
-        with pytest.raises(IndexError):
-            fleet.attach_monitor(self._Recorder(), lane=2)
-        with pytest.raises(IndexError):
-            fleet.attach_monitor(self._Recorder(), lane=-1)
-        with pytest.raises(IndexError):
-            fleet.detach_monitor(lane=5)
-
-    def test_detach_single_monitor(self):
-        fleet = FleetServer(fast_config(), get_workload("gcc"), [1, 2])
-        keep, drop = self._Recorder(), self._Recorder()
-        fleet.attach_monitor(keep, lane=0)
-        fleet.attach_monitor(drop, lane=0)
-        fleet.detach_monitor(lane=0, monitor=drop)
-        fleet.run_ticks(300)
-        assert keep.pulses
-        assert not drop.pulses
+        monitor = FleetMonitor(suite=None)
+        fleet.attach_fleet_monitor(monitor)
+        for lanes in ([-1], [2], [0, 2]):
+            with pytest.raises(IndexError):
+                monitor.perturb_lanes(1.5, lanes)
+        # Nothing was scaled on the way to the error (unchecked, -1
+        # would scale the last lane).
+        assert monitor._scale == {}
+        monitor.perturb_lanes(1.5, [1], subsystems=["cpu"])
+        assert monitor._scale["cpu"].tolist() == [1.0, 1.5]
 
 
 class TestFleetRoutes:

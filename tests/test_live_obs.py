@@ -916,9 +916,139 @@ class TestClusterTelemetry:
         cluster = self._cluster(2)
         observer = ClusterObserver(window_s=2.0)
         cluster.run([4] * 6, StaticManager(), observer=observer)
-        assert observer.estimator is None
+        assert observer.suite is None
         assert len(observer.windows) > 0
         assert observer.windows.latest("cluster_power_watts") > 0.0
+
+
+class _RecordingDrift(DriftMonitor):
+    """A drift monitor that also keeps every window it was fed."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.fed: "list[tuple]" = []
+
+    def observe(self, timestamp_s, estimated_w, true_w, attribution=None):
+        self.fed.append(
+            (timestamp_s, dict(estimated_w), dict(true_w), attribution)
+        )
+        return super().observe(
+            timestamp_s, estimated_w, true_w, attribution=attribution
+        )
+
+
+class _PerNodeReference:
+    """Reference cluster observer: one estimator call per node.
+
+    Each second, every available node's counters are read on their own
+    and estimated by a ``SystemPowerEstimator(attribute=True)``; a
+    node's first available second only primes its energy baseline.
+    Watts and attribution terms add over the compared nodes in node
+    order, truth as ``(sum + joules) - previous`` per node.
+    """
+
+    def __init__(self, suite) -> None:
+        self.estimator = SystemPowerEstimator(suite, attribute=True)
+        self.previous: "dict[int, dict]" = {}
+        self.seconds: "list[tuple]" = []
+
+    def set_suite(self, suite) -> None:
+        self.estimator.suite = suite
+
+    def on_second(self, cluster, t_s, demand, served, node_powers):
+        fleet = cluster._fleet
+        true_w: "dict[str, float]" = {}
+        estimated_w: "dict[str, float]" = {}
+        terms_w: "dict[str, dict[str, float]]" = {}
+        for lane, node in enumerate(cluster.nodes):
+            if not node.available:
+                self.previous.pop(lane, None)
+                continue
+            energy = fleet.lane(lane).energy._energy_j
+            counts = {
+                event: values[0]
+                for event, values in fleet.read_and_clear_lanes([lane]).items()
+            }
+            previous = self.previous.get(lane)
+            self.previous[lane] = energy
+            if previous is None:
+                continue
+            estimate = self.estimator.estimate(
+                counts, duration_s=1.0, timestamp_s=t_s
+            )
+            for subsystem, watts in estimate.subsystem_w.items():
+                name = subsystem.value
+                estimated_w[name] = estimated_w.get(name, 0.0) + watts
+            for subsystem, joules in energy.items():
+                name = subsystem.value
+                true_w[name] = true_w.get(name, 0.0) + joules - previous[subsystem]
+            for name, terms in estimate.attribution.terms_w.items():
+                acc = terms_w.setdefault(name, {})
+                for term, watts in terms.items():
+                    acc[term] = acc.get(term, 0.0) + watts
+        if true_w:
+            self.seconds.append((t_s, true_w, estimated_w, terms_w))
+
+
+class TestClusterObserverReference:
+    """``ClusterObserver`` against a per-node estimator, bit for bit."""
+
+    DEMAND = [2] * 4 + [14] * 8 + [3] * 8 + [12] * 6
+
+    def _run(self, observer, suite):
+        """Half the demand under ``observer``'s suite, half under ``suite``."""
+        from repro.cluster import Cluster, PowerAwareManager
+
+        cluster = Cluster(n_nodes=3, config=fast_config(), seed=TEST_SEED)
+        manager = PowerAwareManager(headroom_threads=2)
+        half = len(self.DEMAND) // 2
+        cluster.run(self.DEMAND[:half], manager, observer=observer)
+        observer.set_suite(suite)
+        cluster.run(
+            self.DEMAND[half:], manager, observer=observer, start_s=float(half)
+        )
+
+    def test_matches_per_node_estimator_reference(self, paper_suite):
+        from repro.obs.live import ClusterObserver
+
+        drift = _RecordingDrift()
+        observer = ClusterObserver(
+            suite=paper_suite.scaled(1.3), drift=drift, attribute=True
+        )
+        self._run(observer, paper_suite)
+        reference = _PerNodeReference(paper_suite.scaled(1.3))
+        self._run(reference, paper_suite)
+        assert len(drift.fed) == len(reference.seconds) > 10
+        for (t, est, true, attribution), (t_ref, true_ref, est_ref, terms_ref) in (
+            zip(drift.fed, reference.seconds)
+        ):
+            assert t == t_ref
+            assert true == true_ref
+            assert est == est_ref
+            assert attribution.terms_w == terms_ref
+            assert attribution.residual_w == {
+                name: est[name] - watts for name, watts in true.items()
+            }
+
+    def test_attribution_on_and_off_give_same_drift_history(self, paper_suite):
+        from repro.obs.live import ClusterObserver
+
+        histories = []
+        for attribute in (True, False):
+            observer = ClusterObserver(
+                suite=paper_suite.scaled(1.4), attribute=attribute
+            )
+            self._run(observer, paper_suite)
+            histories.append(
+                [
+                    (a.subsystem, a.state, a.error_pct, a.timestamp_s, a.window)
+                    for a in observer.drift.history()
+                ]
+            )
+            assert observer.last is not None
+        on, off = histories
+        assert {state for _, state, *_ in on} == {"firing", "resolved"}
+        assert on == off
 
 
 class TestMonitorCli:
@@ -978,14 +1108,41 @@ class TestMonitorCli:
         ).read()
         assert "live_power_watts" in prom
 
-    def test_monitor_cluster_mode(self, capsys):
+    def test_monitor_cluster_mode(self, tmp_path, capsys):
         from repro.cli import main
 
-        code = main(["monitor", "--nodes", "2", *self.COMMON])
+        telemetry = str(tmp_path / "tel")
+        restore_at = 10.0
+        code = main(
+            [
+                "monitor",
+                "--nodes",
+                "2",
+                *self.COMMON,
+                "--perturb",
+                "1.5",
+                "--restore-at",
+                str(restore_at),
+                "--telemetry",
+                telemetry,
+            ]
+        )
         assert code == 0
         out = capsys.readouterr().out
         assert "cluster of 2 node(s)" in out
         assert "nodes on" in out
+        with open(os.path.join(telemetry, "alerts.json"), encoding="utf-8") as fh:
+            history = json.load(fh)["history"]
+        # The cluster path estimates with attribution, so a firing
+        # alert names its offending terms.
+        assert any(a["state"] == "firing" and a["top_terms"] for a in history)
+        # Restoring the calibrated suite resolves at least one stream.
+        # Some may still fire at the end: short training runs fit CPU
+        # power poorly.
+        assert any(
+            a["state"] == "resolved" and a["timestamp_s"] > restore_at
+            for a in history
+        )
 
     def test_monitor_requires_workload_or_nodes(self, capsys):
         from repro.cli import main

@@ -1,10 +1,12 @@
 """Tests for counter multiplexing and the validation utilities
 (holdout, temporal cross-validation)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from repro.core.events import Event, Subsystem, TRICKLE_DOWN_EVENTS
+from repro.core.events import SUBSYSTEMS, Event, Subsystem, TRICKLE_DOWN_EVENTS
 from repro.core.training import ModelTrainer
 from repro.core.validation import (
     holdout_validation,
@@ -108,6 +110,80 @@ class TestMultiplexedCounterBank:
         bank = MultiplexedCounterBank(tuple(Event), 2, n_slots=4)
         with pytest.raises(ValueError, match="CPU count"):
             Server(config, get_workload("idle"), seed=1, counter_bank=bank)
+
+
+def _multiplexed_run(config, n_slots: int, duration_s: float = 20.0):
+    bank = MultiplexedCounterBank(
+        tuple(Event), config.num_packages, n_slots=n_slots
+    )
+    server = Server(
+        config, get_workload("gcc"), seed=TEST_SEED, counter_bank=bank
+    )
+    return server, server.run(duration_s)
+
+
+def _digest(arrays) -> str:
+    sha = hashlib.sha256()
+    for array in arrays:
+        sha.update(np.ascontiguousarray(array, dtype=np.float64).tobytes())
+    return sha.hexdigest()[:16]
+
+
+def _run_digests(server, run) -> "dict[str, str]":
+    """Bit-exact digests of a run's windows, DAQ power and energy."""
+    counters = run.counters
+    return {
+        "counters": _digest(
+            [counters.timestamps, counters.durations]
+            + [counters.per_cpu(event) for event in counters.events]
+        ),
+        "power": _digest(
+            [run.power.timestamps]
+            + [run.power.power(s) for s in run.power.subsystems]
+        ),
+        "energy": _digest(
+            [[server.energy._energy_j[s] for s in SUBSYSTEMS]]
+        ),
+    }
+
+
+class TestMultiplexedServerIdentity:
+    """Multiplexed runs stay bit-identical across kernel refactors.
+
+    The digests are a 20 s gcc run at ``fast_config()`` and
+    ``TEST_SEED``: the per-window counter trace (timestamps, durations,
+    every event's per-CPU counts), the DAQ power trace and the
+    end-of-run energy account, hashed as raw float64 bytes.
+    """
+
+    #: slots -> digests (see :func:`_run_digests`).
+    DIGESTS = {
+        2: {
+            "counters": "ee6cfc5d8bccd326",
+            "power": "f2a04649edb6690b",
+            "energy": "c3c637a188a6f34f",
+        },
+        4: {
+            "counters": "415cae76081a8a7b",
+            "power": "f2a04649edb6690b",
+            "energy": "c3c637a188a6f34f",
+        },
+    }
+
+    @pytest.mark.parametrize("n_slots", [2, 4])
+    def test_run_matches_recorded_digests(self, config, n_slots):
+        server, run = _multiplexed_run(config, n_slots)
+        assert server.counters.n_groups > 1
+        assert _run_digests(server, run) == self.DIGESTS[n_slots]
+
+    def test_one_group_bank_equals_plain_bank(self, config):
+        """With a slot per event nothing is dropped or extrapolated."""
+        server, run = _multiplexed_run(config, len(TRICKLE_DOWN_EVENTS))
+        assert server.counters.n_groups == 1
+        plain = Server(config, get_workload("gcc"), seed=TEST_SEED)
+        reference = plain.run(20.0)
+        assert _run_digests(server, run) == _run_digests(plain, reference)
+        assert server.counters._rows == plain.counters._rows
 
 
 class TestHoldoutValidation:
