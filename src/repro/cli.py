@@ -1935,7 +1935,10 @@ def _cmd_query(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         for value in (args.start, args.end, args.range_s, args.step)
     )
     if not range_mode:
-        results = db.query(name, matchers, at_s=args.at)
+        try:
+            results = db.query(name, matchers, at_s=args.at)
+        except ValueError as error:
+            parser.error(str(error))
         if not results and not args.csv:
             print(f"query: no series matched {name}")
             return 1
@@ -1972,16 +1975,19 @@ def _cmd_query(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     by = None
     if args.by is not None:
         by = tuple(part for part in args.by.split(",") if part)
-    results = db.query_range(
-        name,
-        matchers,
-        start_s=start if start is not None else 0.0,
-        end_s=end,
-        step_s=parse_duration(args.step) if args.step else None,
-        agg=args.agg,
-        by=by,
-        tier=args.tier,
-    )
+    try:
+        results = db.query_range(
+            name,
+            matchers,
+            start_s=start if start is not None else 0.0,
+            end_s=end,
+            step_s=parse_duration(args.step) if args.step else None,
+            agg=args.agg,
+            by=by,
+            tier=args.tier,
+        )
+    except ValueError as error:
+        parser.error(str(error))
     if args.csv:
         print("metric,labels,tier,t_s,value")
         for series in results:

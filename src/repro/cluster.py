@@ -65,18 +65,27 @@ def _service_workload_spec(service_workload: str):
     )
 
 
-class _NodeControl:
-    """Power/boot/nap/load state machine of one cluster node.
+class FleetNodeHandle:
+    """One cluster node: the power/boot/nap/load state machine over a
+    fleet lane.
 
-    Subclasses set ``node_id``, ``boot_time_s`` and ``capacity`` and
-    call :meth:`_init_control`; everything observable about a node's
-    power state lives here, apart from the simulated server.  Besides
-    on/booting/off, a node supports a *nap* — the subsystem-level
-    low-power ensemble (DRAM self-refresh, disks spun down) with a short
-    exit latency — and a per-node DVFS pstate.
+    The simulated server is lane ``node_id`` of the cluster's shared
+    :class:`FleetServer`, stepped once per second for all nodes
+    together by :meth:`Cluster.run`; observers read a second's
+    counters and energy for many nodes at once off that fleet.
+    Everything observable about a node's power state lives here.
+    Besides on/booting/off, a node supports a *nap* — the
+    subsystem-level low-power ensemble (DRAM self-refresh, disks spun
+    down) with a short exit latency — and a per-node DVFS pstate.
     """
 
-    def _init_control(self) -> None:
+    def __init__(
+        self, node_id: int, fleet: FleetServer, boot_time_s: float
+    ) -> None:
+        self.node_id = node_id
+        self.config = fleet.config
+        self.boot_time_s = boot_time_s
+        self._fleet = fleet
         self.powered = True
         self._boot_remaining_s = 0.0
         self._wake_remaining_s = 0.0
@@ -85,6 +94,10 @@ class _NodeControl:
         #: Requested DVFS operating point; the cluster applies it before
         #: the node's next simulated second.
         self.pstate = 0
+
+    @property
+    def capacity(self) -> int:
+        return self._fleet.workload.n_threads
 
     @property
     def booting(self) -> bool:
@@ -145,15 +158,10 @@ class _NodeControl:
         """Start exiting a nap (takes :data:`NAP_EXIT_TIME_S`)."""
         if self._napping:
             self._napping = False
-            self._wake_remaining_s = self.nap_exit_time_s
+            self._wake_remaining_s = NAP_EXIT_TIME_S
             obs.event(
-                "cluster.wake",
-                node=self.node_id,
-                exit_time_s=self.nap_exit_time_s,
+                "cluster.wake", node=self.node_id, exit_time_s=NAP_EXIT_TIME_S
             )
-
-    #: Nap exit latency; subclasses may override per node.
-    nap_exit_time_s = NAP_EXIT_TIME_S
 
     def set_pstate(self, index: int) -> None:
         """Request a DVFS operating point for this node."""
@@ -193,29 +201,6 @@ class _NodeControl:
         return None
 
 
-class FleetNodeHandle(_NodeControl):
-    """One cluster node: the control state machine over a fleet lane.
-
-    The simulated server is lane ``node_id`` of the cluster's shared
-    :class:`FleetServer`, stepped once per second for all nodes
-    together by :meth:`Cluster.run`; observers read a second's
-    counters and energy for many nodes at once off that fleet.
-    """
-
-    def __init__(
-        self, node_id: int, fleet: FleetServer, boot_time_s: float
-    ) -> None:
-        self.node_id = node_id
-        self.config = fleet.config
-        self.boot_time_s = boot_time_s
-        self._fleet = fleet
-        self._init_control()
-
-    @property
-    def capacity(self) -> int:
-        return self._fleet.workload.n_threads
-
-
 @dataclass
 class ClusterTrace:
     """Per-second history of a managed run."""
@@ -245,11 +230,11 @@ class ClusterTrace:
 class StaticManager:
     """Baseline: all nodes on, demand spread round-robin."""
 
-    def place(self, cluster: "Cluster", demand: int) -> None:
-        for node in cluster.nodes:
+    def place(self, nodes: "list[FleetNodeHandle]", demand: int) -> None:
+        for node in nodes:
             node.power_up()
-        available = [n for n in cluster.nodes if n.available]
-        for node in cluster.nodes:
+        available = [n for n in nodes if n.available]
+        for node in nodes:
             node.set_load(0)
         if not available:
             return
@@ -286,14 +271,14 @@ class PowerAwareManager:
         self.headroom = headroom_threads
         self._last_target: "int | None" = None
 
-    def place(self, cluster: "Cluster", demand: int) -> None:
+    def place(self, nodes: "list[FleetNodeHandle]", demand: int) -> None:
         # Walk the actual per-node capacities (nodes may be
         # heterogeneous) until the accumulated capacity covers demand
         # plus headroom; always keep at least one node.
         target_capacity = demand + self.headroom
         nodes_needed = 0
         reach = 0
-        for node in cluster.nodes:
+        for node in nodes:
             if nodes_needed >= 1 and reach >= target_capacity:
                 break
             reach += node.capacity
@@ -309,9 +294,9 @@ class PowerAwareManager:
             self._last_target = nodes_needed
 
         # Keep a stable prefix of nodes hot (consolidation).
-        for node in cluster.nodes[:nodes_needed]:
+        for node in nodes[:nodes_needed]:
             node.power_up()
-        prefix = [n for n in cluster.nodes[:nodes_needed] if n.available]
+        prefix = [n for n in nodes[:nodes_needed] if n.available]
         for node in prefix:
             node.set_load(0)
         remaining = demand
@@ -324,7 +309,7 @@ class PowerAwareManager:
         # drained surplus node down — *including* booting ones
         # (power_down cancels the boot), so a demand blip no longer
         # burns BOOT_POWER_W for the full boot before dying.
-        for node in cluster.nodes[nodes_needed:]:
+        for node in nodes[nodes_needed:]:
             if node.available:
                 take = min(node.capacity, remaining)
                 node.set_load(take)
@@ -411,6 +396,10 @@ class Cluster:
     ) -> ClusterTrace:
         """Serve a per-second demand trace under the given manager.
 
+        Each second the manager's ``place(nodes, demand)`` sets the
+        nodes' power states, P-states and loads; a manager sees only the
+        node list, so a caller may hand it a slice of a larger cluster.
+
         ``observer`` (e.g. :class:`repro.obs.live.ClusterObserver`) is
         called once per second with
         ``on_second(cluster, t_s, demand, served, node_powers)`` —
@@ -431,7 +420,7 @@ class Cluster:
             # capacity show up as dropped thread-seconds, not as a
             # silently clipped demand curve.
             demand = min(offered, self.capacity)
-            manager.place(self, demand)
+            manager.place(self.nodes, demand)
             node_powers = self._step_second()
             power = sum(node_powers)
             served = sum(

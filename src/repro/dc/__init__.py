@@ -15,8 +15,9 @@ Feng's subsystem-level approach to energy proportionality:
 * :mod:`repro.dc.scoring` — energy-proportionality metrics (dynamic
   range, proportionality gap) and estimated-vs-true policy regret;
 * :mod:`repro.dc.datacenter` — the simulated datacenter: one fleet
-  cluster per zone, thousands of nodes as lanes, every policy acting
-  on *estimated* power and scored against ground truth.
+  cluster whose lane ranges are the zones, thousands of nodes as
+  lanes, every policy acting on *estimated* power and scored against
+  ground truth.
 """
 
 from repro.dc.datacenter import (

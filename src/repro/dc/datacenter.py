@@ -1,10 +1,10 @@
 """The simulated datacenter: zones of fleet lanes under estimated-power
 policies, scored against ground truth.
 
-One :class:`~repro.cluster.Cluster` per zone, each one
-:class:`~repro.simulator.fleet.FleetServer` whose lanes are the zone's
-nodes, so a thousand nodes step in a few vectorized passes; per second
-the loop is
+One :class:`~repro.cluster.Cluster` holds every zone's nodes as the
+lanes of one :class:`~repro.simulator.fleet.FleetServer`, each zone a
+contiguous lane range (lane ``j`` has seed ``seed + j``), so a thousand
+nodes step in one vectorized pass; per second the loop is
 
 1. the open-loop :class:`~repro.dc.traffic.TrafficModel` offers each
    zone its thread demand;
@@ -12,12 +12,13 @@ the loop is
    :class:`~repro.dc.policies.BudgetAllocator` splits the datacenter
    cap (redistributing a dark zone's share to the survivors);
 3. each zone's :class:`~repro.dc.policies.SubsystemManager` places
-   roles, pstates and loads under its budget;
-4. the simulator advances every node one second and produces *true*
-   per-node power;
-5. the sensor path estimates power from the nodes' performance
-   counters through the per-pstate :class:`~repro.core.dvfs.DvfsSuiteBank`
-   (the trickle-down estimator is the only power meter the policy has);
+   roles, pstates and loads on its lane range under its budget;
+4. the simulator advances every zone's nodes one second together and
+   produces *true* per-node power;
+5. the sensor path reads every stepped node's performance counters in
+   one batch and estimates each zone's power through the per-pstate
+   :class:`~repro.core.dvfs.DvfsSuiteBank` (the trickle-down estimator
+   is the only power meter the policy has);
 6. a :class:`~repro.obs.fleet.FleetDriftMonitor` watches estimated vs
    true per zone — a firing zone falls back to worst-case sensing.
 
@@ -35,7 +36,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro import obs
-from repro.cluster import BOOT_TIME_S, Cluster, StaticManager
+from repro.cluster import (
+    BOOT_TIME_S,
+    Cluster,
+    StaticManager,
+    _service_workload_spec,
+)
 from repro.core.dvfs import DvfsSuiteBank
 from repro.core.traces import CounterTrace, concat_runs
 from repro.core.training import PAPER_RECIPE, ModelTrainer, TrainingRecipe
@@ -54,7 +60,6 @@ from repro.dc.scoring import (
 from repro.dc.traffic import TrafficModel
 from repro.simulator.config import SystemConfig, fast_config
 from repro.simulator.fleet import FleetServer
-from repro.workloads.registry import get_workload
 
 
 # -- calibration -------------------------------------------------------
@@ -96,23 +101,20 @@ def train_zone_bank(
 ) -> ZoneCalibration:
     """Calibrate the datacenter's power sensor and worst-case table.
 
-    For every pstate on the ladder, a small calibration fleet runs one
-    lane per load level (0..capacity threads) of the service workload;
-    the pooled lanes train that pstate's trickle-down suite, and the
-    full-load lane's worst measurement window (plus ``margin``) becomes
-    the pstate's admission bound.
+    One calibration fleet runs the whole ladder: for every pstate
+    ``p`` it has one lane per load level ``k`` (0..capacity threads) of
+    the service workload — lane ``p * (capacity + 1) + k``, seed
+    ``seed + 100 * p + k``.  Each pstate's lanes pool to train its
+    trickle-down suite, and its full-load lane's worst measurement
+    window (plus ``margin``) becomes the pstate's admission bound.
     """
     config = config or fast_config()
     if duration_s < 2.0 * config.measurement.sample_period_s:
         raise ValueError("calibration needs at least two sampling windows")
-    spec = get_workload(service_workload)
-    spec = replace(
-        spec,
-        threads=tuple(
-            replace(plan, start_time_s=0.0) for plan in spec.threads
-        ),
-    )
+    spec = _service_workload_spec(service_workload)
     capacity = len(spec.threads)
+    n_states = len(config.cpu.dvfs_states)
+    levels = capacity + 1
     recipe = TrainingRecipe(
         name="dc-pooled",
         specs=tuple(
@@ -123,21 +125,21 @@ def train_zone_bank(
     suites = {}
     peaks = []
     reference_peak = 0.0
-    for pstate in range(len(config.cpu.dvfs_states)):
-        fleet = FleetServer(
-            config,
-            spec,
-            [seed + 100 * pstate + lane for lane in range(capacity + 1)],
-        )
-        for lane in range(capacity + 1):
-            fleet.set_lane_threads(lane, lane)
-        fleet.set_all_pstates(pstate)
-        runs = fleet.run(duration_s)
-        pooled = concat_runs(runs)
-        suites[pstate] = trainer.train({"pooled": pooled})
+    fleet = FleetServer(
+        config,
+        spec,
+        [seed + 100 * p + k for p in range(n_states) for k in range(levels)],
+    )
+    for lane in range(fleet.width):
+        fleet.set_lane_threads(lane, lane % levels)
+    fleet.set_lane_pstates(np.repeat(np.arange(n_states), levels))
+    runs = fleet.run(duration_s)
+    for pstate in range(n_states):
+        ladder = runs[pstate * levels:(pstate + 1) * levels]
+        suites[pstate] = trainer.train({"pooled": concat_runs(ladder)})
         # Worst-case node watts at this pstate: the full-load lane's
         # highest measurement window.
-        full = runs[-1]
+        full = ladder[-1]
         totals = np.zeros(len(full.power.timestamps))
         for watts in full.power.watts.values():
             totals = totals + np.asarray(watts, dtype=float)
@@ -300,6 +302,10 @@ class DatacenterReport:
 class Datacenter:
     """Zones of simulated nodes under a cluster-wide power cap.
 
+    ``cluster`` holds every zone's nodes; ``zones`` maps each zone name
+    to its lane range of that cluster, in the traffic model's zone
+    order.
+
     Args:
         traffic: the scenario's open-loop demand model; its zone specs
             define the layout.
@@ -345,22 +351,23 @@ class Datacenter:
         self.calibration = calibration or train_zone_bank(
             self.config, service_workload=service_workload
         )
-        self.clusters: "dict[str, Cluster]" = {}
+        self.zones: "dict[str, slice]" = {}
         self.managers: "dict[str, SubsystemManager]" = {}
         offset = 0
         for zone in traffic.zones:
-            self.clusters[zone.name] = Cluster(
-                n_nodes=zone.n_nodes,
-                config=self.config,
-                seed=seed + offset,
-                service_workload=service_workload,
-                boot_time_s=boot_time_s,
-            )
+            self.zones[zone.name] = slice(offset, offset + zone.n_nodes)
             offset += zone.n_nodes
             if policy == "subsystem":
                 self.managers[zone.name] = SubsystemManager(
                     zone.name, self.calibration.table, policy_config
                 )
+        self.cluster = Cluster(
+            n_nodes=offset,
+            config=self.config,
+            seed=seed,
+            service_workload=service_workload,
+            boot_time_s=boot_time_s,
+        )
         self.allocator = (
             BudgetAllocator(self.cap_w) if policy == "subsystem" else None
         )
@@ -370,64 +377,61 @@ class Datacenter:
         self.drift = FleetDriftMonitor(
             len(traffic.zones), slo_pct=drift_slo_pct
         )
-        self._zone_index = {
-            zone.name: i for i, zone in enumerate(traffic.zones)
-        }
         self._drift_firing: "set[str]" = set()
         self.last_report: "DatacenterReport | None" = None
 
     @property
     def n_nodes(self) -> int:
-        return sum(len(c.nodes) for c in self.clusters.values())
+        return len(self.cluster.nodes)
 
     @property
     def capacity_threads(self) -> int:
-        return sum(c.capacity for c in self.clusters.values())
+        return self.cluster.capacity
 
     # -- sensing -------------------------------------------------------
 
-    def _estimate_zone_w(self, cluster: Cluster, node_powers, stepped) -> float:
-        """The zone's power as the policy sees it (Watts).
+    def _estimate_zones_w(self, node_powers, stepped) -> "list[float]":
+        """Each zone's power as the policy sees it (Watts), in zone order.
 
         ``stepped`` marks the nodes that actually simulated this second
         (available *before* the step — a node that finished booting
-        mid-second has no counters yet).  Stepped nodes are estimated
-        from their one-second counter deltas through the per-pstate
-        bank; parked nodes (off/boot/wake/nap) contribute their
-        management-state constants, which the controller knows exactly.
+        mid-second has no counters yet).  One batched read takes every
+        stepped node's one-second counter deltas, and each zone
+        estimates its own through the per-pstate bank; parked nodes
+        (off/boot/wake/nap) contribute their management-state
+        constants, which the controller knows exactly.
         """
-        active = [
-            (i, node)
-            for i, node in enumerate(cluster.nodes)
-            if stepped[i]
-        ]
-        parked_w = sum(
-            node_powers[i]
-            for i in range(len(cluster.nodes))
-            if not stepped[i]
-        )
-        if not active:
-            return float(parked_w)
-        lanes = np.fromiter(
-            (i for i, _ in active), dtype=np.int64, count=len(active)
-        )
-        rows = cluster._fleet.read_and_clear_lanes(lanes)
-        estimated = 0.0
+        lanes = np.nonzero(stepped)[0]
+        rows = self.cluster._fleet.read_and_clear_lanes(lanes)
         pstates = np.fromiter(
-            (node.pstate for _, node in active),
+            (self.cluster.nodes[lane].pstate for lane in lanes),
             dtype=np.int64,
-            count=len(active),
+            count=len(lanes),
         )
-        for pstate in np.unique(pstates):
-            sel = np.nonzero(pstates == pstate)[0]
-            trace = CounterTrace(
-                timestamps=np.zeros(len(sel)),
-                durations=np.ones(len(sel)),
-                counts={event: arr[sel] for event, arr in rows.items()},
+        zones_w = []
+        first = 0  # the zone's first row of the batched read
+        for span in self.zones.values():
+            parked_w = sum(
+                node_powers[i]
+                for i in range(span.start, span.stop)
+                if not stepped[i]
             )
-            totals = self.calibration.bank.predict_total(int(pstate), trace)
-            estimated += float(np.sum(totals))
-        return float(parked_w) + estimated
+            last = first + int(stepped[span].sum())
+            estimated = 0.0
+            for pstate in np.unique(pstates[first:last]):
+                sel = first + np.nonzero(pstates[first:last] == pstate)[0]
+                trace = CounterTrace(
+                    timestamps=np.zeros(len(sel)),
+                    durations=np.ones(len(sel)),
+                    counts={event: arr[sel] for event, arr in rows.items()},
+                )
+                totals = self.calibration.bank.predict_total(
+                    int(pstate), trace
+                )
+                estimated += float(np.sum(totals))
+            zones_w.append(float(parked_w) + estimated)
+            first = last
+        return zones_w
 
     # -- the run loop --------------------------------------------------
 
@@ -444,79 +448,74 @@ class Datacenter:
             ep_peak_w=self.calibration.reference_peak_w * self.n_nodes,
         )
         report._capacity_threads = self.capacity_threads
-        for zone in self.clusters:
+        zones = self.zones
+        nodes = self.cluster.nodes
+        for zone in zones:
             report.zone_power_w[zone] = []
             report.zone_budget_w[zone] = []
             report.zone_nodes_active[zone] = []
-        sensed: "dict[str, float]" = {zone: 0.0 for zone in self.clusters}
         for t in range(int(duration_s)):
-            offered = {
-                zone: int(demand[zone][t]) for zone in self.clusters
-            }
+            offered = {zone: int(demand[zone][t]) for zone in zones}
             # 1-2. request and allocate the cap.
             if self.allocator is not None:
                 requests = {
                     zone: self.managers[zone].request_w(
-                        self.clusters[zone], offered[zone]
+                        nodes[span], offered[zone]
                     )
-                    for zone in self.clusters
+                    for zone, span in zones.items()
                 }
                 budgets = self.allocator.allocate(requests)
             else:
-                budgets = {zone: self.cap_w for zone in self.clusters}
+                budgets = {zone: self.cap_w for zone in zones}
             # 3. placement under budget.
-            for zone, cluster in self.clusters.items():
+            for zone, span in zones.items():
                 if self._static is not None:
+                    capacity = sum(node.capacity for node in nodes[span])
                     self._static.place(
-                        cluster, min(offered[zone], cluster.capacity)
+                        nodes[span], min(offered[zone], capacity)
                     )
                 else:
                     self.managers[zone].place(
-                        cluster, offered[zone], budgets[zone]
+                        nodes[span], offered[zone], budgets[zone]
                     )
-            # 4. advance the simulation; ground-truth watts.
+            # 4. advance every zone one second; ground-truth watts.
+            stepped = np.array([node.available for node in nodes])
+            total_served = sum(
+                node.assigned_threads for node in nodes if node.available
+            )
+            node_powers = self.cluster._step_second()
+            true_arr = np.array(
+                [float(sum(node_powers[span])) for span in zones.values()]
+            )
+            # 5. the sensor path.
+            if self.sensor == "estimated":
+                est_arr = np.array(
+                    self._estimate_zones_w(node_powers, stepped)
+                )
+            else:
+                est_arr = true_arr
             total_true = 0.0
             total_estimated = 0.0
-            total_served = 0
-            est_arr = np.zeros(len(self.clusters))
-            true_arr = np.zeros(len(self.clusters))
-            for zone, cluster in self.clusters.items():
-                stepped = [node.available for node in cluster.nodes]
-                served = sum(
-                    node.assigned_threads
-                    for node in cluster.nodes
-                    if node.available
-                )
-                node_powers = cluster._step_second()
-                true_w = float(sum(node_powers))
-                # 5. the sensor path.
-                if self.sensor == "estimated":
-                    estimated_w = self._estimate_zone_w(
-                        cluster, node_powers, stepped
-                    )
-                else:
-                    estimated_w = true_w
-                zone_i = self._zone_index[zone]
-                est_arr[zone_i] = estimated_w
-                true_arr[zone_i] = true_w
+            for i, (zone, span) in enumerate(zones.items()):
+                true_w = float(true_arr[i])
+                estimated_w = float(est_arr[i])
                 # Feedback for next second: a drift-firing zone falls
                 # back to its worst-case envelope instead of trusting
                 # the estimator.
                 if self.policy == "subsystem":
                     manager = self.managers[zone]
                     if zone in self._drift_firing:
-                        sensed[zone] = manager.last_worst_w
+                        sensed_w = manager.last_worst_w
                         report.drift_fallback_seconds += 1
                     else:
-                        sensed[zone] = estimated_w
-                    manager.note_sensed(sensed[zone], budgets[zone])
+                        sensed_w = estimated_w
+                    manager.note_sensed(sensed_w, budgets[zone])
                 total_true += true_w
                 total_estimated += estimated_w
-                total_served += served
                 report.zone_power_w[zone].append(true_w)
                 report.zone_budget_w[zone].append(float(budgets[zone]))
                 report.zone_nodes_active[zone].append(
-                    sum(node.available for node in cluster.nodes)
+                    sum(node.available for node in nodes[span])
                 )
             # 6. drift monitoring across zones (total stream only).
             transitions = self.drift.observe(
@@ -552,7 +551,7 @@ class Datacenter:
                     "dc_offered_threads", sum(offered.values())
                 )
                 registry.gauge("dc_served_threads", total_served)
-                for zone in self.clusters:
+                for zone in zones:
                     labels = {"zone": zone}
                     registry.gauge(
                         "dc_zone_power_watts",

@@ -148,17 +148,17 @@ class SubsystemManager:
 
     # -- budget accounting ---------------------------------------------
 
-    def worst_case_w(self, cluster) -> float:
-        return sum(self.table.node_worst_w(node) for node in cluster.nodes)
+    def worst_case_w(self, nodes) -> float:
+        return sum(self.table.node_worst_w(node) for node in nodes)
 
-    def request_w(self, cluster, demand: int) -> float:
+    def request_w(self, nodes, demand: int) -> float:
         """Worst-case watts to serve ``demand`` fully (allocator input)."""
         table = self.table
         states = range(self.ceiling, table.n_states)
         p_star = min(
             states, key=lambda p: table.peak_w[p] / table.eff_capacity[p]
         )
-        n_nodes = len(cluster.nodes)
+        n_nodes = len(nodes)
         n_need = min(
             n_nodes,
             max(1, math.ceil(demand / table.eff_capacity[p_star])),
@@ -173,14 +173,13 @@ class SubsystemManager:
 
     # -- placement -----------------------------------------------------
 
-    def place(self, cluster, demand: int, budget_w: float) -> "dict":
+    def place(self, nodes, demand: int, budget_w: float) -> "dict":
         """One second of zone control: roles, pstates, loads, admission.
 
         Every transition is admitted against the worst-case table, so
         the zone's true power this second stays under ``budget_w``
         (given the table's calibration margin holds).
         """
-        nodes = cluster.nodes
         table = self.table
         deepest = table.n_states - 1
 
@@ -238,9 +237,9 @@ class SubsystemManager:
             remaining -= take
 
         # -- conformance: the hard cap invariant ----------------------
-        worst = self.worst_case_w(cluster)
+        worst = self.worst_case_w(nodes)
         if worst > budget_w:
-            worst = self._shed(cluster, worst, budget_w)
+            worst = self._shed(nodes, worst, budget_w)
         self.last_worst_w = worst
         return {
             "p_run": p_run,
@@ -310,7 +309,7 @@ class SubsystemManager:
             return STANDBY_POWER_W
         return STANDBY_POWER_W
 
-    def _shed(self, cluster, worst: float, budget_w: float) -> float:
+    def _shed(self, nodes, worst: float, budget_w: float) -> float:
         """Instantly reduce worst-case power until it fits the budget."""
         self.cap_enforcements += 1
         table = self.table
@@ -318,7 +317,7 @@ class SubsystemManager:
         shed_threads = 0
         # Step 1: deepen every active node (cheapest lever, keeps load
         # up to the deep capacity).
-        for node in cluster.nodes:
+        for node in nodes:
             if node.available and node.pstate < deepest:
                 worst -= table.peak_w[node.pstate] - table.peak_w[deepest]
                 node.set_pstate(deepest)
@@ -330,7 +329,7 @@ class SubsystemManager:
                 break
         # Step 2: drain and drop whole nodes from the tail.
         if worst > budget_w:
-            for node in reversed(cluster.nodes):
+            for node in reversed(nodes):
                 if node.available:
                     shed_threads += node.assigned_threads
                     node.set_load(0)

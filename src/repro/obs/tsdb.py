@@ -923,6 +923,7 @@ class TSDB:
         at_s: "float | None" = None,
     ) -> "list[dict]":
         """Instant query: newest point at or before ``at_s`` per series."""
+        _check_finite(at_s=at_s)
         with self._lock:
             shard = self._shard(name)
             at_ms = _to_ms_ceiling(at_s, shard)
@@ -960,6 +961,9 @@ class TSDB:
         """
         if agg not in _AGGS:
             raise ValueError(f"agg must be one of {_AGGS}")
+        _check_finite(start_s=start_s, end_s=end_s, step_s=step_s)
+        if step_s is not None and step_s <= 0:
+            raise ValueError(f"step_s must be positive, got {step_s}")
         with self._lock:
             shard = self._shard(name)
             if end_s is None:
@@ -988,7 +992,7 @@ class TSDB:
             out = []
             for _, group in sorted(groups.items()):
                 points = sorted(group["points"])
-                if step_s:
+                if step_s is not None:
                     points = _bucket(points, start_s, end, float(step_s), agg)
                 out.append({
                     "labels": group["labels"],
@@ -1105,44 +1109,88 @@ class TSDB:
             }
 
 
+def _check_finite(**bounds: "float | None") -> None:
+    """Reject a query bound that is NaN, infinite or too large to count
+    in milliseconds (``None`` means unset)."""
+    for name, value in bounds.items():
+        if value is not None and not math.isfinite(value * 1000.0):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def _to_ms_ceiling(end_s: "float | None", shard: _Shard) -> int:
     if end_s is None:
         return max(shard.max_ms, 1 << 60)
     return int(math.ceil(end_s * 1000.0))
 
 
+def _fold(agg: str, values: "list[float]") -> float:
+    if agg == "mean":
+        return sum(values) / len(values)
+    if agg == "min":
+        return min(values)
+    if agg == "max":
+        return max(values)
+    if agg == "sum":
+        return sum(values)
+    if agg == "count":
+        return float(len(values))
+    return values[-1]  # last
+
+
 def _bucket(points, start_s, end_s, step_s, agg):
-    """Fold sorted ``(t_s, v)`` points into step-aligned buckets."""
-    out = []
-    if not points or step_s <= 0:
-        return out
-    n_buckets = max(1, int(math.ceil((end_s - start_s) / step_s - 1e-9)))
-    index = 0
-    for k in range(n_buckets):
+    """Fold sorted ``(t_s, v)`` points into step-aligned buckets.
+
+    Bucket ``k`` is ``[lo, lo + step)`` with ``lo = start + k*step``,
+    except the last, which closes at ``end_s`` inclusively so the
+    newest sample is never orphaned.  A point lands in the first bucket
+    whose upper edge lies above it and counts only if it is not below
+    that bucket's ``lo``; points past the last bucket are dropped.
+    Upper edges never decrease with ``k``, so a point past the current
+    bucket gallops then bisects forward to its own: the cost follows
+    the points and the log of the gaps between them, not the number of
+    (mostly empty) buckets.
+    """
+    span = (end_s - start_s) / step_s - 1e-9
+    if not math.isfinite(span):
+        raise ValueError(
+            f"range {start_s}..{end_s} at step {step_s} has no finite "
+            "bucket count"
+        )
+    n_buckets = max(1, int(math.ceil(span)))
+
+    def upper(k: int) -> float:
         lo = start_s + k * step_s
-        # Buckets are [lo, hi) except the last, which closes at end_s
-        # inclusively so the newest sample is never orphaned.
-        hi = lo + step_s if k < n_buckets - 1 else max(lo + step_s, end_s) + 1e-9
-        values = []
-        while index < len(points) and points[index][0] < hi:
-            if points[index][0] >= lo:
-                values.append(points[index][1])
-            index += 1
-        if not values:
-            continue
-        if agg == "mean":
-            value = sum(values) / len(values)
-        elif agg == "min":
-            value = min(values)
-        elif agg == "max":
-            value = max(values)
-        elif agg == "sum":
-            value = sum(values)
-        elif agg == "count":
-            value = float(len(values))
-        else:  # last
-            value = values[-1]
-        out.append((lo, value))
+        if k < n_buckets - 1:
+            return lo + step_s
+        return max(lo + step_s, end_s) + 1e-9
+
+    out = []
+    k, lo, hi, values = -1, -math.inf, -math.inf, []
+    for t, v in points:
+        if t >= hi:
+            if values:
+                out.append((lo, _fold(agg, values)))
+                values = []
+            # Every bucket below ``first`` ends at or before t; the
+            # first one above t is at most ``last`` (or there is none).
+            first, gap = k + 1, 1
+            while first + gap - 1 < n_buckets and t >= upper(first + gap - 1):
+                first, gap = first + gap, 2 * gap
+            last = min(first + gap - 1, n_buckets)
+            while first < last:
+                mid = (first + last) // 2
+                if t < upper(mid):
+                    last = mid
+                else:
+                    first = mid + 1
+            k = first
+            if k == n_buckets:
+                break
+            lo, hi = start_s + k * step_s, upper(k)
+        if t >= lo:
+            values.append(v)
+    if values:
+        out.append((lo, _fold(agg, values)))
     return out
 
 

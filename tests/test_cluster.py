@@ -1,5 +1,7 @@
 """Tests for the ensemble power-management extension (repro/cluster.py)."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -7,13 +9,13 @@ from repro.cluster import (
     BOOT_TIME_S,
     BOOT_POWER_W,
     Cluster,
+    FleetNodeHandle,
     NAP_EXIT_POWER_W,
     NAP_EXIT_TIME_S,
     NAP_POWER_W,
     PowerAwareManager,
     STANDBY_POWER_W,
     StaticManager,
-    _NodeControl,
     diurnal_demand,
 )
 from repro.simulator.config import fast_config
@@ -186,7 +188,7 @@ class TestManagers:
     def test_mixed_capacity_sizing(self, monkeypatch):
         """Regression: node count must come from actual capacities,
         not ``nodes[0].capacity`` assumed homogeneous."""
-        cluster = _FakeCluster([2, 8, 8])
+        nodes = _fake_nodes([2, 8, 8])
         calls: "dict[int, list[int]]" = {}
         orig = _FakeNode.set_load
 
@@ -195,16 +197,16 @@ class TestManagers:
             orig(self, n_threads)
 
         monkeypatch.setattr(_FakeNode, "set_load", spy)
-        PowerAwareManager(headroom_threads=0).place(cluster, 9)
+        PowerAwareManager(headroom_threads=0).place(nodes, 9)
         # 2 + 8 >= 9: two nodes suffice; pre-fix ceil(9/2)=5 kept all 3.
-        assert [n.powered for n in cluster.nodes] == [True, True, False]
-        assert [n.assigned_threads for n in cluster.nodes] == [2, 7, 0]
+        assert [n.powered for n in nodes] == [True, True, False]
+        assert [n.assigned_threads for n in nodes] == [2, 7, 0]
         # Every load change went through the set_load state machine.
-        for node in cluster.nodes:
+        for node in nodes:
             assert calls[node.node_id][-1] == node.assigned_threads
 
     def test_static_manager_routes_loads_through_set_load(self, monkeypatch):
-        cluster = _FakeCluster([4, 4])
+        nodes = _fake_nodes([4, 4])
         calls: "dict[int, list[int]]" = {}
         orig = _FakeNode.set_load
 
@@ -213,45 +215,39 @@ class TestManagers:
             orig(self, n_threads)
 
         monkeypatch.setattr(_FakeNode, "set_load", spy)
-        StaticManager().place(cluster, 5)
-        assert [n.assigned_threads for n in cluster.nodes] == [3, 2]
-        for node in cluster.nodes:
+        StaticManager().place(nodes, 5)
+        assert [n.assigned_threads for n in nodes] == [3, 2]
+        for node in nodes:
             assert calls[node.node_id][-1] == node.assigned_threads
 
     def test_spills_to_surplus_while_prefix_boots(self):
-        cluster = _FakeCluster([8, 8])
+        nodes = _fake_nodes([8, 8])
         manager = PowerAwareManager(headroom_threads=0)
-        cluster.nodes[0].power_down()
-        cluster.nodes[0].power_up()  # booting for 5 s
-        manager.place(cluster, 6)
+        nodes[0].power_down()
+        nodes[0].power_up()  # booting for 5 s
+        manager.place(nodes, 6)
         # Node 0 cannot serve yet; the surplus node keeps the demand
         # instead of dropping it while node 0 boots.
-        assert cluster.nodes[0].assigned_threads == 0
-        assert cluster.nodes[1].assigned_threads == 6
-        assert cluster.nodes[1].powered
+        assert nodes[0].assigned_threads == 0
+        assert nodes[1].assigned_threads == 6
+        assert nodes[1].powered
 
 
-class _FakeNode(_NodeControl):
-    """Capacity-parameterized control node (no simulated server)."""
+class _FakeNode(FleetNodeHandle):
+    """Capacity-parameterized node over a stand-in fleet (no simulator)."""
 
     def __init__(self, node_id: int, capacity: int, boot_time_s: float = 0.0):
-        self.node_id = node_id
-        self.capacity = capacity
-        self.boot_time_s = boot_time_s
-        self.config = fast_config()
-        self._init_control()
+        fleet = SimpleNamespace(
+            config=fast_config(), workload=SimpleNamespace(n_threads=capacity)
+        )
+        super().__init__(node_id, fleet, boot_time_s)
 
 
-class _FakeCluster:
-    def __init__(self, capacities):
-        self.nodes = [
-            _FakeNode(i, c, boot_time_s=5.0 if i == 0 else 0.0)
-            for i, c in enumerate(capacities)
-        ]
-
-    @property
-    def capacity(self):
-        return sum(n.capacity for n in self.nodes)
+def _fake_nodes(capacities):
+    return [
+        _FakeNode(i, c, boot_time_s=5.0 if i == 0 else 0.0)
+        for i, c in enumerate(capacities)
+    ]
 
 
 class TestDemandGenerator:
@@ -324,25 +320,25 @@ class _ScriptedManager:
     def __init__(self):
         self.t = 0
 
-    def place(self, cluster, demand):
+    def place(self, nodes, demand):
         t = self.t
         self.t += 1
-        n0, n1, n2 = cluster.nodes
-        for node in cluster.nodes:
+        n0, n1, n2 = nodes
+        for node in nodes:
             node.power_up()
         if t == 3:
             n2.set_load(0)
             n2.nap()
         if t == 6:
             n2.wake()
-        for node in cluster.nodes:
+        for node in nodes:
             if node.available:
                 node.set_load(0)
         n0.set_pstate(min(t // 2, 3))
         n1.set_pstate(3 - min(t // 3, 3))
         loads = [5, 3, 2]
         remaining = demand
-        for node, want in zip(cluster.nodes, loads):
+        for node, want in zip(nodes, loads):
             if node.available:
                 take = min(want, remaining)
                 node.set_load(take)

@@ -1,10 +1,14 @@
 """Datacenter-scale energy-proportional power management tests."""
 
+import hashlib
+import json
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro import obs
-from repro.cluster import NAP_POWER_W, STANDBY_POWER_W, _NodeControl
+from repro.cluster import NAP_POWER_W, STANDBY_POWER_W, FleetNodeHandle
 from repro.dc import (
     BudgetAllocator,
     Datacenter,
@@ -21,8 +25,10 @@ from repro.dc import (
     scenario_objective,
     train_zone_bank,
 )
+from repro.obs.tsdb import TSDB
 from repro.simulator.config import fast_config
-from tests.replay import record, replay
+from repro.simulator.fleet import FleetServer
+from tests.replay import Step, record, replay
 
 
 @pytest.fixture(scope="module")
@@ -173,20 +179,12 @@ class TestBudgetAllocator:
 # -- subsystem manager (unit, fake nodes) ------------------------------
 
 
-class _FakeNode(_NodeControl):
-    """The real node state machine over a fake capacity (no simulator)."""
-
-    def __init__(self, node_id, capacity=8, boot_time_s=0.0):
-        self.node_id = node_id
-        self.capacity = capacity
-        self.boot_time_s = boot_time_s
-        self.config = fast_config()
-        self._init_control()
-
-
-class _FakeCluster:
-    def __init__(self, n_nodes):
-        self.nodes = [_FakeNode(i) for i in range(n_nodes)]
+def _fake_nodes(n_nodes, capacity=8):
+    """The real node state machine over a stand-in fleet (no simulator)."""
+    fleet = SimpleNamespace(
+        config=fast_config(), workload=SimpleNamespace(n_threads=capacity)
+    )
+    return [FleetNodeHandle(i, fleet, 0.0) for i in range(n_nodes)]
 
 
 _TABLE = NodePowerTable(
@@ -196,55 +194,55 @@ _TABLE = NodePowerTable(
 
 class TestSubsystemManager:
     def test_consolidates_naps_and_deepens_partial_node(self):
-        cluster = _FakeCluster(6)
+        nodes = _fake_nodes(6)
         manager = SubsystemManager("z", _TABLE)
-        stats = manager.place(cluster, demand=20, budget_w=10_000.0)
-        loads = [node.assigned_threads for node in cluster.nodes]
+        stats = manager.place(nodes, demand=20, budget_w=10_000.0)
+        loads = [node.assigned_threads for node in nodes]
         assert loads == [8, 8, 4, 0, 0, 0]
         assert stats["unserved"] == 0
         # Partial node runs at the deepest pstate covering 4 threads.
-        assert cluster.nodes[2].pstate == 2
-        assert cluster.nodes[0].pstate == 0
+        assert nodes[2].pstate == 2
+        assert nodes[0].pstate == 0
         # One warm nap, the rest powered off.
-        assert cluster.nodes[3].napping
-        assert not cluster.nodes[4].powered
-        assert not cluster.nodes[5].powered
-        assert manager.worst_case_w(cluster) <= 10_000.0
+        assert nodes[3].napping
+        assert not nodes[4].powered
+        assert not nodes[5].powered
+        assert manager.worst_case_w(nodes) <= 10_000.0
 
     def test_tight_budget_never_exceeded(self):
-        cluster = _FakeCluster(5)
+        nodes = _fake_nodes(5)
         manager = SubsystemManager("z", _TABLE)
-        manager.place(cluster, demand=16, budget_w=300.0)
-        assert manager.worst_case_w(cluster) <= 300.0
+        manager.place(nodes, demand=16, budget_w=300.0)
+        assert manager.worst_case_w(nodes) <= 300.0
         served = sum(
             node.assigned_threads
-            for node in cluster.nodes
+            for node in nodes
             if node.available
         )
         assert 0 < served < 16  # budget forces shedding
 
     def test_zero_demand_keeps_one_deep_hot_node(self):
-        cluster = _FakeCluster(4)
+        nodes = _fake_nodes(4)
         manager = SubsystemManager("z", _TABLE)
-        manager.place(cluster, demand=0, budget_w=5_000.0)
-        hot = [node for node in cluster.nodes if node.available]
+        manager.place(nodes, demand=0, budget_w=5_000.0)
+        hot = [node for node in nodes if node.available]
         assert len(hot) == 1
         assert hot[0].pstate == len(_TABLE.peak_w) - 1
-        assert cluster.nodes[1].napping
+        assert nodes[1].napping
 
     def test_boot_denied_under_budget_pressure(self):
-        cluster = _FakeCluster(3)
-        cluster.nodes[1].powered = False
-        cluster.nodes[2].powered = False
+        nodes = _fake_nodes(3)
+        nodes[1].powered = False
+        nodes[2].powered = False
         manager = SubsystemManager("z", _TABLE)
         # Two actives wanted (afford = 465 // 230 = 2), but the running
         # node's worst case plus a boot's overshoots the activation
         # budget — the boot is denied, the cap is never risked.
-        manager.place(cluster, demand=16, budget_w=465.0)
-        assert cluster.nodes[0].powered
-        assert not cluster.nodes[1].powered
+        manager.place(nodes, demand=16, budget_w=465.0)
+        assert nodes[0].powered
+        assert not nodes[1].powered
         assert manager.boots_denied >= 1
-        assert manager.worst_case_w(cluster) <= 465.0
+        assert manager.worst_case_w(nodes) <= 465.0
 
     def test_sensed_feedback_moves_ceiling(self):
         manager = SubsystemManager("z", _TABLE, PolicyConfig())
@@ -256,9 +254,9 @@ class TestSubsystemManager:
         assert manager.ceiling == 1
 
     def test_request_w_covers_demand_at_efficient_state(self):
-        cluster = _FakeCluster(4)
+        nodes = _fake_nodes(4)
         manager = SubsystemManager("z", _TABLE)
-        request = manager.request_w(cluster, demand=12)
+        request = manager.request_w(nodes, demand=12)
         # p0 is the most watt-efficient per thread on this table
         # (230/8 < 145/3): two active nodes, one nap, one standby.
         assert request == pytest.approx(
@@ -266,10 +264,10 @@ class TestSubsystemManager:
         )
 
     def test_request_w_respects_the_ceiling(self):
-        cluster = _FakeCluster(4)
+        nodes = _fake_nodes(4)
         manager = SubsystemManager("z", _TABLE)
         manager.ceiling = 3  # deepest only
-        request = manager.request_w(cluster, demand=12)
+        request = manager.request_w(nodes, demand=12)
         assert request == pytest.approx(4 * 145.0)
 
     def test_table_validation(self):
@@ -359,23 +357,55 @@ class TestDatacenter:
         assert json.loads(body)["datacenter"] is None
 
     def test_fleet_and_scalar_engines_agree(self, config, calibration):
-        """Each zone's fleet lanes, under the capped policy's DVFS, naps
-        and frozen lanes, replay bit for bit on one scalar Server per
-        node, including every counter snapshot the sensor path read."""
+        """The whole datacenter's fleet, under the capped policy's DVFS,
+        naps and frozen lanes in every zone, replays bit for bit on one
+        scalar Server per node, including every counter snapshot the
+        sensor path read.  The floors keep the case honest: a change
+        that stops mixing P-states within a step, freezing lanes or
+        reading counters fails here instead of shrinking the check."""
         cap = 0.7 * calibration.reference_peak_w * 4
         zones = (ZoneSpec("a", 2, 2.8e5), ZoneSpec("b", 2, 2.4e5))
         traffic = TrafficModel(zones, period_s=24.0, seed=9)
         dc = Datacenter(
             traffic, cap, config=config, calibration=calibration, seed=77
         )
-        schedules = [record(cluster) for cluster in dc.clusters.values()]
+        schedule = record(dc.cluster)
         report = dc.run(24)
-        for schedule in schedules:
-            replay(schedule)
+        replay(schedule)
         assert report.cap_violations == 0
-        assert sum(s.frozen_lane_seconds for s in schedules) >= 1
-        assert len(set().union(*(s.pstates_run for s in schedules))) >= 2
-        assert all(s.n_reads for s in schedules)
+        assert len(dc.zones) >= 2
+        assert any(
+            len(set(entry.pstates[entry.active])) >= 2
+            for entry in schedule.entries
+            if isinstance(entry, Step)
+        )
+        assert schedule.frozen_lane_seconds >= 1
+        assert schedule.n_reads >= 1
+
+    def test_one_fleet_per_datacenter_and_per_calibration(
+        self, config, calibration, monkeypatch
+    ):
+        """Every zone's nodes are lanes of one fleet, and the whole
+        P-state ladder calibrates on one fleet."""
+        built = []
+        init = FleetServer.__init__
+
+        def counting_init(fleet, *args, **kwargs):
+            built.append(fleet)
+            init(fleet, *args, **kwargs)
+
+        monkeypatch.setattr(FleetServer, "__init__", counting_init)
+        train_zone_bank(config, duration_s=4.0, seed=5)
+        assert len(built) == 1
+        dc = Datacenter(
+            _small_traffic(),
+            0.65 * calibration.reference_peak_w * 6,
+            config=config,
+            calibration=calibration,
+        )
+        assert len(built) == 2
+        assert built[1] is dc.cluster._fleet
+        assert built[1].width == dc.n_nodes == 6
 
     def test_gauges_published(self, config, calibration):
         cap = 0.7 * calibration.reference_peak_w * 4
@@ -453,6 +483,74 @@ class TestAcceptanceScenario:
         # static all-on baseline.
         assert doc["ep_comparison"]["ep_gain"] > 0.0
         assert doc["static"]["energy_proportionality"] is not None
+
+
+# -- pinned outputs ----------------------------------------------------
+
+
+def _digest(values) -> str:
+    """sha256 over the JSON of ``values`` at full float precision."""
+    return hashlib.sha256(
+        json.dumps(values, sort_keys=True).encode()
+    ).hexdigest()
+
+
+class TestGoldenOutputs:
+    """The calibration bank and a capped scenario, pinned bit for bit.
+
+    Any change to how the datacenter steps, reads or estimates its
+    nodes, or to how the calibration fleet runs, must reproduce these
+    digests exactly; they were recorded before the datacenter moved
+    onto one fleet and hold on both sides of that move.
+    """
+
+    def test_calibration_bank(self, calibration):
+        values = {
+            "peak_w": list(calibration.table.peak_w),
+            "reference_peak_w": calibration.reference_peak_w,
+            "suites": {
+                str(pstate): suite.to_dict()
+                for pstate, suite in sorted(calibration.bank.suites.items())
+            },
+        }
+        assert _digest(values) == (
+            "e699613fb38fcc297ebc19726589bf5b005da8eca657a5483fff8fe8681ef1dd"
+        )
+
+    def test_capped_scenario(self, config, calibration, tmp_path):
+        """Three unequal zones, a flash crowd and an outage under the
+        estimated sensor, the true sensor and the static policy: the
+        scenario document and every per-second trace it persists."""
+        zones = (
+            ZoneSpec("north", 1, 1.5e5),
+            ZoneSpec("south", 2, 2.6e5, phase_s=5.0),
+            ZoneSpec("west", 3, 3.9e5, phase_s=10.0),
+        )
+        traffic = TrafficModel(
+            zones,
+            period_s=16.0,
+            flash_crowds=(
+                FlashCrowd(4.0, 5.0, magnitude=1.8, zone="west", ramp_s=1.0),
+            ),
+            outages=(ZoneOutage("south", 9.0, 4.0),),
+            seed=19,
+        )
+        store = TSDB(str(tmp_path / "store"))
+        doc = run_scenario(
+            traffic,
+            0.6 * calibration.reference_peak_w * 6,
+            16,
+            config=config,
+            seed=29,
+            calibration=calibration,
+            store=store,
+        )
+        series = {name: store.select(name) for name in store.names()}
+        assert doc["subsystem_estimated"]["cap_enforcements"] > 0
+        assert doc["static"]["n_nodes"] == 6
+        assert _digest([doc, series]) == (
+            "f7e8b1b348531748bca53a7b850d1866cf1640ad651d522c38e53c4986346029"
+        )
 
 
 class TestDatacenterCli:

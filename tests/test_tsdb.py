@@ -17,8 +17,12 @@ from __future__ import annotations
 import json
 import math
 import os
+import signal
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.cli import main
@@ -26,9 +30,11 @@ from repro.obs.alertmgr import Alert, AlertManager, dedup_key
 from repro.obs.http import ObservabilityServer
 from repro.obs.rules import DEFAULT_RULES, RecordingRule, RuleEngine
 from repro.obs.tsdb import (
+    _AGGS,
     DEFAULT_RETENTION_S,
     TSDB,
     WindowSink,
+    _bucket,
     parse_duration,
     parse_matchers,
 )
@@ -318,6 +324,89 @@ class TestQueryEngine:
         assert TSDB(str(store.root) + "-empty").max_t_s() is None
 
 
+def _bucket_by_scan(points, start_s, end_s, step_s, agg):
+    """The bucket-by-bucket scan ``_bucket`` replaced: the oracle.
+
+    It visits every bucket between ``start_s`` and ``end_s``, so it
+    only finishes on ranges with few buckets.
+    """
+    out = []
+    if not points or step_s <= 0:
+        return out
+    n_buckets = max(1, int(math.ceil((end_s - start_s) / step_s - 1e-9)))
+    index = 0
+    for k in range(n_buckets):
+        lo = start_s + k * step_s
+        hi = lo + step_s if k < n_buckets - 1 else max(lo + step_s, end_s) + 1e-9
+        values = []
+        while index < len(points) and points[index][0] < hi:
+            if points[index][0] >= lo:
+                values.append(points[index][1])
+            index += 1
+        if not values:
+            continue
+        if agg == "mean":
+            value = sum(values) / len(values)
+        elif agg == "min":
+            value = min(values)
+        elif agg == "max":
+            value = max(values)
+        elif agg == "sum":
+            value = sum(values)
+        elif agg == "count":
+            value = float(len(values))
+        else:  # last
+            value = values[-1]
+        out.append((lo, value))
+    return out
+
+
+class TestBucketWalk:
+    """``_bucket`` jumps from point to point; it must fold exactly the
+    buckets the bucket-by-bucket scan folds, edges and rounding
+    included."""
+
+    @given(
+        start=st.floats(-1.0e3, 1.0e3),
+        step=st.floats(1.0e-3, 50.0),
+        n_steps=st.floats(0.0, 400.0),
+        offsets=st.lists(
+            st.one_of(
+                st.floats(-3.0, 403.0),
+                st.integers(-3, 403).map(float),
+            ),
+            max_size=40,
+        ),
+        values=st.lists(st.floats(-1.0e6, 1.0e6), min_size=40, max_size=40),
+        agg=st.sampled_from(_AGGS),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_bucket_scan(
+        self, start, step, n_steps, offsets, values, agg
+    ):
+        end = start + n_steps * step
+        # Offsets count steps, so integer offsets land on bucket edges.
+        points = sorted(
+            (start + offset * step, value)
+            for offset, value in zip(offsets, values)
+        )
+        assert _bucket(points, start, end, step, agg) == _bucket_by_scan(
+            points, start, end, step, agg
+        )
+
+    def test_collapsed_edges_match_the_scan(self):
+        """Far from zero, consecutive bucket edges round to the same
+        float; points still land where the scan puts them."""
+        start, step = 1.0e9, 7.0e-8
+        edges = {start + k * step for k in range(50)}
+        assert len(edges) < 50
+        points = [(start + i * 3.0e-7, float(i)) for i in range(20)]
+        end = points[-1][0]
+        got = _bucket(points, start, end, step, "sum")
+        assert got == _bucket_by_scan(points, start, end, step, "sum")
+        assert got
+
+
 class TestRecordingRules:
     def test_rule_validation(self):
         with pytest.raises(ValueError):
@@ -553,6 +642,53 @@ class TestHTTPRoutes:
         status, _, body = server.payload("/query", "name=x&label=bogus")
         assert status == 400
 
+    @pytest.mark.parametrize(
+        "path, query",
+        [
+            ("/query", "name=power_watts&at=inf"),
+            ("/query", "name=power_watts&at=nan"),
+            ("/query_range", "name=power_watts&start=-inf"),
+            ("/query_range", "name=power_watts&end=inf"),
+            ("/query_range", "name=power_watts&step=-1"),
+            ("/query_range", "name=power_watts&step=0"),
+            ("/query_range", "name=power_watts&step=inf"),
+            ("/query_range", "name=power_watts&step=nan"),
+            # Finite bounds whose bucket count overflows to infinity.
+            ("/query_range", "name=power_watts&start=0&end=1e300&step=1e-300"),
+        ],
+    )
+    def test_unanswerable_query_is_400(self, store, path, query):
+        """Regression: these raised OverflowError out of ``payload``
+        (the handler answered 500) or silently returned no points."""
+        _fill(store, n=10, f=float)
+        status, _, body = ObservabilityServer(store=store).payload(path, query)
+        assert status == 400
+        assert "error" in json.loads(body)
+
+    def test_fine_step_costs_points_not_buckets(self, store):
+        """Regression: a 1e-9 s step over 100 s is 1e11 buckets; the
+        query must answer from its 100 points within a second."""
+        _fill(store, n=100, f=float)
+
+        def timed_out(signum, frame):
+            raise TimeoutError("query_range walked the empty buckets")
+
+        previous = signal.signal(signal.SIGALRM, timed_out)
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        try:
+            began = time.perf_counter()
+            (series,) = store.query_range(
+                "power_watts", start_s=0.0, end_s=100.0, step_s=1.0e-9,
+                agg="count",
+            )
+            elapsed = time.perf_counter() - began
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+        assert elapsed < 1.0
+        assert series["points"]
+        assert all(count == 1.0 for _, count in series["points"])
+
     def test_query_routes_without_store(self):
         server = ObservabilityServer()
         for path in ("/query", "/query_range"):
@@ -619,6 +755,19 @@ class TestCLI:
             "query", "drift_error_pct", "--store", filled_store,
             "--label", "subsystem=~c.*",
         ]) == 0
+
+    @pytest.mark.parametrize(
+        "flags", [["--at", "inf"], ["--start=-inf"], ["--step", "0"]]
+    )
+    def test_unanswerable_query_is_a_usage_error(
+        self, filled_store, capsys, flags
+    ):
+        """Regression: an infinite bound escaped as an OverflowError
+        traceback; a bad bound is now exit 2 with the reason."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["query", "drift_error_pct", "--store", filled_store, *flags])
+        assert exit_info.value.code == 2
+        assert "must be" in capsys.readouterr().err
 
     def test_query_missing_store_dir(self, tmp_path, capsys):
         assert main([
