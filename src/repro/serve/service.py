@@ -397,13 +397,14 @@ class EstimationService:
                     "(%d batches, %d samples)",
                     shard.index, len(items), dropped,
                 )
-                with self._tally_lock:
-                    self.poison_samples_total += dropped
-                obs.inc(
-                    "serve_poison_samples_total",
-                    dropped,
-                    {"shard": str(shard.index)},
-                )
+                self._count_poison(shard.index, dropped)
+
+    def _count_poison(self, shard_index: int, dropped: int) -> None:
+        with self._tally_lock:
+            self.poison_samples_total += dropped
+        obs.inc(
+            "serve_poison_samples_total", dropped, {"shard": str(shard_index)}
+        )
 
     def _housekeeping(self) -> None:
         while not self._stop.wait(self.housekeeping_interval_s):
@@ -498,13 +499,62 @@ class EstimationService:
                 durations=np.asarray(durations, dtype=float),
                 counts=counts,
             )
-            predictions, terms = self.suite.evaluate(trace, attribute=self.attribute)
+            # Counts that overflow the models are dropped just below;
+            # the warnings numpy would print for them are noise.
+            with np.errstate(over="ignore", invalid="ignore"):
+                predictions, terms = self.suite.evaluate(
+                    trace, attribute=self.attribute
+                )
         self._observe_stage("evaluate", time.monotonic() - t0, trace_id)
+        group, predictions, terms = self._drop_non_finite(
+            shard, group, predictions, terms
+        )
+        if not group:
+            return
 
         t0 = time.monotonic()
         with self._span("serve.publish", trace_id):
             self._publish(shard, group, predictions, terms)
         self._observe_stage("publish", time.monotonic() - t0, trace_id)
+
+    def _drop_non_finite(self, shard, group, predictions, terms):
+        """Drop every batch with a non-finite subsystem estimate.
+
+        Counts the model overflows on (or NaN) must not reach
+        ``/nodes``, drift, the SLO or the store: such a batch is counted
+        as poison samples instead, and the rest of the group publishes.
+        Returns the kept ``(group, predictions, terms)``.
+        """
+        finite = np.logical_and.reduce(
+            [np.isfinite(arr) for arr in predictions.values()]
+        )
+        if finite.all():
+            return group, predictions, terms
+        kept: "list[SampleBatch]" = []
+        keep = np.ones(finite.shape, dtype=bool)
+        lo = 0
+        for batch in group:
+            hi = lo + batch.n_samples
+            if finite[lo:hi].all():
+                kept.append(batch)
+            else:
+                keep[lo:hi] = False
+                logger.warning(
+                    "dropped %d samples of node %s: non-finite estimate",
+                    batch.n_samples, batch.node,
+                )
+                self._count_poison(
+                    self.shard_for(batch.node) if shard is None else shard.index,
+                    batch.n_samples,
+                )
+            lo = hi
+        predictions = {s: arr[keep] for s, arr in predictions.items()}
+        if terms is not None:
+            terms = {
+                s: {term: arr[keep] for term, arr in by_term.items()}
+                for s, by_term in terms.items()
+            }
+        return kept, predictions, terms
 
     def _publish(self, shard, group, predictions, terms) -> None:
         subsystems = list(predictions)

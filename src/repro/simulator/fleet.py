@@ -10,6 +10,15 @@ buffer refills and sampling-window bookkeeping — happens on the rare
 ticks where it is due, so the aggregate cost per lane-tick shrinks
 roughly with the fleet width.
 
+Per-thread work is sized by the threads that can run, not by the
+workload: each batch computes only the prefix of thread rows up to the
+last thread that is enabled, unfinished and started (by the batch's
+end) on some active lane.  A workload whose threads start staggered
+(gcc: one every 30 s) pays for one row until the second one starts.
+Within that prefix every thread's RNG draws come from one
+:class:`_FleetNormalStream` call and the per-package partials from one
+``np.bincount`` (:func:`_package_partials`).
+
 Equivalence with the scalar :class:`~repro.simulator.system.Server`
 --------------------------------------------------------------------
 
@@ -18,7 +27,11 @@ same seed would (same stream names, same draw order), and the per-tick
 arithmetic mirrors the scalar code term by term in the same evaluation
 order.  Lane state is therefore *bit-identical* to the scalar server
 for everything on the simulation side: performance counters, sampler
-windows, per-subsystem energy, and process stats.
+windows, per-subsystem energy, and process stats.  The three
+per-thread shortcuts keep this: a skipped thread row would only have
+added +0.0 to sums that are never -0.0; each (thread, lane) stream
+keeps its own generator, buffer and cursor; and ``np.bincount`` adds
+into zeroed bins in input order, which is thread order.
 
 One measurement-side term differs: the sensor drift factor uses
 ``np.sin`` where the scalar path uses ``math.sin``.  The two agree to
@@ -89,63 +102,62 @@ def _lane_generator(seed: int, name: str) -> np.random.Generator:
 
 
 class _FleetNormalStream:
-    """Per-lane buffered standard-normal draws, scalar-stream-exact.
+    """Buffered standard-normal draws for a block of streams, scalar-exact.
 
-    Mirrors :class:`repro.simulator.rng.NormalStream` for ``width``
-    independent generators at once: each lane has its own 1024-value
-    block buffer refilled from its own generator, so lane ``i`` hands
-    out exactly the sequence the scalar stream at the same seed would.
-    A lane's buffer only refills (and its cursor only advances) on
-    ticks where ``mask`` is true for that lane — frozen lanes consume
-    nothing.
+    Mirrors :class:`repro.simulator.rng.NormalStream` for a ``(rows,
+    width)`` block of independent generators — one row per workload
+    thread (or a single row for a per-lane stream), one column per
+    lane.  Each (row, lane) stream has its own generator, buffer and
+    cursor, so it hands out exactly the sequence the scalar stream at
+    that lane's seed would, and one call draws for a whole ``(k,
+    width)`` block at once.
+
+    ``standard_normal(n)`` fills its output one value at a time, so
+    refilling ``CHUNK`` values at a time yields the scalar stream's
+    1024-value blocks bit for bit.  The small chunk keeps the buffer
+    (``rows * width * CHUNK`` doubles) below numpy's 4 MiB huge-page
+    threshold at the fleet widths the benchmarks run, so streams that
+    never draw commit no memory.  A stream only refills (and its
+    cursor only advances) on calls where ``mask`` is true for it —
+    frozen lanes and threads that do not run consume nothing.
     """
 
-    __slots__ = ("_gens", "_buf", "_pos", "_pos0", "_uniform", "_idx", "_block")
+    CHUNK = 128
 
-    def __init__(self, gens: "list[np.random.Generator]", block: int = 1024) -> None:
-        width = len(gens)
+    __slots__ = ("_gens", "_buf", "_flat", "_base", "_pos")
+
+    def __init__(self, gens: "list[list[np.random.Generator]]") -> None:
+        rows, width = len(gens), len(gens[0])
+        chunk = self.CHUNK
         self._gens = gens
-        self._block = block
-        self._buf = np.zeros((width, block))
-        #: Cursor at block => empty, refill before next draw.
-        self._pos = np.full(width, block, dtype=np.int64)
-        #: While every call has drawn on *all* lanes the cursors stay
-        #: equal; a single scalar cursor then replaces the per-lane
-        #: fancy-index (the hot case — fleets with no frozen lanes).
-        self._pos0 = block
-        self._uniform = True
-        self._idx = np.arange(width)
+        self._buf = np.zeros((rows, width, chunk))
+        self._flat = self._buf.reshape(-1)
+        #: Flat offset of each stream's buffer.
+        self._base = np.arange(0, rows * width * chunk, chunk).reshape(
+            rows, width
+        )
+        #: Cursor at chunk => empty, refill before next draw.
+        self._pos = np.full((rows, width), chunk, dtype=np.int64)
 
     def next(self, mask: np.ndarray) -> np.ndarray:
-        """One draw per lane where ``mask``; other lanes get garbage.
+        """One draw per stream of the first ``len(mask)`` rows where
+        ``mask``; other streams get garbage.
 
-        The returned values at ``~mask`` lanes are stale buffer
-        contents — callers must gate on ``mask`` (the tick loop always
-        does via ``np.where``/``np.copyto``).
+        The returned values at ``~mask`` are stale buffer contents —
+        callers must gate on ``mask`` (the tick loop always does via
+        ``np.copyto``).
         """
-        block = self._block
-        if self._uniform:
-            if mask.all():
-                pos0 = self._pos0
-                if pos0 >= block:
-                    buf = self._buf
-                    for lane, gen in enumerate(self._gens):
-                        buf[lane] = gen.standard_normal(block)
-                    pos0 = 0
-                self._pos0 = pos0 + 1
-                return self._buf[:, pos0]
-            # First partially-masked call: fall back to per-lane cursors.
-            self._uniform = False
-            self._pos[:] = self._pos0
-        pos = self._pos
-        need = mask & (pos >= block)
+        chunk = self.CHUNK
+        pos = self._pos[: mask.shape[0]]
+        need = mask & (pos >= chunk)
         if need.any():
-            buf = self._buf
-            gens = self._gens
-            for lane in np.nonzero(need)[0]:
-                buf[lane] = gens[lane].standard_normal(block)
-                pos[lane] = 0
-        out = self._buf[self._idx, np.minimum(pos, block - 1)]
+            buf, gens = self._buf, self._gens
+            for row, lane in zip(*np.nonzero(need)):
+                buf[row, lane] = gens[row][lane].standard_normal(chunk)
+            pos[need] = 0
+        # An empty stream that does not draw reads one past its buffer;
+        # "clip" keeps the last stream's overrun in bounds.
+        out = self._flat.take(self._base[: mask.shape[0]] + pos, mode="clip")
         pos += mask
         return out
 
@@ -272,6 +284,32 @@ class _PlanTable:
 ) = range(17)
 
 
+def _package_partials(
+    contrib: np.ndarray, affinity: np.ndarray, running: np.ndarray, n_pkg: int
+) -> np.ndarray:
+    """Per-package sums of per-thread quantities, in thread order.
+
+    ``contrib`` is ``(n_q, n_thr, width)``; each running (thread, lane)
+    pair adds its column ``contrib[:, k, i]`` to package
+    ``affinity[k, i]`` of lane ``i``.  Returns ``(n_q, n_pkg, width)``.
+
+    ``np.bincount`` adds each weight into zeroed bins in input order,
+    and the weights go in ``(quantity, thread, lane)`` order, so every
+    bin is the thread-order sum the scalar per-package accumulators
+    compute.  Pairs that do not run, or have no package yet (affinity
+    -1), land in a trash package row past the last real one.
+    """
+    n_q, _, width = contrib.shape
+    pkg = np.where(running & (affinity >= 0), affinity, n_pkg)
+    cell = pkg * width + np.arange(width)
+    stride = (n_pkg + 1) * width
+    bins = np.arange(0, n_q * stride, stride)[:, None, None] + cell
+    sums = np.bincount(
+        bins.ravel(), weights=contrib.ravel(), minlength=n_q * stride
+    )
+    return sums.reshape(n_q, n_pkg + 1, width)[:, :n_pkg]
+
+
 class FleetServer:
     """``width`` independent simulated servers stepped in lockstep.
 
@@ -315,13 +353,13 @@ class FleetServer:
         self._chip_mean = np.asarray(
             [float(gen.uniform(low, high)) for gen in chip_gens]
         )
-        self._chip_stream = _FleetNormalStream(chip_gens)
-        self._thread_streams = [
-            _FleetNormalStream(
+        self._chip_stream = _FleetNormalStream([chip_gens])
+        self._thread_stream = _FleetNormalStream(
+            [
                 [_lane_generator(seed, f"thread-{k}") for seed in seeds]
-            )
-            for k in range(n_thr)
-        ]
+                for k in range(n_thr)
+            ]
+        )
         meas = config.measurement
         self._samp_gens = [_lane_generator(seed, "sampler") for seed in seeds]
         first_deadline = [
@@ -346,18 +384,23 @@ class FleetServer:
 
         # -- phase-plan tables -----------------------------------------
         pagewalk_per_tlb = config.cache.pagewalk_reads_per_tlb_miss
-        self._plans = [
-            _PlanTable(plan, pagewalk_per_tlb, dt) for plan in workload.threads
-        ]
         # Combined tables: every thread's phases stacked so one fancy
         # index per tick gathers all (thread, lane) phase rows at once.
-        plans = self._plans
+        plans = [
+            _PlanTable(plan, pagewalk_per_tlb, dt) for plan in workload.threads
+        ]
         self._mat_all = np.concatenate([t.mat for t in plans], axis=0)
         self._name_all = np.concatenate([t.name_ids for t in plans])
         self._sync_all = np.concatenate([t.sync for t in plans])
         self._plan_offsets = np.cumsum(
             [0] + [t.n_phases for t in plans[:-1]], dtype=np.int64
         )[:, None]
+        # Phase end times, one row per thread, padded with +inf so a
+        # comparison count over a row is the thread's phase index.
+        bounds_tab = np.full((n_thr, max(t.n_phases for t in plans)), np.inf)
+        for k, t in enumerate(plans):
+            bounds_tab[k, : t.n_phases] = t.bounds
+        self._bounds_tab = bounds_tab
         self._start_col = np.asarray([t.start_s for t in plans])[:, None]
         self._cycle_col = np.asarray([t.cycle_s for t in plans])[:, None]
         self._loop_col = np.asarray(
@@ -768,6 +811,13 @@ class FleetServer:
         all of its state rolled back at the end of the batch, so a
         freeze is indistinguishable from the lane never being stepped.
         Frozen lanes report 0.0 J.
+
+        The scheduler, CPU-package and process-accounting stages run
+        on the thread rows up to the last one that can run on an
+        active lane before the batch ends (enabled, unfinished, and
+        started by one tick past the batch's last), so a batch costs
+        what its started threads cost; rows in that prefix that cannot
+        run on a given tick are masked as before.
         """
         width = self.width
         energies = np.zeros(width)
@@ -794,8 +844,22 @@ class FleetServer:
                 for name in self._STATE_NAMES
             ]
 
+        # Live-thread prefix: a thread row past the last one that can
+        # run on some active lane before this batch ends draws nothing
+        # and adds nothing, so the thread stages below run on [:n_live]
+        # views.  The horizon over-estimates the clock at the batch's
+        # last tick by one tick (an extra row is harmless: runm2 masks
+        # it every tick), and one row is always kept so the package
+        # folds never reduce over an empty thread axis.
+        dt = self._dt
+        horizon = self._now + (n_ticks + 1) * dt
+        live = self._enabled & act & ~self._finished
+        live &= self._start_col <= horizon
+        live_rows = np.flatnonzero(live.any(axis=1))
+        n_live = int(live_rows[-1]) + 1 if live_rows.size else 1
+
         # Hoisted state and constants (attribute lookups off the loop).
-        n_pkg, n_thr, dt = self._n_pkg, self._n_thr, self._dt
+        n_pkg = self._n_pkg
         cycles = self._cycles
         cycles_total = self._cycles_total
         now = self._now
@@ -805,10 +869,12 @@ class FleetServer:
         acct_timer = self._acct[_VIDX[Vector.TIMER]]
         acct_disk = self._acct[_VIDX[Vector.DISK]]
         acct_net = self._acct[_VIDX[Vector.NETWORK]]
-        runtime, ou = self._runtime, self._ou
-        last_name_id, finished = self._last_name_id, self._finished
-        affinity, bound, ctx = self._affinity, self._bound, self._ctx
-        enabled = self._enabled
+        runtime, ou = self._runtime[:n_live], self._ou[:n_live]
+        last_name_id = self._last_name_id[:n_live]
+        finished = self._finished[:n_live]
+        affinity = self._affinity[:n_live]
+        enabled = self._enabled[:n_live]
+        bound, ctx = self._bound, self._ctx
         bus_latency, dram_latency = self._bus_latency, self._dram_latency
         pc_dirty, pc_pending = self._pc_dirty, self._pc_pending
         pc_synced = self._pc_synced
@@ -855,14 +921,16 @@ class FleetServer:
         two_pi = 2.0 * math.pi
         energy5, e_time = self._energy5, self._e_time
         wenergy = self._wenergy
-        proc_runtime, proc_exec = self._proc_runtime, self._proc_exec
-        proc_fetch, proc_bus = self._proc_fetch, self._proc_bus
-        ran_ever = self._ran_ever
+        proc_runtime = self._proc_runtime[:n_live]
+        proc_exec = self._proc_exec[:n_live]
+        proc_fetch = self._proc_fetch[:n_live]
+        proc_bus = self._proc_bus[:n_live]
+        ran_ever = self._ran_ever[:n_live]
         samp_wstart, samp_deadline = self._samp_wstart, self._samp_deadline
         daq_wstart = self._daq_wstart
-        plans = self._plans
-        streams = self._thread_streams
+        thread_stream = self._thread_stream
         chip_stream = self._chip_stream
+        act_row = act[None]
         smt, smt_yield2 = self._smt, self._smt_yield * 2.0
         max_upc, isc = self._max_upc, self._isc
         variability = self._variability
@@ -904,9 +972,13 @@ class FleetServer:
         pkg_col3 = np.arange(n_pkg)[:, None, None]
         lanes = np.arange(width)
         mat_all, name_all = self._mat_all, self._name_all
-        sync_all, plan_offsets = self._sync_all, self._plan_offsets
-        start_col, cycle_col = self._start_col, self._cycle_col
-        loop_col, nph_col = self._loop_col, self._nph_col
+        sync_all = self._sync_all
+        plan_offsets = self._plan_offsets[:n_live]
+        start_col = self._start_col[:n_live]
+        cycle_col = self._cycle_col[:n_live]
+        loop_col = self._loop_col[:n_live]
+        nph_col = self._nph_col[:n_live]
+        bounds_tab = self._bounds_tab[:n_live, None, :]
         has_nonloop = self._has_nonloop
         fleet_monitor = self._fleet_monitor
         batch_energy = np.zeros(width)
@@ -931,11 +1003,11 @@ class FleetServer:
 
                 # (2) Scheduler pass: phase lookup, OU modulation,
                 # first-run placement, per-package runnable counts.
-                # All-thread state lives in (n_thr, width) arrays; only
-                # the order-sensitive pieces — per-stream RNG draws,
-                # bounds lookups, and first-run placement — loop over
-                # threads (elementwise math is order-free, so batching
-                # it stays bit-identical to the per-thread version).
+                # Thread state lives in (n_live, width) arrays and each
+                # (thread, lane) stream keeps its own draw order, so
+                # one draw over the block is bit-identical to drawing
+                # thread by thread; only first-run placement, which is
+                # order-sensitive across threads, loops over threads.
                 latency = bus_latency * dram_latency
                 lratio = np.maximum(latency / base_latency, 1.0)
                 ramp = np.minimum(1.0 + 2.6 * (lratio - 1.0), 5.0)
@@ -950,30 +1022,23 @@ class FleetServer:
                 position = np.where(
                     loop_col, np.mod(runtime, cycle_col), runtime
                 )
-                idx2 = np.empty((n_thr, width), dtype=np.int64)
-                for k in range(n_thr):
-                    idx2[k] = plans[k].bounds.searchsorted(
-                        position[k], side="right"
-                    )
+                # Phase index = phase ends at or below the position (the
+                # scalar scan over sorted bounds); +inf pads never count.
+                idx2 = (bounds_tab <= position[..., None]).sum(axis=2)
                 np.minimum(idx2, nph_col - 1, out=idx2)
                 gidx = idx2 + plan_offsets
                 nid2 = name_all[gidx]
                 sync2 = runm2 & sync_all[gidx] & (nid2 != last_name_id)
                 np.copyto(last_name_id, nid2, where=runm2)
-                for k in range(n_thr):
-                    draw = streams[k].next(runm2[k])
-                    ou_k = ou[k]
-                    np.copyto(
-                        ou_k, ou_alpha * ou_k + ou_noise * draw,
-                        where=runm2[k],
-                    )
+                draw = thread_stream.next(runm2)
+                np.copyto(ou, ou_alpha * ou + ou_noise * draw, where=runm2)
                 mod2 = np.maximum(1.0 + variability * ou, 0.1)
                 runtime += np.where(runm2, dt, 0.0)
                 unplaced2 = runm2 & (affinity < 0)
                 if unplaced2.any():
                     # First run of a thread: scalar placement order —
                     # thread k sees the bounds updated by threads < k.
-                    for k in range(n_thr):
+                    for k in range(n_live):
                         unplaced = unplaced2[k]
                         if not unplaced.any():
                             continue
@@ -993,8 +1058,9 @@ class FleetServer:
 
                 # (3) CPU packages: per-thread execution and traffic
                 # computed for every (thread, lane) at once, then
-                # accumulated into per-package partials in thread order
-                # (row layout mirrors the scalar accumulators).
+                # summed into per-package partials in thread order by
+                # one bincount (row layout mirrors the scalar
+                # accumulators).
                 aff_safe2 = np.maximum(affinity, 0)
                 share_g = share[aff_safe2, lanes]
                 smt_g = smt_scale[aff_safe2, lanes]
@@ -1028,11 +1094,7 @@ class FleetServer:
                         G[..., _C_NRX], G[..., _C_NTX],
                     )
                 )
-                acc = np.zeros((17, n_pkg, width))
-                for k in range(n_thr):
-                    acc += np.where(
-                        onehot3[None, :, k, :], contrib[:, k, None, :], 0.0
-                    )
+                acc = _package_partials(contrib, affinity, runm2, n_pkg)
                 # max() is order-free, so the package occupancy fold can
                 # reduce over the thread axis in one pass.
                 occm = np.max(
@@ -1296,7 +1358,7 @@ class FleetServer:
                 # (9) Chipset and I/O ground-truth power; energy books.
                 unc_total = (uncacheable_cpu + dma_unc) + nic_unc
                 sa = 1.0 - halted_total / cycles_total
-                draw_c = chip_stream.next(act)
+                draw_c = chip_stream.next(act_row)[0]
                 chip_offset[:] = (
                     chip_mean + chip_alpha * (chip_offset - chip_mean)
                 ) + chip_noise * draw_c

@@ -8,18 +8,24 @@ DAQ's sinusoidal gain drift uses ``np.sin`` where the scalar path uses
 ``math.sin``.  These tests pin both halves of that contract, plus the
 integrations that ride on it: cluster lanes (frozen lanes, per-lane
 P-states, thread control), replayed on scalar servers, and sweep
-lane-grouping.
+lane-grouping.  The kernel's per-thread shortcuts — the live-thread
+prefix per batch and the bincount package partials — are pinned the
+same way, the partials against the per-thread loop they replaced.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.cluster import Cluster, PowerAwareManager, StaticManager, diurnal_demand
 from repro.core.events import Subsystem
 from repro.exec import SweepSpec, sweep_specs
 from repro.simulator.config import fast_config
-from repro.simulator.fleet import FleetServer, simulate_fleet
+from repro.simulator.fleet import FleetServer, _package_partials, simulate_fleet
 from repro.simulator.system import Server, simulate_workload
+from repro.workloads.base import Phase, PhaseBehavior, ThreadPlan, WorkloadSpec
 from repro.workloads.registry import get_workload
 from tests.replay import record, replay
 
@@ -239,6 +245,178 @@ class TestClusterEngineEquivalence:
         assert schedule.n_reads >= 1
         assert schedule.frozen_lane_seconds >= 1
         assert observer.last is not None
+
+
+def _plan(start_s, durations, loop=True):
+    """A thread plan cycling through distinct phases: CPU, memory, and a
+    synced file-write phase, so the kernel's phase lookup, sync and
+    page-cache paths all move."""
+    behaviors = (
+        PhaseBehavior(uops_per_cycle=1.6, l3_load_misses_per_kuop=0.5),
+        PhaseBehavior(
+            uops_per_cycle=0.7, l3_load_misses_per_kuop=6.0, streamability=0.9
+        ),
+        PhaseBehavior(
+            uops_per_cycle=0.4, disk_write_bps=4.0e6, sync_file=True,
+            blocking_fraction=0.3, net_tx_bps=2.0e6,
+        ),
+    )
+    phases = tuple(
+        Phase(duration, behaviors[i % 3], name=f"p{i % 3}")
+        for i, duration in enumerate(durations)
+    )
+    return ThreadPlan(phases, start_time_s=start_s, loop=loop)
+
+
+def _spec(*plans):
+    return WorkloadSpec(name="synthetic", threads=plans, variability=0.2)
+
+
+def _check_against_servers(spec, seeds, batches):
+    """Step a fleet through ``batches`` of ``(n_ticks, active, threads)``
+    and check each lane against a scalar Server stepped only on the
+    batches where its lane was active, running that batch's first
+    ``threads[lane]`` plans (as ``tests/replay.py`` does)."""
+    config = fast_config()
+    fleet = FleetServer(config, spec, seeds)
+    servers = [Server(config, spec, seed=seed) for seed in seeds]
+    plans = [list(server.threads) for server in servers]
+    for i, (n_ticks, active, threads) in enumerate(batches):
+        for lane, n in enumerate(threads):
+            fleet.set_lane_threads(lane, n)
+        joules = fleet.run_ticks(n_ticks, np.asarray(active, dtype=bool))
+        for lane in np.flatnonzero(active):
+            servers[lane].threads = plans[lane][: threads[lane]]
+            assert servers[lane].run_ticks(n_ticks) == joules[lane], (
+                f"batch {i} lane {lane}"
+            )
+    for lane, server in enumerate(servers):
+        _assert_lane_matches_server(fleet.lane(lane), server)
+    return fleet
+
+
+class TestLiveThreadPrefix:
+    """The kernel computes only thread rows that can run on some active
+    lane before the batch ends; every lane must still match Server."""
+
+    def test_thread_starting_inside_a_batch(self):
+        """Thread 1 starts at 0.255 s, inside the batch whose ticks run
+        0.21..0.30 s, and thread 2 at 0.5 s, a batch boundary; a prefix
+        taken at a batch's first tick would drop their first ticks."""
+        spec = _spec(
+            _plan(0.0, (0.3, 0.2, 0.25)),
+            _plan(0.255, (0.15, 0.35, 0.2)),
+            _plan(0.5, (0.2, 0.2, 0.3)),
+            _plan(50.0, (0.2, 0.2, 0.3)),
+        )
+        _check_against_servers(
+            spec, [SEED, SEED + 1, SEED + 2], [(10, [True] * 3, [4] * 3)] * 15
+        )
+
+    def test_non_looping_plans_finish_mid_batch(self):
+        """``loop=False`` plans run out mid-batch (the has_nonloop path);
+        once the last thread has finished, later batches skip its row."""
+        spec = _spec(
+            _plan(0.0, (0.2, 0.15, 0.1, 0.25)),
+            _plan(0.02, (0.05, 0.08), loop=False),
+            _plan(0.0, (0.12, 0.1, 0.15), loop=False),
+        )
+        fleet = _check_against_servers(
+            spec, [SEED, SEED + 1, SEED + 2], [(10, [True] * 3, [3] * 3)] * 12
+        )
+        assert fleet._finished[1:].all() and not fleet._finished[0].any()
+
+    def test_highest_thread_enabled_only_on_frozen_lanes(self):
+        """Threads 2-3 are enabled only on lane 2, which is frozen, so
+        the prefix stops at thread 2 until lane 2 runs again."""
+        spec = _spec(*(_plan(0.0, (0.2, 0.15, 0.3)) for _ in range(4)))
+        frozen_top = (10, [True, True, False], [2, 1, 4])
+        all_on = (10, [True, True, True], [2, 1, 4])
+        swapped = (10, [False, True, True], [4, 1, 3])
+        _check_against_servers(
+            spec,
+            [SEED, SEED + 1, SEED + 2],
+            [frozen_top] * 4 + [all_on] * 3 + [swapped] * 3 + [frozen_top] * 3,
+        )
+
+    def test_batch_where_no_thread_can_run(self):
+        """A batch with every thread disabled on every lane runs the
+        idle machine and leaves all thread state untouched."""
+        spec = _spec(
+            _plan(0.0, (0.2, 0.15, 0.3)),
+            _plan(0.1, (0.25, 0.1, 0.2)),
+        )
+        _check_against_servers(
+            spec,
+            [SEED, SEED + 1],
+            [(10, [True, True], [2, 2])] * 4
+            + [(10, [True, True], [0, 0])] * 3
+            + [(10, [True, False], [0, 0])]
+            + [(10, [True, True], [2, 1])] * 4,
+        )
+
+
+def _where_loop_partials(contrib, affinity, running, n_pkg):
+    """The per-thread ``np.where`` accumulation the kernel used before
+    ``_package_partials`` (the oracle)."""
+    n_q, n_thr, width = contrib.shape
+    onehot3 = (affinity[None] == np.arange(n_pkg)[:, None, None]) & running[None]
+    acc = np.zeros((n_q, n_pkg, width))
+    with np.errstate(over="ignore"):
+        for k in range(n_thr):
+            acc += np.where(onehot3[None, :, k, :], contrib[:, k, None, :], 0.0)
+    return acc
+
+
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308)
+
+
+class TestPackagePartials:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_bincount_matches_where_loop_bit_for_bit(self, data):
+        n_q = data.draw(st.integers(1, 4), label="n_q")
+        n_thr = data.draw(st.integers(1, 10), label="n_thr")
+        width = data.draw(st.integers(1, 6), label="width")
+        # With up to 10 threads on 1-4 packages, packages often hold
+        # more threads than the machine's 2 SMT contexts.
+        n_pkg = data.draw(st.integers(1, 4), label="n_pkg")
+        affinity = data.draw(
+            arrays(np.int64, (n_thr, width), elements=st.integers(-1, n_pkg - 1)),
+            label="affinity",
+        )
+        running = data.draw(arrays(bool, (n_thr, width)), label="running")
+        values = st.one_of(
+            st.sampled_from(_EDGE_FLOATS),
+            st.floats(allow_nan=False, allow_infinity=False),
+        )
+        contrib = data.draw(
+            arrays(np.float64, (n_q, n_thr, width), elements=values),
+            label="contrib",
+        )
+        got = _package_partials(contrib, affinity, running, n_pkg)
+        want = _where_loop_partials(contrib, affinity, running, n_pkg)
+        assert got.shape == want.shape
+        assert np.array_equal(
+            np.ascontiguousarray(got).view(np.int64), want.view(np.int64)
+        )
+
+    def test_crowded_package_sums_in_thread_order(self):
+        """Five running threads on one package: the sum is taken in
+        thread order, so 1e308 + 1e308 overflows before -1e308 lands,
+        and -0.0 contributions sum to +0.0 as the scalar accumulator
+        does."""
+        contrib = np.array([[[1e308], [1e308], [-1e308], [5e-324], [-0.0]]])
+        contrib = np.concatenate([contrib, np.full((1, 5, 1), -0.0)])
+        affinity = np.zeros((5, 1), dtype=np.int64)
+        running = np.ones((5, 1), dtype=bool)
+        got = _package_partials(contrib, affinity, running, 2)
+        want = _where_loop_partials(contrib, affinity, running, 2)
+        assert got[0, 0, 0] == np.inf
+        assert got[1, 0, 0] == 0.0 and not np.signbit(got[1, 0, 0])
+        assert np.array_equal(
+            np.ascontiguousarray(got).view(np.int64), want.view(np.int64)
+        )
 
 
 class TestSweepFleetGrouping:

@@ -20,6 +20,7 @@ import re
 import socket
 import time
 import urllib.error
+import warnings
 import urllib.request
 
 import numpy as np
@@ -906,6 +907,49 @@ class TestEstimationService:
             assert _wait_for(lambda: service.samples_total >= 8)
             counters = service.service_document()["counters"]
             assert counters["poison_samples_total"] == 8
+
+    def test_overflowing_batch_is_poison_not_published(self, suite):
+        """Counts that overflow the models (an infinite estimate) drop
+        their batch before /nodes, drift or the SLO see it; the batch
+        counts as poison and the rest of its coalesced group publishes."""
+        events = required_events(suite)
+
+        def frame(node, bus):
+            counts = {event: [[0.0] * 4, [0.0] * 4] for event in events}
+            counts[Event.CYCLES] = [[1e6] * 4, [1e6] * 4]
+            counts[Event.BUS_TRANSACTIONS] = [[0.0] * 4, [bus] * 4]
+            true_w = {"cpu": [60.0, 60.0], "memory": [20.0, 20.0]}
+            return encode_frame(node, [0.5, 1.0], [0.5, 0.5], counts, true_w)
+
+        obs.enable()
+        service = EstimationService(suite, shards=2, attribute=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            receipt = service.ingest_inline(
+                frame("bad", 1e300) + "\n" + frame("good", 1e3)
+            )
+        assert receipt == {"accepted": 4, "shed": 0, "errors": []}
+        assert service.poison_samples_total == 2
+        assert service.samples_total == 2
+        bad_shard = {"shard": str(service.shard_for("bad"))}
+        assert obs.counter("serve_poison_samples_total", bad_shard) == 2
+        nodes = service.nodes_document()["nodes"]
+        assert [node["node"] for node in nodes] == ["good"]
+        good = service._nodes["good"]
+        assert [t for t, _ in good.history] == [0.5, 1.0]
+        assert all(np.isfinite(w) for _, w in good.history)
+        assert good.drift is not None
+        # Attribution is filtered with the estimates: the good node's
+        # terms come from its own last row.
+        assert sum(good.attribution["memory"].values()) == pytest.approx(
+            good.last_estimate["memory"]
+        )
+        assert service.service_document()["counters"]["poison_samples_total"] == 2
+        # A group with nothing left to publish publishes nothing.
+        service.ingest_inline(frame("bad", 1e300))
+        assert service.poison_samples_total == 4
+        assert service.samples_total == 2
+        assert "bad" not in service._nodes
 
     def test_stage_document_has_quantiles_and_exemplars(self, suite, gcc_run):
         obs.enable()
