@@ -77,6 +77,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -720,8 +721,14 @@ def _cmd_datacenter(
     # ``not x > 0`` also rejects NaN.
     if not args.cap_w >= 0:
         parser.error("--cap-w must not be negative (0 = use --cap-frac)")
+    if not math.isfinite(args.cap_w):
+        parser.error("--cap-w must be finite")
     if not args.cap_frac > 0:
         parser.error("--cap-frac must be positive")
+    if not math.isfinite(args.cap_frac):
+        parser.error("--cap-frac must be finite")
+    if not math.isfinite(args.duration):
+        parser.error("--duration must be finite")
     duration = max(int(args.duration), 30)
     n_zones = args.dc_zones
     per_zone = args.nodes_per_zone
@@ -771,6 +778,8 @@ def _cmd_datacenter(
     cap_w = args.cap_w or (
         args.cap_frac * calibration.reference_peak_w * total_nodes
     )
+    if not math.isfinite(cap_w):
+        parser.error("--cap-frac overflows the cap")
     print(
         f"running {total_nodes} nodes / {n_zones} zones for {duration}s "
         f"under a {cap_w:.0f} W cap...",

@@ -340,8 +340,8 @@ class Datacenter:
             raise ValueError(f"unknown policy {policy!r}")
         if sensor not in ("estimated", "true"):
             raise ValueError(f"unknown sensor {sensor!r}")
-        if cap_w <= 0:
-            raise ValueError("cap must be positive")
+        if not (math.isfinite(cap_w) and cap_w > 0):
+            raise ValueError(f"cap must be finite and positive; got {cap_w}")
         self.traffic = traffic
         self.cap_w = float(cap_w)
         self.config = config or fast_config()

@@ -366,8 +366,8 @@ class BudgetAllocator:
     """
 
     def __init__(self, cap_w: float, log_shift_frac: float = 0.05) -> None:
-        if cap_w <= 0:
-            raise ValueError("cap must be positive")
+        if not (math.isfinite(cap_w) and cap_w > 0):
+            raise ValueError(f"cap must be finite and positive; got {cap_w}")
         self.cap_w = float(cap_w)
         self.log_shift_frac = float(log_shift_frac)
         self.last: "dict[str, float]" = {}

@@ -10,14 +10,20 @@ buffer refills and sampling-window bookkeeping — happens on the rare
 ticks where it is due, so the aggregate cost per lane-tick shrinks
 roughly with the fleet width.
 
-Per-thread work is sized by the threads that can run, not by the
-workload: each batch computes only the prefix of thread rows up to the
-last thread that is enabled, unfinished and started (by the batch's
-end) on some active lane.  A workload whose threads start staggered
-(gcc: one every 30 s) pays for one row until the second one starts.
-Within that prefix every thread's RNG draws come from one
-:class:`_FleetNormalStream` call and the per-package partials from one
-``np.bincount`` (:func:`_package_partials`).
+Work is sized by the lanes and threads that run, not by the fleet:
+
+* a batch in which some lanes are frozen (a datacenter's napping,
+  booting and powered-off nodes) gathers the active lanes' columns of
+  the state and per-lane inputs into working arrays, steps only those,
+  and scatters the state back once at its end; a batch with every lane
+  active works on the state arrays in place;
+* each batch computes only the prefix of thread rows up to the last
+  thread that is enabled, unfinished and started (by the batch's end)
+  on some active lane.  A workload whose threads start staggered (gcc:
+  one every 30 s) pays for one row until the second one starts.
+  Within that prefix every thread's RNG draws come from one
+  :class:`_FleetNormalStream` call and the per-package partials from
+  one ``np.bincount`` (:func:`_package_partials`).
 
 Equivalence with the scalar :class:`~repro.simulator.system.Server`
 --------------------------------------------------------------------
@@ -27,11 +33,13 @@ same seed would (same stream names, same draw order), and the per-tick
 arithmetic mirrors the scalar code term by term in the same evaluation
 order.  Lane state is therefore *bit-identical* to the scalar server
 for everything on the simulation side: performance counters, sampler
-windows, per-subsystem energy, and process stats.  The three
-per-thread shortcuts keep this: a skipped thread row would only have
-added +0.0 to sums that are never -0.0; each (thread, lane) stream
-keeps its own generator, buffer and cursor; and ``np.bincount`` adds
-into zeroed bins in input order, which is thread order.
+windows, per-subsystem energy, and process stats.  The shortcuts keep
+this: elementwise arithmetic does not depend on which other lanes
+share the arrays, so gathering lanes changes no lane's floats; a
+skipped thread row would only have added +0.0 to sums that are never
+-0.0; each (thread, lane) stream keeps its own generator, buffer and
+cursor; and ``np.bincount`` adds into zeroed bins in input order,
+which is thread order.
 
 One measurement-side term differs: the sensor drift factor uses
 ``np.sin`` where the scalar path uses ``math.sin``.  The two agree to
@@ -49,10 +57,10 @@ own seed and workload, never on the fleet width or on other lanes.
 
 Lanes are watched in batches: :meth:`FleetServer.attach_fleet_monitor`
 pulses one monitor (:class:`~repro.obs.fleet.FleetMonitor`) with every
-tick's closing lanes, and an external control loop reads counters with
-:meth:`FleetServer.read_and_clear_lanes`.  :meth:`FleetServer.lane`
-returns a read-only ``Server``-shaped view of one lane for checks
-against the scalar server.
+tick's closing lanes (by global id), and an external control loop
+reads counters with :meth:`FleetServer.read_and_clear_lanes`.
+:meth:`FleetServer.lane` returns a read-only ``Server``-shaped view of
+one lane for checks against the scalar server.
 
 Not supported by the fleet (use :class:`~repro.simulator.system.Server`):
 custom counter banks (multiplexed PMUs), per-package DVFS differing
@@ -117,14 +125,23 @@ class _FleetNormalStream:
     1024-value blocks bit for bit.  The small chunk keeps the buffer
     (``rows * width * CHUNK`` doubles) below numpy's 4 MiB huge-page
     threshold at the fleet widths the benchmarks run, so streams that
-    never draw commit no memory.  A stream only refills (and its
-    cursor only advances) on calls where ``mask`` is true for it —
-    frozen lanes and threads that do not run consume nothing.
+    never draw commit no memory.
+
+    A batch draws through :meth:`select`: the stream then works on the
+    selected lanes' cursors and buffer offsets (one working column per
+    selected lane), and :meth:`release` writes those cursors back.  A
+    refill maps its working column to the global lane, so each stream
+    keeps its own generator, buffer and draw order whichever lanes run
+    beside it.  Lanes left out of a selection consume nothing, and
+    within one a stream only refills (and its cursor only advances) on
+    calls where ``mask`` is true for it.
     """
 
     CHUNK = 128
 
-    __slots__ = ("_gens", "_buf", "_flat", "_base", "_pos")
+    __slots__ = (
+        "_gens", "_buf", "_flat", "_base", "_pos", "_lanes", "_wbase", "_wpos"
+    )
 
     def __init__(self, gens: "list[list[np.random.Generator]]") -> None:
         rows, width = len(gens), len(gens[0])
@@ -138,27 +155,48 @@ class _FleetNormalStream:
         )
         #: Cursor at chunk => empty, refill before next draw.
         self._pos = np.full((rows, width), chunk, dtype=np.int64)
+        self.select(None)
 
-    def next(self, mask: np.ndarray) -> np.ndarray:
-        """One draw per stream of the first ``len(mask)`` rows where
-        ``mask``; other streams get garbage.
+    def select(self, lanes: "np.ndarray | None") -> None:
+        """Draw for the global lanes ``lanes`` (``None``: every lane, on
+        the cursors in place) until :meth:`release`."""
+        self._lanes = lanes
+        if lanes is None:
+            self._wbase, self._wpos = self._base, self._pos
+        else:
+            self._wbase, self._wpos = self._base[:, lanes], self._pos[:, lanes]
+
+    def release(self) -> None:
+        """Write the selected lanes' cursors back."""
+        if self._lanes is not None:
+            self._pos[:, self._lanes] = self._wpos
+
+    def next(self, mask: "np.ndarray | None" = None) -> np.ndarray:
+        """One draw per selected stream of the first ``len(mask)`` rows
+        where ``mask`` (every selected stream when ``mask`` is None);
+        other streams get garbage.
 
         The returned values at ``~mask`` are stale buffer contents —
         callers must gate on ``mask`` (the tick loop always does via
         ``np.copyto``).
         """
         chunk = self.CHUNK
-        pos = self._pos[: mask.shape[0]]
-        need = mask & (pos >= chunk)
+        if mask is None:
+            pos, base = self._wpos, self._wbase
+            need = pos >= chunk
+        else:
+            pos, base = self._wpos[: mask.shape[0]], self._wbase[: mask.shape[0]]
+            need = mask & (pos >= chunk)
         if need.any():
-            buf, gens = self._buf, self._gens
-            for row, lane in zip(*np.nonzero(need)):
+            buf, gens, lanes = self._buf, self._gens, self._lanes
+            for row, col in zip(*np.nonzero(need)):
+                lane = col if lanes is None else lanes[col]
                 buf[row, lane] = gens[row][lane].standard_normal(chunk)
             pos[need] = 0
         # An empty stream that does not draw reads one past its buffer;
         # "clip" keeps the last stream's overrun in bounds.
-        out = self._flat.take(self._base[: mask.shape[0]] + pos, mode="clip")
-        pos += mask
+        out = self._flat.take(base + pos, mode="clip")
+        pos += 1 if mask is None else mask
         return out
 
 
@@ -497,7 +535,7 @@ class FleetServer:
         self._refresh_pstate()
 
         # -- SoA state (last axis = lane); everything listed in
-        # _STATE_NAMES is snapshot/restored around frozen lanes --------
+        # _STATE_NAMES is gathered for a batch's active lanes ---------
         self._now = np.zeros(width)
         self._timer_residual = np.zeros(width)
         self._pend_disk = np.zeros((n_pkg, width))
@@ -537,11 +575,11 @@ class FleetServer:
         self._samp_wstart = np.zeros(width)
         self._samp_deadline = np.asarray(first_deadline)
         self._daq_wstart = np.zeros(width)
-        #: Enabled thread mask — *configuration*, not rolled back on
-        #: freeze (cluster load control flips it between batches).
+        #: Enabled thread mask — *configuration* the kernel reads but
+        #: never writes (cluster load control flips it between batches).
         self._enabled = np.ones((n_thr, width), dtype=bool)
 
-        # Per-lane window logs (appends are masked by ``active``).
+        # Per-lane window logs, appended to by the lanes a batch runs.
         self._samp_ts: "list[list[float]]" = [[] for _ in range(width)]
         self._samp_dur: "list[list[float]]" = [[] for _ in range(width)]
         self._samp_counts: "list[list[np.ndarray]]" = [[] for _ in range(width)]
@@ -550,8 +588,12 @@ class FleetServer:
             [[] for _ in range(5)] for _ in range(width)
         ]
 
-    #: Mutable per-lane state rolled back for frozen lanes around each
-    #: batch (RNG draws and window-log appends are masked instead).
+    #: Mutable per-lane state.  A batch with a frozen lane gathers the
+    #: active lanes' columns of each array into a working copy and
+    #: scatters them back at its end (an all-active batch works on the
+    #: arrays in place), so the kernel never touches a frozen lane.
+    #: The RNG streams select the same lanes' cursors; the generators
+    #: and window logs stay indexed by global lane.
     _STATE_NAMES = (
         "_now",
         "_timer_residual",
@@ -651,8 +693,8 @@ class FleetServer:
         The control surface datacenter power policies coordinate
         through — each node (lane) is shifted independently along the
         ladder between batches.  Per-lane pstates are *configuration*
-        like ``_enabled``: frozen lanes keep them, nothing rolls them
-        back.  A uniform vector collapses to the scalar fast path.
+        like ``_enabled``: a batch reads them on the lanes it runs.  A
+        uniform vector collapses to the scalar fast path.
         """
         idx = np.asarray(pstates, dtype=np.int64)
         if idx.shape != (self.width,):
@@ -806,18 +848,28 @@ class FleetServer:
     ) -> np.ndarray:
         """Advance every lane ``n_ticks`` ticks; returns per-lane joules.
 
-        ``active`` (bool, shape ``(width,)``) freezes lanes: a frozen
-        lane consumes no RNG draws, logs no sampling windows, and has
-        all of its state rolled back at the end of the batch, so a
-        freeze is indistinguishable from the lane never being stepped.
-        Frozen lanes report 0.0 J.
+        ``active`` (bool, shape ``(width,)``) freezes lanes: the batch
+        runs on the active lanes only.  It gathers their columns of
+        every ``_STATE_NAMES`` array and of the per-lane inputs
+        (enabled threads, sensor gains and phases, chipset means,
+        per-lane P-state constants) into working arrays as wide as the
+        number of active lanes, steps those, and scatters the state
+        back once at the end.  A frozen lane is never touched: it draws
+        nothing from its RNG streams, logs no sampling windows, and its
+        state stays as it was, so a freeze is indistinguishable from the
+        lane never being stepped.  Frozen lanes report 0.0 J.  A batch
+        with every lane active works on the state arrays in place.
+
+        A fleet monitor's ``on_pulse`` gets global lane ids; the closing
+        lanes' window logs and ``_energy5`` columns are current when it
+        runs.
 
         The scheduler, CPU-package and process-accounting stages run
         on the thread rows up to the last one that can run on an
         active lane before the batch ends (enabled, unfinished, and
         started by one tick past the batch's last), so a batch costs
-        what its started threads cost; rows in that prefix that cannot
-        run on a given tick are masked as before.
+        what its active lanes' started threads cost; rows in that
+        prefix that cannot run on a given tick are masked as before.
         """
         width = self.width
         energies = np.zeros(width)
@@ -827,22 +879,31 @@ class FleetServer:
         obs_on = obs.enabled()
         t0 = _monotonic() if obs_on else 0.0
 
-        if active is None:
-            act = np.ones(width, dtype=bool)
-            frozen = None
-        else:
+        # sel: the active lanes' global ids when some lane is frozen,
+        # None when every lane runs (the arrays are then used in place).
+        sel = None
+        if active is not None:
             act = np.asarray(active, dtype=bool)
             if act.shape != (width,):
                 raise ValueError(f"active mask must have shape ({width},)")
-            if not act.any():
-                return energies
-            frozen = None if bool(act.all()) else np.nonzero(~act)[0]
-        saved = None
-        if frozen is not None:
-            saved = [
-                getattr(self, name)[..., frozen].copy()
-                for name in self._STATE_NAMES
-            ]
+            if not act.all():
+                sel = np.flatnonzero(act)
+                if not sel.size:
+                    return energies
+        n = width if sel is None else sel.size
+        lane_ids = np.arange(width) if sel is None else sel
+
+        def lanes_of(x):
+            """Per-lane ``x`` on the batch's lanes; scalars pass through."""
+            if sel is None or not isinstance(x, np.ndarray):
+                return x
+            return x[..., sel]
+
+        work = {name: lanes_of(getattr(self, name)) for name in self._STATE_NAMES}
+        thread_stream = self._thread_stream
+        chip_stream = self._chip_stream
+        thread_stream.select(sel)
+        chip_stream.select(sel)
 
         # Live-thread prefix: a thread row past the last one that can
         # run on some active lane before this batch ends draws nothing
@@ -852,40 +913,44 @@ class FleetServer:
         # it every tick), and one row is always kept so the package
         # folds never reduce over an empty thread axis.
         dt = self._dt
-        horizon = self._now + (n_ticks + 1) * dt
-        live = self._enabled & act & ~self._finished
+        enabled = lanes_of(self._enabled)
+        horizon = work["_now"] + (n_ticks + 1) * dt
+        live = enabled & ~work["_finished"]
         live &= self._start_col <= horizon
         live_rows = np.flatnonzero(live.any(axis=1))
         n_live = int(live_rows[-1]) + 1 if live_rows.size else 1
+        enabled = enabled[:n_live]
 
         # Hoisted state and constants (attribute lookups off the loop).
         n_pkg = self._n_pkg
-        cycles = self._cycles
-        cycles_total = self._cycles_total
-        now = self._now
-        timer_res = self._timer_residual
-        pend_disk, pend_net = self._pend_disk, self._pend_net
-        irq_cursor = self._irq_cursor
-        acct_timer = self._acct[_VIDX[Vector.TIMER]]
-        acct_disk = self._acct[_VIDX[Vector.DISK]]
-        acct_net = self._acct[_VIDX[Vector.NETWORK]]
-        runtime, ou = self._runtime[:n_live], self._ou[:n_live]
-        last_name_id = self._last_name_id[:n_live]
-        finished = self._finished[:n_live]
-        affinity = self._affinity[:n_live]
-        enabled = self._enabled[:n_live]
-        bound, ctx = self._bound, self._ctx
-        bus_latency, dram_latency = self._bus_latency, self._dram_latency
-        pc_dirty, pc_pending = self._pc_dirty, self._pc_pending
-        pc_synced = self._pc_synced
-        q_seq_write = self._q_seq_write
-        q_rand_read = self._q_rand_read
-        q_rand_write = self._q_rand_write
-        disk_total_arr = self._disk_total
-        dma_residual, nic_residual = self._dma_residual, self._nic_residual
-        nic_total, io_total = self._nic_total, self._io_total
-        chip_offset = self._chip_offset
-        c3 = self._counts3d
+        cycles = lanes_of(self._cycles)
+        cycles_total = lanes_of(self._cycles_total)
+        now = work["_now"]
+        timer_res = work["_timer_residual"]
+        pend_disk, pend_net = work["_pend_disk"], work["_pend_net"]
+        irq_cursor = work["_irq_cursor"]
+        acct = work["_acct"]
+        acct_timer = acct[_VIDX[Vector.TIMER]]
+        acct_disk = acct[_VIDX[Vector.DISK]]
+        acct_net = acct[_VIDX[Vector.NETWORK]]
+        runtime, ou = work["_runtime"][:n_live], work["_ou"][:n_live]
+        last_name_id = work["_last_name_id"][:n_live]
+        finished = work["_finished"][:n_live]
+        affinity = work["_affinity"][:n_live]
+        bound, ctx = work["_bound"], work["_ctx"]
+        bus_latency = work["_bus_latency"]
+        dram_latency = work["_dram_latency"]
+        pc_dirty, pc_pending = work["_pc_dirty"], work["_pc_pending"]
+        pc_synced = work["_pc_synced"]
+        q_seq_write = work["_q_seq_write"]
+        q_rand_read = work["_q_rand_read"]
+        q_rand_write = work["_q_rand_write"]
+        disk_total_arr = work["_disk_total"]
+        dma_residual = work["_dma_residual"]
+        nic_residual = work["_nic_residual"]
+        nic_total, io_total = work["_nic_total"], work["_io_total"]
+        chip_offset = work["_chip_offset"]
+        c3 = work["_counts3d"]
         r_cycles = c3[_EIDX[Event.CYCLES]]
         r_halted = c3[_EIDX[Event.HALTED_CYCLES]]
         r_fetched = c3[_EIDX[Event.FETCHED_UOPS]]
@@ -914,23 +979,22 @@ class FleetServer:
         samp_ts, samp_dur = self._samp_ts, self._samp_dur
         samp_counts = self._samp_counts
         daq_ts, daq_means = self._daq_ts, self._daq_means
-        gains, drift_phases = self._gains, self._drift_phases
+        gains = lanes_of(self._gains)
+        drift_phases = lanes_of(self._drift_phases)
         drift_rel = self._drift_rel
         sample_period, sample_jitter = self._sample_period, self._sample_jitter
         daq_rate, daq_noise_rel = self._daq_rate, self._daq_noise_rel
         two_pi = 2.0 * math.pi
-        energy5, e_time = self._energy5, self._e_time
-        wenergy = self._wenergy
-        proc_runtime = self._proc_runtime[:n_live]
-        proc_exec = self._proc_exec[:n_live]
-        proc_fetch = self._proc_fetch[:n_live]
-        proc_bus = self._proc_bus[:n_live]
-        ran_ever = self._ran_ever[:n_live]
-        samp_wstart, samp_deadline = self._samp_wstart, self._samp_deadline
-        daq_wstart = self._daq_wstart
-        thread_stream = self._thread_stream
-        chip_stream = self._chip_stream
-        act_row = act[None]
+        energy5, e_time = work["_energy5"], work["_e_time"]
+        wenergy = work["_wenergy"]
+        proc_runtime = work["_proc_runtime"][:n_live]
+        proc_exec = work["_proc_exec"][:n_live]
+        proc_fetch = work["_proc_fetch"][:n_live]
+        proc_bus = work["_proc_bus"][:n_live]
+        ran_ever = work["_ran_ever"][:n_live]
+        samp_wstart = work["_samp_wstart"]
+        samp_deadline = work["_samp_deadline"]
+        daq_wstart = work["_daq_wstart"]
         smt, smt_yield2 = self._smt, self._smt_yield * 2.0
         max_upc, isc = self._max_upc, self._isc
         variability = self._variability
@@ -945,13 +1009,13 @@ class FleetServer:
         dram_ae, dram_bg_dt = self._dram_act_e, self._dram_bg_dt
         dram_rtf, dram_cf = self._dram_rtf, self._dram_congestion
         dram_cong_cap = self._dram_cong_cap
-        halted_v, active_delta = self._halted_v, self._active_delta
-        power_scale = self._power_scale
+        halted_v, active_delta = lanes_of(self._halted_v), self._active_delta
+        power_scale = lanes_of(self._power_scale)
         stall_fraction, uop_w = self._stall_fraction, self._uop_w
         spec_w, fp_premium = self._spec_w, self._fp_premium
         chip_nominal, chip_bus_w = self._chip_nominal, self._chip_bus_w
         chip_io_w = self._chip_io_w
-        chip_mean = self._chip_mean
+        chip_mean = lanes_of(self._chip_mean)
         chip_alpha, chip_noise = self._chip_alpha, self._chip_noise
         io_static, io_sw_e = self._io_static, self._io_sw_e
         io_tx_e = self._io_tx_e
@@ -970,7 +1034,7 @@ class FleetServer:
         timer_steady = float(int(per_tick)) == per_tick
         pkg_col = np.arange(n_pkg)[:, None]
         pkg_col3 = np.arange(n_pkg)[:, None, None]
-        lanes = np.arange(width)
+        lanes = np.arange(n)
         mat_all, name_all = self._mat_all, self._name_all
         sync_all = self._sync_all
         plan_offsets = self._plan_offsets[:n_live]
@@ -981,7 +1045,7 @@ class FleetServer:
         bounds_tab = self._bounds_tab[:n_live, None, :]
         has_nonloop = self._has_nonloop
         fleet_monitor = self._fleet_monitor
-        batch_energy = np.zeros(width)
+        batch_energy = np.zeros(n)
 
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for _ in range(n_ticks):
@@ -1003,7 +1067,7 @@ class FleetServer:
 
                 # (2) Scheduler pass: phase lookup, OU modulation,
                 # first-run placement, per-package runnable counts.
-                # Thread state lives in (n_live, width) arrays and each
+                # Thread state lives in (n_live, lanes) arrays and each
                 # (thread, lane) stream keeps its own draw order, so
                 # one draw over the block is bit-identical to drawing
                 # thread by thread; only first-run placement, which is
@@ -1011,8 +1075,7 @@ class FleetServer:
                 latency = bus_latency * dram_latency
                 lratio = np.maximum(latency / base_latency, 1.0)
                 ramp = np.minimum(1.0 + 2.6 * (lratio - 1.0), 5.0)
-                runm2 = enabled & act
-                runm2 &= now >= start_col
+                runm2 = enabled & (now >= start_col)
                 runm2 &= ~finished
                 if has_nonloop:
                     newly = (~loop_col) & runm2 & (runtime >= cycle_col)
@@ -1137,14 +1200,14 @@ class FleetServer:
                 # System folds, summed in package order like the scalar
                 # per-quantity accumulators (never ndarray.sum: pairwise
                 # summation would reorder the adds).
-                demand = np.zeros(width)
-                prefetch_sum = np.zeros(width)
-                file_read = np.zeros(width)
-                file_write = np.zeros(width)
-                tlb_total = np.zeros(width)
-                weighted_hit = np.zeros(width)
-                net_rx = np.zeros(width)
-                net_tx = np.zeros(width)
+                demand = np.zeros(n)
+                prefetch_sum = np.zeros(n)
+                file_read = np.zeros(n)
+                file_write = np.zeros(n)
+                tlb_total = np.zeros(n)
+                weighted_hit = np.zeros(n)
+                net_rx = np.zeros(n)
+                net_tx = np.zeros(n)
                 for p in range(n_pkg):
                     demand += ((p_dlm[p] + p_wb[p]) + p_pw[p]) + p_ua[p]
                     prefetch_sum += p_pf[p]
@@ -1190,21 +1253,23 @@ class FleetServer:
 
                 # (5) Disk service: budget shared across queues in fixed
                 # order (sequential writes, random reads, random writes;
-                # the sequential-read queue is structurally empty).
-                budget = np.full(width, disk_budget0)
-                svc = np.minimum(budget, q_seq_write / seq_thr)
+                # the sequential-read queue is structurally empty).  A
+                # queue that rounding left below zero is not served: the
+                # scalar disk serves only queues above zero.
+                budget = np.full(n, disk_budget0)
+                svc = np.maximum(np.minimum(budget, q_seq_write / seq_thr), 0.0)
                 served_sw = svc * seq_thr
                 q_seq_write -= served_sw
                 budget -= svc
                 seek_s = svc * seq_seekf
                 xfer_s = svc * (1.0 - seq_seekf)
-                svc = np.minimum(budget, q_rand_read / rand_thr)
+                svc = np.maximum(np.minimum(budget, q_rand_read / rand_thr), 0.0)
                 served_rr = svc * rand_thr
                 q_rand_read -= served_rr
                 budget -= svc
                 seek_s += svc * rand_seekf
                 xfer_s += svc * (1.0 - rand_seekf)
-                svc = np.minimum(budget, q_rand_write / rand_thr)
+                svc = np.maximum(np.minimum(budget, q_rand_write / rand_thr), 0.0)
                 served_rw = svc * rand_thr
                 q_rand_write -= served_rw
                 budget -= svc
@@ -1288,14 +1353,14 @@ class FleetServer:
                 g_ua = p_ua * dr
                 g_pf = p_pf * pr
                 own_tx = (((g_dlm + g_wb) + g_pw) + g_ua) + g_pf
-                cpu_reads = np.zeros(width)
-                cpu_writes = np.zeros(width)
-                traffic_weight = np.zeros(width)
-                stream_weighted = np.zeros(width)
-                uncacheable_cpu = np.zeros(width)
-                prefetch_total = np.zeros(width)
-                cpu_power = np.zeros(width)
-                halted_total = np.zeros(width)
+                cpu_reads = np.zeros(n)
+                cpu_writes = np.zeros(n)
+                traffic_weight = np.zeros(n)
+                stream_weighted = np.zeros(n)
+                uncacheable_cpu = np.zeros(n)
+                prefetch_total = np.zeros(n)
+                cpu_power = np.zeros(n)
+                halted_total = np.zeros(n)
                 for p in range(n_pkg):
                     cpu_reads += (g_dlm[p] + g_pw[p]) + g_pf[p]
                     cpu_writes += g_wb[p]
@@ -1358,7 +1423,7 @@ class FleetServer:
                 # (9) Chipset and I/O ground-truth power; energy books.
                 unc_total = (uncacheable_cpu + dma_unc) + nic_unc
                 sa = 1.0 - halted_total / cycles_total
-                draw_c = chip_stream.next(act_row)[0]
+                draw_c = chip_stream.next()[0]
                 chip_offset[:] = (
                     chip_mean + chip_alpha * (chip_offset - chip_mean)
                 ) + chip_noise * draw_c
@@ -1427,6 +1492,8 @@ class FleetServer:
                 # (12) Instrumentation: the DAQ integrates power every
                 # tick; a lane whose sampler deadline passed closes its
                 # window (counter snapshot + DAQ means + monitor pulse).
+                # Working columns index the arrays; the generators and
+                # window logs are kept by global lane.
                 angle = (two_pi * now) / 900.0
                 powers5 = (
                     cpu_power, chipset_power, memory_power, io_power,
@@ -1437,27 +1504,27 @@ class FleetServer:
                         angle + drift_phases[si]
                     )
                     wenergy[si] += ((powers5[si] * gains[si]) * drift) * dt
-                closing = act & (now + 1.0e-12 >= samp_deadline)
+                closing = now + 1.0e-12 >= samp_deadline
                 if closing.any():
                     closed = np.nonzero(closing)[0]
-                    for lane_i in closed:
-                        lane = int(lane_i)
-                        now_l = float(now[lane])
-                        snap = c3[:, :, lane].copy()
-                        c3[:, :, lane] = 0.0
+                    closed_lanes = lane_ids[closed]
+                    for col, lane in zip(closed.tolist(), closed_lanes.tolist()):
+                        now_l = float(now[col])
+                        snap = c3[:, :, col].copy()
+                        c3[:, :, col] = 0.0
                         samp_ts[lane].append(now_l)
                         samp_dur[lane].append(
-                            now_l - float(samp_wstart[lane])
+                            now_l - float(samp_wstart[col])
                         )
                         samp_counts[lane].append(snap)
-                        samp_wstart[lane] = now_l
+                        samp_wstart[col] = now_l
                         jitter = float(
                             samp_gens[lane].normal(0.0, sample_jitter)
                         )
-                        samp_deadline[lane] = now_l + max(
+                        samp_deadline[col] = now_l + max(
                             sample_period + jitter, 1.0e-3
                         )
-                        duration = now_l - float(daq_wstart[lane])
+                        duration = now_l - float(daq_wstart[col])
                         if duration <= 0.0:
                             raise ValueError(
                                 "sync pulses must advance in time"
@@ -1469,28 +1536,36 @@ class FleetServer:
                         lane_means = daq_means[lane]
                         gen = daq_gens[lane]
                         for si in range(5):
-                            mean = float(wenergy[si, lane]) / duration
+                            mean = float(wenergy[si, col]) / duration
                             mean *= 1.0 + noise * float(
                                 gen.standard_normal()
                             )
                             lane_means[si].append(mean)
-                            wenergy[si, lane] = 0.0
+                            wenergy[si, col] = 0.0
                         daq_ts[lane].append(now_l)
-                        daq_wstart[lane] = now_l
+                        daq_wstart[col] = now_l
                     if fleet_monitor is not None:
+                        if sel is not None:
+                            # The monitor reads the closing lanes' energy.
+                            self._energy5[:, closed_lanes] = energy5[:, closed]
                         fleet_monitor.on_pulse(
-                            self, closed, float(now[closed[0]])
+                            self, closed_lanes, float(now[closed[0]])
                         )
 
-        if saved is not None:
-            for name, block in zip(self._STATE_NAMES, saved):
-                getattr(self, name)[..., frozen] = block
+        thread_stream.release()
+        chip_stream.release()
+        if sel is None:
+            energies = batch_energy
+        else:
+            for name, block in work.items():
+                getattr(self, name)[..., sel] = block
+            energies[sel] = batch_energy
         if obs_on:
-            self._record_telemetry(n_ticks, act, _monotonic() - t0)
-        return np.where(act, batch_energy, 0.0)
+            self._record_telemetry(n_ticks, n, _monotonic() - t0)
+        return energies
 
     def _record_telemetry(
-        self, n_ticks: int, act: np.ndarray, elapsed_s: float
+        self, n_ticks: int, n_lanes: int, elapsed_s: float
     ) -> None:
         """Batch-boundary profiling hook (one-bool cost when disabled).
 
@@ -1499,7 +1574,7 @@ class FleetServer:
         """
         reg = obs.registry()
         labels = {"workload": self.workload.name}
-        lane_ticks = float(n_ticks) * float(act.sum())
+        lane_ticks = float(n_ticks) * float(n_lanes)
         reg.inc("fleet_lane_ticks_total", lane_ticks, labels)
         reg.observe(
             "fleet_batch_ticks", float(n_ticks), labels,

@@ -6,6 +6,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.cluster import NAP_POWER_W, STANDBY_POWER_W, FleetNodeHandle
@@ -563,6 +565,11 @@ class TestDatacenterCli:
             (["--cap-w", "-100"], "--cap-w must not be negative"),
             (["--dc-zones", "0"], "--dc-zones must be positive"),
             (["--nodes-per-zone", "0"], "--nodes-per-zone must be positive"),
+            (["--cap-w", "inf"], "--cap-w must be finite"),
+            (["--cap-frac", "inf"], "--cap-frac must be finite"),
+            (["--duration", "nan"], "--duration must be finite"),
+            (["--duration", "inf"], "--duration must be finite"),
+            (["--duration=-inf"], "--duration must be finite"),
         ],
     )
     def test_bad_arguments_exit_2_before_calibrating(
@@ -581,3 +588,133 @@ class TestDatacenterCli:
             cli_main(["datacenter", *flags])
         assert exit_info.value.code == 2
         assert message in capsys.readouterr().err
+
+    def test_overflowing_cap_frac_exits_2(self, monkeypatch, capsys):
+        """A finite ``--cap-frac`` whose cap overflows to inf is a usage
+        error too, caught once the calibrated peak is known."""
+        from repro.cli import main as cli_main
+
+        monkeypatch.setattr(
+            "repro.dc.train_zone_bank",
+            lambda *args, **kwargs: SimpleNamespace(reference_peak_w=1.0e300),
+        )
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["datacenter", "--cap-frac", "1e300"])
+        assert exit_info.value.code == 2
+        assert "--cap-frac overflows the cap" in capsys.readouterr().err
+
+    def test_capped_two_zone_scenario(self, capsys):
+        """The capped two-zone scenario CI runs: 256 nodes under a 60 %
+        cap hold the cap every second, report an energy-proportionality
+        score, and move budget between zones during the outage."""
+        from repro.cli import main as cli_main
+
+        code = cli_main(
+            [
+                "datacenter", "--dc-zones", "2", "--nodes-per-zone", "128",
+                "--duration", "60", "--cap-frac", "0.6",
+                "--no-static", "--no-regret", "--json",
+            ]
+        )
+        assert code == 0
+        run = json.loads(capsys.readouterr().out)["subsystem_estimated"]
+        assert run["n_nodes"] == 256
+        assert run["cap_violations"] == 0
+        assert run["max_power_w"] <= run["cap_w"]
+        ep = run["energy_proportionality"]
+        assert ep and 0.0 < ep["ep_score"] <= 1.0, ep
+        assert run["budget_redistributions"] >= 1
+
+
+class TestCapValidation:
+    @pytest.mark.parametrize("cap_w", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_non_finite_or_non_positive_cap_rejected(self, cap_w):
+        """NaN passed the old ``cap_w <= 0`` check and handed out NaN
+        budgets; inf reached the placement's ``int()``."""
+        with pytest.raises(ValueError, match="cap must be finite and positive"):
+            BudgetAllocator(cap_w)
+        traffic = TrafficModel((ZoneSpec("a", 2, 1.0e5),), seed=1)
+        with pytest.raises(ValueError, match="cap must be finite and positive"):
+            Datacenter(traffic, cap_w)
+
+
+# -- invariants over random scenarios -----------------------------------
+
+
+class TestScenarioInvariants:
+    # No "explain" phase: after a failure it line-traces whole
+    # datacenter runs, which takes minutes.
+    @settings(
+        max_examples=10,
+        deadline=None,
+        phases=[p for p in Phase if p is not Phase.explain],
+    )
+    @given(data=st.data())
+    def test_cap_service_and_users_hold_every_second(
+        self, config, calibration, data
+    ):
+        """Random zones, traffic seed, outage, flash crowd and cap: every
+        second the cap holds on the estimated sensor, no zone serves
+        more than was offered, the datacenter's power is its zones'
+        powers summed in zone order, and an outage moves users without
+        losing any.  The policy naps and wakes nodes, so which lanes
+        the fleet steps changes from second to second."""
+        n_zones = data.draw(st.integers(2, 3), label="zones")
+        sizes = data.draw(
+            st.lists(st.integers(2, 4), min_size=n_zones, max_size=n_zones),
+            label="nodes per zone",
+        )
+        duration = data.draw(st.integers(12, 16), label="duration")
+        dark = data.draw(st.integers(0, n_zones - 1), label="outage zone")
+        outage_start = data.draw(st.integers(0, duration - 1), label="outage")
+        outage_len = data.draw(st.integers(1, duration), label="outage length")
+        crowd_zone = data.draw(st.integers(0, n_zones - 1), label="crowd zone")
+        crowd_start = data.draw(st.integers(0, duration - 1), label="crowd")
+        magnitude = data.draw(st.floats(1.2, 2.5), label="crowd magnitude")
+        cap_frac = data.draw(st.floats(0.5, 0.9), label="cap fraction")
+        seed = data.draw(st.integers(0, 2**16), label="traffic seed")
+        zones = tuple(
+            ZoneSpec(
+                f"z{i}", n, 0.75 * n * 8 * 25_000.0,
+                phase_s=i * duration / (2.0 * n_zones),
+            )
+            for i, n in enumerate(sizes)
+        )
+        kwargs = dict(
+            zones=zones,
+            period_s=float(duration),
+            flash_crowds=(
+                FlashCrowd(
+                    float(crowd_start), 4.0, magnitude=magnitude,
+                    zone=f"z{crowd_zone}", ramp_s=1.0,
+                ),
+            ),
+            seed=seed,
+        )
+        outage = ZoneOutage(f"z{dark}", float(outage_start), float(outage_len))
+        traffic = TrafficModel(outages=(outage,), **kwargs)
+        cap = cap_frac * calibration.reference_peak_w * sum(sizes)
+        dc = Datacenter(
+            traffic, cap, config=config, calibration=calibration, seed=seed
+        )
+        report = dc.run(duration)
+        for t in range(duration):
+            assert report.power_w[t] <= cap, t
+            assert report.served_threads[t] <= report.offered_threads[t], t
+            total = 0.0
+            for zone in dc.zones:
+                total += report.zone_power_w[zone][t]
+            assert report.power_w[t] == total, t
+
+        # Users are conserved across the outage.  A zone's demand is its
+        # users rounded to whole threads: outside the outage nothing
+        # moves, and inside it the totals with and without the outage
+        # each round n_zones - 1 and n_zones zones by up to half a
+        # thread apiece.
+        moved = traffic.demand(duration)
+        unmoved = TrafficModel(**kwargs).demand(duration)
+        t = np.arange(duration)
+        in_outage = (t >= outage_start) & (t < outage_start + outage_len)
+        diff = sum(moved.values()) - sum(unmoved.values())
+        assert (diff[~in_outage] == 0).all()
+        assert (np.abs(diff[in_outage]) <= (2 * n_zones - 1) / 2.0).all()

@@ -10,11 +10,16 @@ integrations that ride on it: cluster lanes (frozen lanes, per-lane
 P-states, thread control), replayed on scalar servers, and sweep
 lane-grouping.  The kernel's per-thread shortcuts — the live-thread
 prefix per batch and the bincount package partials — are pinned the
-same way, the partials against the per-thread loop they replaced.
+same way, the partials against the per-thread loop they replaced, and
+so is lane gathering (a batch steps only its active lanes' columns),
+under random active masks, thread counts and P-states.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import Phase as SearchPhase
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -272,26 +277,42 @@ def _spec(*plans):
     return WorkloadSpec(name="synthetic", threads=plans, variability=0.2)
 
 
-def _check_against_servers(spec, seeds, batches):
+def _check_against_servers(spec, seeds, batches, config=None):
     """Step a fleet through ``batches`` of ``(n_ticks, active, threads)``
-    and check each lane against a scalar Server stepped only on the
-    batches where its lane was active, running that batch's first
-    ``threads[lane]`` plans (as ``tests/replay.py`` does)."""
-    config = fast_config()
+    or ``(n_ticks, active, threads, pstates)`` and check each lane
+    against a scalar Server stepped only on the batches where its lane
+    was active, running that batch's first ``threads[lane]`` plans (as
+    ``tests/replay.py`` does) at that batch's ``pstates[lane]`` (P0 when
+    a batch names none).  Sampled windows must match too."""
+    config = config or fast_config()
     fleet = FleetServer(config, spec, seeds)
     servers = [Server(config, spec, seed=seed) for seed in seeds]
     plans = [list(server.threads) for server in servers]
-    for i, (n_ticks, active, threads) in enumerate(batches):
+    for i, (n_ticks, active, threads, *pstates) in enumerate(batches):
+        active = np.asarray(active, dtype=bool)
+        pstates = pstates[0] if pstates else [0] * len(seeds)
+        fleet.set_lane_pstates(pstates)
         for lane, n in enumerate(threads):
             fleet.set_lane_threads(lane, n)
-        joules = fleet.run_ticks(n_ticks, np.asarray(active, dtype=bool))
+        joules = fleet.run_ticks(n_ticks, active)
         for lane in np.flatnonzero(active):
+            servers[lane].set_all_pstates(int(pstates[lane]))
             servers[lane].threads = plans[lane][: threads[lane]]
             assert servers[lane].run_ticks(n_ticks) == joules[lane], (
                 f"batch {i} lane {lane}"
             )
+        assert (joules[~active] == 0.0).all()
     for lane, server in enumerate(servers):
-        _assert_lane_matches_server(fleet.lane(lane), server)
+        view = fleet.lane(lane)
+        _assert_lane_matches_server(view, server)
+        if server.sampler.n_samples:
+            want, got = server.sampler.finish(), view.sampler.finish()
+            assert np.array_equal(got.timestamps, want.timestamps)
+            assert np.array_equal(got.durations, want.durations)
+            for event in want.events:
+                assert np.array_equal(
+                    got.per_cpu(event), want.per_cpu(event)
+                ), f"lane {lane} {event}"
     return fleet
 
 
@@ -354,6 +375,145 @@ class TestLiveThreadPrefix:
             + [(10, [True, False], [0, 0])]
             + [(10, [True, True], [2, 1])] * 4,
         )
+
+
+#: A fast config whose sampler closes a window every 5 ticks, so short
+#: batches exercise window closes (and their per-lane generators).
+_FAST_SAMPLING = dataclasses.replace(
+    fast_config(),
+    measurement=dataclasses.replace(
+        fast_config().measurement, sample_period_s=0.05
+    ),
+)
+
+#: The live-thread-prefix plans: staggered starts (one inside a batch,
+#: one far past the test's end) and non-looping plans that run out.
+_STAGGERED = _spec(
+    _plan(0.0, (0.3, 0.2, 0.25)),
+    _plan(0.255, (0.15, 0.35, 0.2)),
+    _plan(0.5, (0.2, 0.2, 0.3)),
+    _plan(50.0, (0.2, 0.2, 0.3)),
+)
+_NON_LOOPING = _spec(
+    _plan(0.0, (0.2, 0.15, 0.1, 0.25)),
+    _plan(0.02, (0.05, 0.08), loop=False),
+    _plan(0.0, (0.12, 0.1, 0.15), loop=False),
+)
+
+
+def _per_lane(width, high):
+    return st.lists(st.integers(0, high), min_size=width, max_size=width)
+
+
+@st.composite
+def _active_masks(draw, width):
+    """All lanes, exactly one lane, or any subset (even none)."""
+    kind = draw(st.sampled_from(("all", "one", "any")))
+    if kind == "all":
+        return [True] * width
+    if kind == "one":
+        lane = draw(st.integers(0, width - 1))
+        return [lane == i for i in range(width)]
+    return draw(st.lists(st.booleans(), min_size=width, max_size=width))
+
+
+class TestLaneGathering:
+    """A batch with a frozen lane runs on the active lanes' columns only
+    and scatters them back; frozen lanes are never touched."""
+
+    # No "explain" phase: after a failure it line-traces the kernel,
+    # which takes minutes and over a gigabyte for one example.
+    @settings(
+        max_examples=40,
+        deadline=None,
+        phases=[p for p in SearchPhase if p is not SearchPhase.explain],
+    )
+    @given(data=st.data())
+    def test_random_masks_and_pstates_match_servers(self, data):
+        """Each lane equals a Server stepped only on its active batches,
+        at that batch's P-state and thread count, sampler on."""
+        spec = data.draw(st.sampled_from((_STAGGERED, _NON_LOOPING)))
+        width = data.draw(st.integers(2, 6), label="width")
+        n_states = len(_FAST_SAMPLING.cpu.dvfs_states)
+        batches = data.draw(
+            st.lists(
+                st.tuples(
+                    st.integers(1, 15),
+                    _active_masks(width),
+                    _per_lane(width, spec.n_threads),
+                    _per_lane(width, n_states - 1),
+                ),
+                min_size=3,
+                max_size=8,
+            ),
+            label="batches",
+        )
+        seed = data.draw(st.integers(0, 10_000), label="seed")
+        _check_against_servers(
+            spec, [seed + i for i in range(width)], batches, _FAST_SAMPLING
+        )
+
+    def test_monitor_on_frozen_lanes_matches_fleet_of_active_lanes(
+        self, paper_suite
+    ):
+        """A FleetMonitor on a fleet whose odd lanes stay frozen records
+        what one on a fleet of only the even lanes' seeds records: the
+        same per-window true watts (energy deltas read inside the pulse)
+        and the same final drift and board state."""
+        from repro.obs.fleet import FleetMonitor
+
+        config = fast_config()
+        workload = get_workload("SPECjbb")
+        seeds = [SEED + 3 * i for i in range(6)]
+        frozen = FleetServer(config, workload, seeds)
+        alone = FleetServer(config, workload, seeds[::2])
+        # Both monitors flush once every running lane has a window.
+        watching = FleetMonitor(paper_suite, history=64, flush_lanes=3)
+        reference = FleetMonitor(paper_suite, history=64)
+        frozen.attach_fleet_monitor(watching)
+        alone.attach_fleet_monitor(reference)
+        even = np.arange(6) % 2 == 0
+        for _ in range(5):
+            joules = frozen.run_ticks(100, even)
+            assert np.array_equal(joules[even], alone.run_ticks(100))
+        watching.flush()
+        reference.flush()
+        assert reference.n_windows >= 12
+        assert watching.n_windows == reference.n_windows
+        for j, lane in enumerate(range(0, 6, 2)):
+            assert watching.board.lane_history(lane) == (
+                reference.board.lane_history(j)
+            )
+            assert watching.drift.lane_state(lane) == (
+                reference.drift.lane_state(j)
+            )
+            assert frozen.lane(lane + 1).now_s == 0.0
+            assert frozen.lane(lane + 1).sampler.n_samples == 0
+        assert np.array_equal(
+            watching.board.true_total_w[even], reference.board.true_total_w
+        )
+        assert np.isnan(watching.board.true_total_w[~even]).all()
+
+
+class TestDiskService:
+    def test_queue_rounded_below_zero_is_not_served(self):
+        """One thread's fault reads drain the random-read queue to a hair
+        below zero (``q - (q / thr) * thr``), then the lane's threads
+        drop to zero and nothing refills it.  The scalar disk serves
+        only queues above zero, so the fleet must not serve the
+        negative residue either (the sampled window's disk, DMA and
+        I/O counts would differ by an ulp)."""
+        fleet = _check_against_servers(
+            _STAGGERED,
+            [5],
+            [
+                (1, [True], [0], [0]),
+                (5, [True], [1], [0]),
+                (4, [True], [0], [0]),
+            ],
+            _FAST_SAMPLING,
+        )
+        assert fleet._q_rand_read[0] < 0.0
 
 
 def _where_loop_partials(contrib, affinity, running, n_pkg):
