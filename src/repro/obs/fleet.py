@@ -502,7 +502,7 @@ def publish_lane_aggregates(
 class _PendingPulse:
     """One tick's closing lanes, captured cheaply for a later flush."""
 
-    timestamp_s: float
+    timestamps_s: np.ndarray  #: each lane's own window close time
     lanes: np.ndarray
     counts: "list[np.ndarray]"  #: per-lane ``(n_events, n_cpus)`` snapshots
     durations: np.ndarray
@@ -631,17 +631,22 @@ class FleetMonitor:
         of the lanes whose sampler windows just closed.  Snapshots the
         already-materialized counter arrays by reference and takes the
         per-subsystem energy delta; everything else waits for
-        :meth:`flush`.
+        :meth:`flush`.  Each window is stamped with its own lane's
+        close time, the one its sampler just logged: lanes frozen for
+        different lengths of time do not share a clock, so ``now_s``
+        (the first closing lane's) is not used.
         """
         lanes = np.asarray(lanes, dtype=np.int64)
+        samp_ts = fleet._samp_ts
         samp_counts, samp_dur = fleet._samp_counts, fleet._samp_dur
+        times = np.array([samp_ts[int(lane)][-1] for lane in lanes])
         counts = [samp_counts[int(lane)][-1] for lane in lanes]
         durations = np.array([samp_dur[int(lane)][-1] for lane in lanes])
         e_now = fleet._energy5[:, lanes].copy()
         true5 = (e_now - self._last_energy[:, lanes]) / durations
         self._last_energy[:, lanes] = e_now
         self._pending.append(
-            _PendingPulse(float(now_s), lanes, counts, durations, true5)
+            _PendingPulse(times, lanes, counts, durations, true5)
         )
         rounds = self._pending_rounds
         self._covered += int((rounds[lanes] == 0).sum())
@@ -672,9 +677,7 @@ class FleetMonitor:
         self._pending_rounds[:] = 0
         self._covered = 0
         lanes_all = np.concatenate([p.lanes for p in pending])
-        times_all = np.concatenate(
-            [np.full(len(p.lanes), p.timestamp_s) for p in pending]
-        )
+        times_all = np.concatenate([p.timestamps_s for p in pending])
         durations = np.concatenate([p.durations for p in pending])
         counts = np.stack(
             [snap for p in pending for snap in p.counts]

@@ -10,7 +10,8 @@ buffer refills and sampling-window bookkeeping — happens on the rare
 ticks where it is due, so the aggregate cost per lane-tick shrinks
 roughly with the fleet width.
 
-Work is sized by the lanes and threads that run, not by the fleet:
+Work is sized by the lanes and threads that run, and by what moves,
+not by the fleet:
 
 * a batch in which some lanes are frozen (a datacenter's napping,
   booting and powered-off nodes) gathers the active lanes' columns of
@@ -23,7 +24,18 @@ Work is sized by the lanes and threads that run, not by the fleet:
   one every 30 s) pays for one row until the second one starts.
   Within that prefix every thread's RNG draws come from one
   :class:`_FleetNormalStream` call and the per-package partials from
-  one ``np.bincount`` (:func:`_package_partials`).
+  one ``np.bincount`` (:func:`_package_partials`);
+* what the schedule fixes — each (thread, lane) pair's phase, the
+  package placement, their products, and the per-package sums of the
+  quantities that do not move — is computed by
+  :func:`_schedule_terms` on a batch's first tick and again only on a
+  tick where a pair starts, finishes or changes phase.  Other ticks
+  compute what moves: OU draws, latency feedback, queues and noise.
+  Services whose phases last tens of seconds recompute on the first
+  tick of each one-second batch and nowhere else;
+* the package folds are one reduction each (:func:`_fold_packages`),
+  the DAQ integrates all five subsystems in one pass, and a batch in
+  which no lane samples skips the DAQ altogether.
 
 Equivalence with the scalar :class:`~repro.simulator.system.Server`
 --------------------------------------------------------------------
@@ -38,19 +50,21 @@ this: elementwise arithmetic does not depend on which other lanes
 share the arrays, so gathering lanes changes no lane's floats; a
 skipped thread row would only have added +0.0 to sums that are never
 -0.0; each (thread, lane) stream keeps its own generator, buffer and
-cursor; and ``np.bincount`` adds into zeroed bins in input order,
-which is thread order.
+cursor; ``np.bincount`` adds into zeroed bins in input order, which is
+thread order; a cached schedule term is the same expression on the
+same inputs as the per-tick one it replaced; and the package folds add
+in package order from +0.0, as the scalar accumulators do.
 
 One measurement-side term differs: the sensor drift factor uses
-``np.sin`` where the scalar path uses ``math.sin``.  The two agree to
-within ~1 ulp but are not guaranteed bit-equal, so DAQ power traces
-(and anything derived from them, e.g. ``MeasuredRun.power``) are
-tolerance-bounded rather than bit-exact — relative error is bounded by
-a few 1e-16 per tick and stays far below the modelled acquisition
-noise.  Callers that need bit-exact traces run
-:func:`~repro.simulator.system.simulate_workload` once per seed.  The
-drift term feeds no simulation state back, so counters and energy stay
-bit-exact.
+``np.sin`` (one call over the ``(5, lanes)`` block) where the scalar
+path uses ``math.sin``.  The two agree to within ~1 ulp but are not
+guaranteed bit-equal, so DAQ power traces (and anything derived from
+them, e.g. ``MeasuredRun.power``) are tolerance-bounded rather than
+bit-exact — relative error is bounded by a few 1e-16 per tick and
+stays far below the modelled acquisition noise.  Callers that need
+bit-exact traces run :func:`~repro.simulator.system.simulate_workload`
+once per seed.  The drift term feeds no simulation state back, so
+counters and energy stay bit-exact.
 
 Lanes are independent: lane ``i``'s entire trace depends only on its
 own seed and workload, never on the fleet width or on other lanes.
@@ -72,6 +86,7 @@ from __future__ import annotations
 
 import math
 from time import monotonic as _monotonic
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,7 +95,6 @@ from repro.core.events import SUBSYSTEMS, Event, Subsystem
 from repro.core.traces import CounterTrace, MeasuredRun, PowerTrace
 from repro.measurement.sync import align_windows
 from repro.osim.process import _ou_coefficients
-from repro.osim.procfs import Vector
 from repro.simulator.config import SystemConfig
 from repro.simulator.disk import _RANDOM_REQUEST_BYTES, _SEQUENTIAL_REQUEST_BYTES
 from repro.simulator.power import ProcessStats
@@ -94,11 +108,6 @@ __all__ = ["FleetServer", "simulate_fleet"]
 _EVENTS = tuple(Event)
 _EIDX = {event: i for i, event in enumerate(_EVENTS)}
 _N_EVENTS = len(_EVENTS)
-
-#: Interrupt vectors delivered through the fleet's shared round-robin
-#: cursor, in scalar delivery order (procfs accounting rows).
-_VECTORS = tuple(Vector)
-_VIDX = {vector: i for i, vector in enumerate(_VECTORS)}
 
 
 def _lane_generator(seed: int, name: str) -> np.random.Generator:
@@ -206,9 +215,10 @@ class _PlanTable:
     The scalar path looks up a :class:`PhaseBehavior` per tick and
     reads ~20 attributes; here each attribute (or the exact product the
     scalar tick computes from it) becomes one ``(n_phases,)`` array, so
-    a single fancy-index per tick gathers every lane's current phase
-    parameters at once.  Products folded in at build time reproduce the
-    scalar association order exactly (noted per field).
+    a single fancy index gathers every lane's current phase parameters
+    at once (on the ticks where the schedule changes, see
+    :func:`_schedule_terms`).  Products folded in at build time
+    reproduce the scalar association order exactly (noted per field).
     """
 
     __slots__ = (
@@ -300,8 +310,8 @@ class _PlanTable:
         for phase in plan.phases:
             name_ids.append(ids.setdefault(phase.name, len(ids)))
         self.name_ids = np.asarray(name_ids, dtype=np.int64)
-        # Stacked (n_phases, 17) parameter matrix: one fancy-index per
-        # tick gathers every column at once.  Column order = the _C_*
+        # Stacked (n_phases, 17) parameter matrix: one fancy index
+        # gathers every column at once.  Column order = the _C_*
         # constants below.
         self.mat = np.stack(
             (
@@ -322,6 +332,36 @@ class _PlanTable:
 ) = range(17)
 
 
+def _partial_bins(
+    affinity: np.ndarray, running: np.ndarray, n_q: int, n_pkg: int
+) -> np.ndarray:
+    """Flat ``np.bincount`` bins for :func:`_sum_partials`.
+
+    One bin per ``(quantity, package, lane)``, listed in ``(quantity,
+    thread, lane)`` order for ``n_q`` quantities.  Pairs that do not
+    run, or have no package yet (affinity -1), land in a trash package
+    row past the last real one.
+    """
+    width = affinity.shape[1]
+    pkg = np.where(running & (affinity >= 0), affinity, n_pkg)
+    cell = pkg * width + np.arange(width)
+    stride = (n_pkg + 1) * width
+    bins = np.arange(0, n_q * stride, stride)[:, None, None] + cell
+    return bins.ravel()
+
+
+def _sum_partials(
+    contrib: np.ndarray, bins: np.ndarray, n_pkg: int
+) -> np.ndarray:
+    """Per-package sums of ``contrib`` (``(n_q, n_thr, width)``) into the
+    bins :func:`_partial_bins` made for it; ``(n_q, n_pkg, width)``."""
+    n_q, _, width = contrib.shape
+    sums = np.bincount(
+        bins, weights=contrib.ravel(), minlength=n_q * (n_pkg + 1) * width
+    )
+    return sums.reshape(n_q, n_pkg + 1, width)[:, :n_pkg]
+
+
 def _package_partials(
     contrib: np.ndarray, affinity: np.ndarray, running: np.ndarray, n_pkg: int
 ) -> np.ndarray:
@@ -334,18 +374,207 @@ def _package_partials(
     ``np.bincount`` adds each weight into zeroed bins in input order,
     and the weights go in ``(quantity, thread, lane)`` order, so every
     bin is the thread-order sum the scalar per-package accumulators
-    compute.  Pairs that do not run, or have no package yet (affinity
-    -1), land in a trash package row past the last real one.
+    compute.  The kernel makes the bins (:func:`_partial_bins`) when
+    its schedule changes and sums into them (:func:`_sum_partials`)
+    every tick.
     """
-    n_q, _, width = contrib.shape
-    pkg = np.where(running & (affinity >= 0), affinity, n_pkg)
-    cell = pkg * width + np.arange(width)
-    stride = (n_pkg + 1) * width
-    bins = np.arange(0, n_q * stride, stride)[:, None, None] + cell
-    sums = np.bincount(
-        bins.ravel(), weights=contrib.ravel(), minlength=n_q * stride
+    bins = _partial_bins(affinity, running, contrib.shape[0], n_pkg)
+    return _sum_partials(contrib, bins, n_pkg)
+
+
+def _fold_packages(*rows: np.ndarray) -> np.ndarray:
+    """Sum each ``(n_pkg, width)`` row over its packages, in package order.
+
+    Returns ``(len(rows), width)`` with ``out[i] = ((0.0 + rows[i][0]) +
+    rows[i][1]) + ...``: the sequential adds of the scalar per-package
+    accumulators, so ``-0.0`` terms fold to ``+0.0`` as they do there.
+
+    The rows are stacked package-major and reduced over the leading
+    axis.  numpy sums pairwise only along the fast (contiguous) axis,
+    and with two or more rows that axis is never the package axis.
+    Reducing a quantity-major ``(q, n_pkg, width)`` block over axis 1
+    instead is pairwise, and differs, when a batch has one lane and
+    eight or more packages.  Callers pass at least two rows.
+    """
+    return np.add.reduce(np.stack(rows, axis=1), axis=0, initial=0.0)
+
+
+#: Per-thread quantities that move every tick, summed per package by
+#: one bincount per tick: texec, tfetch, tfp, tspec, lm, wb, pw, pf,
+#: tlbm, stream-weighted traffic and traffic.
+_N_MOVING = 11
+
+
+class _Schedule(NamedTuple):
+    """The kernel terms a schedule fixes (see :func:`_schedule_terms`).
+
+    Per-pair fields are ``(n_live, lanes)``, per-package ones ``(n_pkg,
+    lanes)`` and per-lane ones ``(lanes,)``.
+    """
+
+    runm2: np.ndarray  #: the run mask the terms were computed for
+    lo: np.ndarray  #: each pair's phase holds while lo <= position < hi
+    hi: np.ndarray
+    # Phase parameters the tick multiplies by what moves.
+    upc: np.ndarray
+    sm: np.ndarray
+    wf1: np.ndarray
+    fp: np.ndarray
+    l3: np.ndarray
+    tlbk: np.ndarray
+    stream: np.ndarray
+    # Phase x placement products.
+    smt_tc: np.ndarray  #: smt_g * tc
+    spec_tc: np.ndarray  #: spec * tc
+    wbf: np.ndarray  #: writeback factor wb * (1 + cpress * sharing)
+    ua: np.ndarray
+    bins: np.ndarray  #: bincount bins of the _N_MOVING quantities
+    active_pkg: np.ndarray
+    occm: np.ndarray
+    n_run: np.ndarray
+    ctx_inc: np.ndarray  #: context switches per tick from SMT crowding
+    rt_inc: np.ndarray  #: runtime increment
+    prt_inc: np.ndarray  #: process-runtime increment
+    sync_req: np.ndarray  #: per-lane sync requests of this tick
+    # Package partials and folds of the quantities that do not move.
+    p_ua: np.ndarray
+    file_read: np.ndarray
+    dirty_inc: np.ndarray  #: (file_write / dt) * dt
+    weighted_hit: np.ndarray
+    # NIC terms (they follow from the phases' network rates alone).
+    nic_io: np.ndarray
+    nic_snoops: np.ndarray
+    nic_txn: np.ndarray
+    nic_irq: np.ndarray  #: nic_io / nic_bpi, the interrupt residual step
+    nic_dram_r: np.ndarray
+    nic_dram_w: np.ndarray
+
+
+def _schedule_terms(
+    fleet: "FleetServer",
+    runm2: np.ndarray,
+    position: np.ndarray,
+    affinity: np.ndarray,
+    bound: np.ndarray,
+    ctx: np.ndarray,
+    last_name_id: np.ndarray,
+    cycles: "float | np.ndarray",
+) -> _Schedule:
+    """Every kernel term that the batch's schedule fixes, for this tick.
+
+    Each (thread, lane) pair's phase follows from its ``position``, and
+    its package from ``affinity``.  With the run mask ``runm2`` and the
+    batch's P-state ``cycles``, they fix every term returned here until
+    a pair starts, finishes or leaves its phase.
+    :meth:`FleetServer.run_ticks` calls this on a batch's first tick,
+    on a tick whose ``runm2`` differs from the cached ``.runm2``, and on
+    a tick where a pair's position leaves its ``[lo, hi)``; other ticks
+    reuse the result.  A new term that the schedule fixes belongs here,
+    and a new input it reads needs a trigger there.
+
+    The statements are the kernel's per-tick ones, moved: each term is
+    the same expression on the same inputs, so the cache changes no
+    bit.  Like them, this places running pairs that have no package yet
+    (in place: ``affinity``, ``bound`` and ``ctx``) and records each
+    running pair's phase name in ``last_name_id``.  A pair runs first on
+    a tick where ``runm2`` changes, so placement only happens here.
+    """
+    n_live, n = runm2.shape
+    n_pkg, smt, dt = fleet._n_pkg, fleet._smt, fleet._dt
+    # Phase index = phase ends at or below the position (the scalar
+    # scan over sorted bounds); +inf pads never count.
+    idx2 = (fleet._bounds_tab[:n_live, None, :] <= position[..., None]).sum(
+        axis=2
     )
-    return sums.reshape(n_q, n_pkg + 1, width)[:, :n_pkg]
+    np.minimum(idx2, fleet._nph_col[:n_live] - 1, out=idx2)
+    gidx = idx2 + fleet._plan_offsets[:n_live]
+    nid2 = fleet._name_all[gidx]
+    sync2 = runm2 & fleet._sync_all[gidx] & (nid2 != last_name_id)
+    np.copyto(last_name_id, nid2, where=runm2)
+    G = fleet._mat_t[:, gidx]
+
+    # First-run placement, per-package runnable counts.
+    unplaced2 = runm2 & (affinity < 0)
+    if unplaced2.any():
+        # First run of a thread: scalar placement order — thread k sees
+        # the bounds updated by threads < k.
+        for k in range(n_live):
+            unplaced = unplaced2[k]
+            if not unplaced.any():
+                continue
+            aff = affinity[k]
+            np.copyto(aff, np.argmin(bound, axis=0), where=unplaced)
+            cols = np.nonzero(unplaced)[0]
+            bound[aff[cols], cols] += 1
+            ctx += unplaced
+    onehot3 = (affinity[None] == np.arange(n_pkg)[:, None, None]) & runm2[None]
+    cp = onehot3.sum(axis=1, dtype=np.int64)
+    share = np.where(cp > smt, smt / cp, 1.0)
+    smt_scale = np.where(cp <= 1, 1.0, (fleet._smt_yield * 2.0) / cp)
+    aff_safe2 = np.maximum(affinity, 0)
+    lanes = np.arange(n)
+    share_g = share[aff_safe2, lanes]
+    smt_g = smt_scale[aff_safe2, lanes]
+    cp_g = cp[aff_safe2, lanes]
+    sharing = np.maximum(cp_g - 1, 0)
+
+    # Phase x placement products.
+    occ2 = G[_C_OCC0] * share_g
+    tc = cycles * occ2
+    ua = G[_C_UNC] * occ2
+    # max() is order-free, so the package occupancy fold can reduce
+    # over the thread axis in one pass.
+    occm = np.max(np.where(onehot3, occ2[None], 0.0), axis=1)
+    psync = (onehot3 & sync2[None]).any(axis=1)
+
+    # The quantities that do not move: package partials, folds and the
+    # NIC terms derived from them.
+    p_ua, p_fr, p_fw, p_hw, p_nrx, p_ntx = _package_partials(
+        np.stack((ua, G[_C_FR], G[_C_FW], G[_C_HW], G[_C_NRX], G[_C_NTX])),
+        affinity, runm2, n_pkg,
+    )
+    rhr = np.where(p_fr > 0, p_hw / p_fr, 1.0)
+    file_read, file_write, weighted_hit, net_rx, net_tx = _fold_packages(
+        p_fr, p_fw, rhr * p_fr, p_nrx, p_ntx
+    )
+    line_bytes = fleet._line_bytes
+    rx = np.minimum(net_rx, fleet._nic_line) * dt
+    tx_b = np.minimum(net_tx, fleet._nic_line) * dt
+    nic_io = rx + tx_b
+    return _Schedule(
+        runm2=runm2,
+        lo=fleet._lo_all[gidx],
+        hi=fleet._hi_all[gidx],
+        upc=G[_C_UPC],
+        sm=G[_C_SM],
+        wf1=G[_C_WF1],
+        fp=G[_C_FP],
+        l3=G[_C_L3],
+        tlbk=G[_C_TLBK],
+        stream=G[_C_STREAM],
+        smt_tc=smt_g * tc,
+        spec_tc=G[_C_SPEC] * tc,
+        wbf=G[_C_WB] * (1.0 + G[_C_CPRESS] * sharing),
+        ua=ua,
+        bins=_partial_bins(affinity, runm2, _N_MOVING, n_pkg),
+        active_pkg=cp > 0,
+        occm=occm,
+        n_run=cp.sum(axis=0),
+        ctx_inc=np.maximum(cp - smt, 0).sum(axis=0),
+        rt_inc=np.where(runm2, dt, 0.0),
+        prt_inc=np.where(runm2, dt * occ2, 0.0),
+        sync_req=psync.any(axis=0),
+        p_ua=p_ua,
+        file_read=file_read,
+        dirty_inc=(file_write / dt) * dt,
+        weighted_hit=weighted_hit,
+        nic_io=nic_io,
+        nic_snoops=nic_io / line_bytes,
+        nic_txn=(nic_io / 512.0) * fleet._tx_factor,
+        nic_irq=nic_io / fleet._nic_bpi,
+        nic_dram_r=tx_b / line_bytes,
+        nic_dram_w=rx / line_bytes,
+    )
 
 
 class FleetServer:
@@ -423,13 +652,26 @@ class FleetServer:
         # -- phase-plan tables -----------------------------------------
         pagewalk_per_tlb = config.cache.pagewalk_reads_per_tlb_miss
         # Combined tables: every thread's phases stacked so one fancy
-        # index per tick gathers all (thread, lane) phase rows at once.
+        # index gathers all (thread, lane) phase rows at once.  The
+        # parameter table is column-major, (17, n_phases), so each
+        # gathered column is one contiguous (threads, lanes) block.
         plans = [
             _PlanTable(plan, pagewalk_per_tlb, dt) for plan in workload.threads
         ]
-        self._mat_all = np.concatenate([t.mat for t in plans], axis=0)
+        self._mat_t = np.ascontiguousarray(
+            np.concatenate([t.mat for t in plans], axis=0).T
+        )
         self._name_all = np.concatenate([t.name_ids for t in plans])
         self._sync_all = np.concatenate([t.sync for t in plans])
+        # Each phase's position interval [lo, hi): from the previous
+        # phase's end (-inf for the first) to its own end (+inf for the
+        # last, which the lookup clamps to).
+        self._lo_all = np.concatenate(
+            [np.concatenate(([-np.inf], t.bounds[:-1])) for t in plans]
+        )
+        self._hi_all = np.concatenate(
+            [np.concatenate((t.bounds[:-1], [np.inf])) for t in plans]
+        )
         self._plan_offsets = np.cumsum(
             [0] + [t.n_phases for t in plans[:-1]], dtype=np.int64
         )[:, None]
@@ -541,7 +783,6 @@ class FleetServer:
         self._pend_disk = np.zeros((n_pkg, width))
         self._pend_net = np.zeros((n_pkg, width))
         self._irq_cursor = np.zeros(width, dtype=np.int64)
-        self._acct = np.zeros((len(_VECTORS), n_pkg, width))
         self._runtime = np.zeros((n_thr, width))
         self._ou = np.zeros((n_thr, width))
         self._last_name_id = np.full((n_thr, width), -1, dtype=np.int64)
@@ -553,15 +794,11 @@ class FleetServer:
         self._dram_latency = np.ones(width)
         self._pc_dirty = np.zeros(width)
         self._pc_pending = np.zeros(width)
-        self._pc_synced = np.zeros(width)
         self._q_seq_write = np.zeros(width)
         self._q_rand_read = np.zeros(width)
         self._q_rand_write = np.zeros(width)
-        self._disk_total = np.zeros(width)
         self._dma_residual = np.zeros(width)
         self._nic_residual = np.zeros(width)
-        self._nic_total = np.zeros(width)
-        self._io_total = np.zeros(width)
         self._chip_offset = self._chip_mean.copy()
         self._counts3d = np.zeros((_N_EVENTS, n_pkg, width))
         self._energy5 = np.zeros((5, width))
@@ -600,7 +837,6 @@ class FleetServer:
         "_pend_disk",
         "_pend_net",
         "_irq_cursor",
-        "_acct",
         "_runtime",
         "_ou",
         "_last_name_id",
@@ -612,15 +848,11 @@ class FleetServer:
         "_dram_latency",
         "_pc_dirty",
         "_pc_pending",
-        "_pc_synced",
         "_q_seq_write",
         "_q_rand_read",
         "_q_rand_write",
-        "_disk_total",
         "_dma_residual",
         "_nic_residual",
-        "_nic_total",
-        "_io_total",
         "_chip_offset",
         "_counts3d",
         "_energy5",
@@ -673,7 +905,11 @@ class FleetServer:
 
     @property
     def now_s(self) -> float:
-        """Simulated time of lane 0 (all active lanes share a clock)."""
+        """Simulated time of lane 0.
+
+        Lanes frozen for different lengths of time do not share a
+        clock; ``lane(i).now_s`` is lane ``i``'s own.
+        """
         return float(self._now[0])
 
     def set_all_pstates(self, state_index: int) -> None:
@@ -768,8 +1004,10 @@ class FleetServer:
 
         ``monitor.on_pulse(fleet, lanes, now_s)`` fires once per tick
         on which any lane closes a sampling window, with the closing
-        lane indices (see :class:`repro.obs.fleet.FleetMonitor`, the one
-        way fleet lanes are watched).  ``on_attach_fleet``, when
+        lane indices and the first closing lane's clock; each lane's
+        own close time is the last entry of its sampler log (see
+        :class:`repro.obs.fleet.FleetMonitor`, the one way fleet
+        lanes are watched).  ``on_attach_fleet``, when
         present, fires now.  Unattached, the tick loop pays one
         ``is not None`` check per closing tick.
         """
@@ -860,9 +1098,9 @@ class FleetServer:
         lane never being stepped.  Frozen lanes report 0.0 J.  A batch
         with every lane active works on the state arrays in place.
 
-        A fleet monitor's ``on_pulse`` gets global lane ids; the closing
-        lanes' window logs and ``_energy5`` columns are current when it
-        runs.
+        A fleet monitor's ``on_pulse`` gets global lane ids and the
+        first closing lane's clock; the closing lanes' window logs and
+        ``_energy5`` columns are current when it runs.
 
         The scheduler, CPU-package and process-accounting stages run
         on the thread rows up to the last one that can run on an
@@ -870,6 +1108,17 @@ class FleetServer:
         started by one tick past the batch's last), so a batch costs
         what its active lanes' started threads cost; rows in that
         prefix that cannot run on a given tick are masked as before.
+
+        Within the batch, every term the schedule fixes (each pair's
+        phase, the placement, their products and the per-package sums
+        of the quantities that do not move) is kept in batch-local
+        arrays by :func:`_schedule_terms`, recomputed on the batch's
+        first tick, on a tick whose run mask differs from the cached
+        one, and on a tick where a pair's phase position leaves its
+        phase.  Other ticks compute only what moves: OU draws, latency
+        feedback, queues and noise.  A batch in which no lane samples
+        (every sampler deadline infinite) skips the DAQ integration,
+        whose energy only a closing window reads.
         """
         width = self.width
         energies = np.zeros(width)
@@ -929,10 +1178,6 @@ class FleetServer:
         timer_res = work["_timer_residual"]
         pend_disk, pend_net = work["_pend_disk"], work["_pend_net"]
         irq_cursor = work["_irq_cursor"]
-        acct = work["_acct"]
-        acct_timer = acct[_VIDX[Vector.TIMER]]
-        acct_disk = acct[_VIDX[Vector.DISK]]
-        acct_net = acct[_VIDX[Vector.NETWORK]]
         runtime, ou = work["_runtime"][:n_live], work["_ou"][:n_live]
         last_name_id = work["_last_name_id"][:n_live]
         finished = work["_finished"][:n_live]
@@ -941,14 +1186,11 @@ class FleetServer:
         bus_latency = work["_bus_latency"]
         dram_latency = work["_dram_latency"]
         pc_dirty, pc_pending = work["_pc_dirty"], work["_pc_pending"]
-        pc_synced = work["_pc_synced"]
         q_seq_write = work["_q_seq_write"]
         q_rand_read = work["_q_rand_read"]
         q_rand_write = work["_q_rand_write"]
-        disk_total_arr = work["_disk_total"]
         dma_residual = work["_dma_residual"]
         nic_residual = work["_nic_residual"]
-        nic_total, io_total = work["_nic_total"], work["_io_total"]
         chip_offset = work["_chip_offset"]
         c3 = work["_counts3d"]
         r_cycles = c3[_EIDX[Event.CYCLES]]
@@ -995,7 +1237,9 @@ class FleetServer:
         samp_wstart = work["_samp_wstart"]
         samp_deadline = work["_samp_deadline"]
         daq_wstart = work["_daq_wstart"]
-        smt, smt_yield2 = self._smt, self._smt_yield * 2.0
+        # Only a closing window reads the DAQ energy, and a lane whose
+        # deadline is infinite never closes one.
+        sampling = bool(np.isfinite(samp_deadline).any())
         max_upc, isc = self._max_upc, self._isc
         variability = self._variability
         ou_alpha, ou_noise = self._ou_alpha, self._ou_noise
@@ -1020,8 +1264,7 @@ class FleetServer:
         io_static, io_sw_e = self._io_static, self._io_sw_e
         io_tx_e = self._io_tx_e
         line_bytes, tx_factor = self._line_bytes, self._tx_factor
-        dma_bpi, nic_bpi = self._dma_bpi, self._nic_bpi
-        nic_line, bg_half = self._nic_line, self._bg_half
+        dma_bpi, bg_half = self._dma_bpi, self._bg_half
         disk_budget0 = self._disk_budget0
         seq_thr, seq_seekf = self._seq_thr, self._seq_seekf
         rand_thr, rand_seekf = self._rand_thr, self._rand_seekf
@@ -1033,19 +1276,15 @@ class FleetServer:
         per_tick = self._timer_per_tick
         timer_steady = float(int(per_tick)) == per_tick
         pkg_col = np.arange(n_pkg)[:, None]
-        pkg_col3 = np.arange(n_pkg)[:, None, None]
-        lanes = np.arange(n)
-        mat_all, name_all = self._mat_all, self._name_all
-        sync_all = self._sync_all
-        plan_offsets = self._plan_offsets[:n_live]
         start_col = self._start_col[:n_live]
         cycle_col = self._cycle_col[:n_live]
         loop_col = self._loop_col[:n_live]
-        nph_col = self._nph_col[:n_live]
-        bounds_tab = self._bounds_tab[:n_live, None, :]
         has_nonloop = self._has_nonloop
         fleet_monitor = self._fleet_monitor
         batch_energy = np.zeros(n)
+        # The terms this batch's schedule fixes; batch-local, so the
+        # batch's first tick always computes them.
+        sched: "_Schedule | None" = None
 
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for _ in range(n_ticks):
@@ -1061,17 +1300,20 @@ class FleetServer:
                 disk_irqs = pend_disk.copy()
                 net_irqs = pend_net.copy()
                 irq = (disk_irqs + net_irqs) + timer_f
-                acct_timer += timer_f
                 pend_disk[:] = 0.0
                 pend_net[:] = 0.0
 
-                # (2) Scheduler pass: phase lookup, OU modulation,
-                # first-run placement, per-package runnable counts.
+                # (2) Scheduler pass.  The run mask and each pair's
+                # phase position are checked every tick; on the batch's
+                # first tick, and on a tick where a pair starts,
+                # finishes or leaves its phase, _schedule_terms
+                # recomputes what the schedule fixes (phase lookup,
+                # first-run placement, per-package runnable counts and
+                # their products).  OU modulation moves every tick.
                 # Thread state lives in (n_live, lanes) arrays and each
                 # (thread, lane) stream keeps its own draw order, so
                 # one draw over the block is bit-identical to drawing
-                # thread by thread; only first-run placement, which is
-                # order-sensitive across threads, loops over threads.
+                # thread by thread.
                 latency = bus_latency * dram_latency
                 lratio = np.maximum(latency / base_latency, 1.0)
                 ramp = np.minimum(1.0 + 2.6 * (lratio - 1.0), 5.0)
@@ -1085,92 +1327,64 @@ class FleetServer:
                 position = np.where(
                     loop_col, np.mod(runtime, cycle_col), runtime
                 )
-                # Phase index = phase ends at or below the position (the
-                # scalar scan over sorted bounds); +inf pads never count.
-                idx2 = (bounds_tab <= position[..., None]).sum(axis=2)
-                np.minimum(idx2, nph_col - 1, out=idx2)
-                gidx = idx2 + plan_offsets
-                nid2 = name_all[gidx]
-                sync2 = runm2 & sync_all[gidx] & (nid2 != last_name_id)
-                np.copyto(last_name_id, nid2, where=runm2)
+                if (
+                    sched is None
+                    or (runm2 != sched.runm2).any()
+                    or ((position < sched.lo) | (position >= sched.hi)).any()
+                ):
+                    sched = _schedule_terms(
+                        self, runm2, position, affinity, bound, ctx,
+                        last_name_id, cycles,
+                    )
+                    ran_ever |= runm2
+                    # A sync phase is entered only on a recompute tick
+                    # (afterwards every running pair's last name is its
+                    # phase's).  The copy is the tick's first page-cache
+                    # statement, so it can run here.
+                    np.copyto(pc_pending, pc_dirty, where=sched.sync_req)
                 draw = thread_stream.next(runm2)
                 np.copyto(ou, ou_alpha * ou + ou_noise * draw, where=runm2)
                 mod2 = np.maximum(1.0 + variability * ou, 0.1)
-                runtime += np.where(runm2, dt, 0.0)
-                unplaced2 = runm2 & (affinity < 0)
-                if unplaced2.any():
-                    # First run of a thread: scalar placement order —
-                    # thread k sees the bounds updated by threads < k.
-                    for k in range(n_live):
-                        unplaced = unplaced2[k]
-                        if not unplaced.any():
-                            continue
-                        aff = affinity[k]
-                        np.copyto(
-                            aff, np.argmin(bound, axis=0), where=unplaced
-                        )
-                        cols = np.nonzero(unplaced)[0]
-                        bound[aff[cols], cols] += 1
-                        ctx += unplaced
-                onehot3 = (affinity[None] == pkg_col3) & runm2[None]
-                cp = onehot3.sum(axis=1, dtype=np.int64)
-                ctx += np.maximum(cp - smt, 0).sum(axis=0)
-                share = np.where(cp > smt, smt / cp, 1.0)
-                smt_scale = np.where(cp <= 1, 1.0, smt_yield2 / cp)
-                active_pkg = cp > 0
+                runtime += sched.rt_inc
+                ctx += sched.ctx_inc
 
                 # (3) CPU packages: per-thread execution and traffic
                 # computed for every (thread, lane) at once, then
                 # summed into per-package partials in thread order by
                 # one bincount (row layout mirrors the scalar
                 # accumulators).
-                aff_safe2 = np.maximum(affinity, 0)
-                share_g = share[aff_safe2, lanes]
-                smt_g = smt_scale[aff_safe2, lanes]
-                cp_g = cp[aff_safe2, lanes]
-                G = mat_all[gidx]
-                occ2 = G[..., _C_OCC0] * share_g
                 tgt = np.maximum(
-                    np.minimum(G[..., _C_UPC] * mod2, max_upc), 1.0e-6
+                    np.minimum(sched.upc * mod2, max_upc), 1.0e-6
                 )
                 cpi = 1.0 / tgt
-                stall = G[..., _C_SM] * latency
-                tc = cycles * occ2
-                texec2 = (smt_g * tc) / (cpi + stall)
-                tfetch2 = texec2 * G[..., _C_WF1]
-                tfp = texec2 * G[..., _C_FP]
-                tspec = (G[..., _C_SPEC] * tc) * mod2
+                stall = sched.sm * latency
+                texec2 = sched.smt_tc / (cpi + stall)
+                tfetch2 = texec2 * sched.wf1
+                tfp = texec2 * sched.fp
+                tspec = sched.spec_tc * mod2
                 kuops = texec2 / 1000.0
-                lm = (kuops * G[..., _C_L3]) * mod2
-                tlbm = (kuops * G[..., _C_TLBK]) * mod2
-                pf = ((lm * ppm) * G[..., _C_STREAM]) * ramp
-                sharing = np.maximum(cp_g - 1, 0)
-                wb = lm * (G[..., _C_WB] * (1.0 + G[..., _C_CPRESS] * sharing))
+                lm = (kuops * sched.l3) * mod2
+                tlbm = (kuops * sched.tlbk) * mod2
+                pf = ((lm * ppm) * sched.stream) * ramp
+                wb = lm * sched.wbf
                 pw = tlbm * pw_per_tlb
-                ua = G[..., _C_UNC] * occ2
-                tx2 = (((lm + wb) + pw) + ua) + pf
-                contrib = np.stack(
-                    (
-                        texec2, tfetch2, tfp, tspec, lm, wb, pw, pf, ua,
-                        tlbm, G[..., _C_STREAM] * tx2, tx2,
-                        G[..., _C_FR], G[..., _C_FW], G[..., _C_HW],
-                        G[..., _C_NRX], G[..., _C_NTX],
-                    )
-                )
-                acc = _package_partials(contrib, affinity, runm2, n_pkg)
-                # max() is order-free, so the package occupancy fold can
-                # reduce over the thread axis in one pass.
-                occm = np.max(
-                    np.where(onehot3, occ2[None], 0.0), axis=1
-                )
-                psync = (onehot3 & sync2[None]).any(axis=1)
+                tx2 = (((lm + wb) + pw) + sched.ua) + pf
                 (
                     p_exec, p_fetch, p_fp, p_spec, p_dlm, p_wb, p_pw, p_pf,
-                    p_ua, p_tlb, p_streamw, p_weight, p_fr, p_fw, p_hw,
-                    p_nrx, p_ntx,
-                ) = acc
+                    p_tlb, p_streamw, p_weight,
+                ) = _sum_partials(
+                    np.stack(
+                        (
+                            texec2, tfetch2, tfp, tspec, lm, wb, pw, pf,
+                            tlbm, sched.stream * tx2, tx2,
+                        )
+                    ),
+                    sched.bins,
+                    n_pkg,
+                )
+                active_pkg = sched.active_pkg
                 ib = np.minimum((irq * isc) / cycles, 0.5)
-                occ = np.where(active_pkg, np.minimum(occm + ib, 1.0), ib)
+                occ = np.where(active_pkg, np.minimum(sched.occm + ib, 1.0), ib)
                 halted = cycles * (1.0 - occ)
                 idle_uops = cycles * ib
                 fetched = np.where(active_pkg, p_fetch, idle_uops * 0.4)
@@ -1178,7 +1392,6 @@ class FleetServer:
                 stream_p = np.where(
                     active_pkg & (p_weight > 0), p_streamw / p_weight, 0.5
                 )
-                rhr = np.where(p_fr > 0, p_hw / p_fr, 1.0)
                 # Package power (CpuPackage.power, vectorized per row).
                 occ_pw = 1.0 - halted / cycles
                 fupc = fetched / cycles
@@ -1200,33 +1413,18 @@ class FleetServer:
                 # System folds, summed in package order like the scalar
                 # per-quantity accumulators (never ndarray.sum: pairwise
                 # summation would reorder the adds).
-                demand = np.zeros(n)
-                prefetch_sum = np.zeros(n)
-                file_read = np.zeros(n)
-                file_write = np.zeros(n)
-                tlb_total = np.zeros(n)
-                weighted_hit = np.zeros(n)
-                net_rx = np.zeros(n)
-                net_tx = np.zeros(n)
-                for p in range(n_pkg):
-                    demand += ((p_dlm[p] + p_wb[p]) + p_pw[p]) + p_ua[p]
-                    prefetch_sum += p_pf[p]
-                    file_read += p_fr[p]
-                    file_write += p_fw[p]
-                    tlb_total += p_tlb[p]
-                    weighted_hit += rhr[p] * p_fr[p]
-                    net_rx += p_nrx[p]
-                    net_tx += p_ntx[p]
-                sync_req = psync.any(axis=0)
-
-                # (4) Page cache: dirty accounting and writeback policy.
-                fault_read = (tlb_total * fault_ratio) * fault_bytes
-                total_read = file_read + fault_read
-                hit_ratio = np.where(
-                    total_read > 0, weighted_hit / total_read, 1.0
+                demand, prefetch_sum, tlb_total = _fold_packages(
+                    ((p_dlm + p_wb) + p_pw) + sched.p_ua, p_pf, p_tlb
                 )
-                np.copyto(pc_pending, pc_dirty, where=sync_req)
-                pc_dirty += (file_write / dt) * dt
+
+                # (4) Page cache: dirty accounting and writeback policy
+                # (a sync request's copy ran in stage (2)).
+                fault_read = (tlb_total * fault_ratio) * fault_bytes
+                total_read = sched.file_read + fault_read
+                hit_ratio = np.where(
+                    total_read > 0, sched.weighted_hit / total_read, 1.0
+                )
+                pc_dirty += sched.dirty_inc
                 read_req = ((total_read / dt) * dt) * (1.0 - hit_ratio)
                 in_sync = pc_pending > 0.0
                 drained_s = np.minimum(
@@ -1243,7 +1441,6 @@ class FleetServer:
                 )
                 pc_dirty -= write_bytes
                 np.copyto(pc_pending, pc_pending - drained_s, where=in_sync)
-                pc_synced += np.where(in_sync, drained_s, 0.0)
                 np.copyto(
                     pc_pending, 0.0, where=in_sync & (pc_dirty <= 0.0)
                 )
@@ -1281,7 +1478,6 @@ class FleetServer:
                 read_served = served_rr
                 write_served = served_sw + served_rw
                 served_bytes = read_served + write_served
-                disk_total_arr += served_bytes
 
                 # (6) DMA for the disk array and the NIC's own engine;
                 # coalesced completion interrupts round-robin across
@@ -1297,37 +1493,25 @@ class FleetServer:
                 dma_unc = dma_ints * 3.0
                 dma_dram_r = dma_out / line_bytes
                 dma_dram_w = dma_in / line_bytes
-                rx = np.minimum(net_rx, nic_line) * dt
-                tx_b = np.minimum(net_tx, nic_line) * dt
-                nic_total += rx + tx_b
-                nic_io = rx + tx_b
-                nic_snoops = nic_io / line_bytes
-                nic_txn = (nic_io / 512.0) * tx_factor
-                nic_residual += nic_io / nic_bpi
+                nic_residual += sched.nic_irq
                 nic_ints = np.floor(nic_residual)
                 nic_residual -= nic_ints
                 nic_unc = nic_ints * 3.0
-                nic_dram_r = tx_b / line_bytes
-                nic_dram_w = rx / line_bytes
                 ints = dma_ints.astype(np.int64)
                 kk = (pkg_col - irq_cursor[None, :]) % n_pkg
-                recv = (ints[None, :] - kk + (n_pkg - 1)) // n_pkg
-                pend_disk += recv
-                acct_disk += recv
+                pend_disk += (ints[None, :] - kk + (n_pkg - 1)) // n_pkg
                 irq_cursor += ints
                 irq_cursor %= n_pkg
                 ints = nic_ints.astype(np.int64)
                 kk = (pkg_col - irq_cursor[None, :]) % n_pkg
-                recv = (ints[None, :] - kk + (n_pkg - 1)) // n_pkg
-                pend_net += recv
-                acct_net += recv
+                pend_net += (ints[None, :] - kk + (n_pkg - 1)) // n_pkg
                 irq_cursor += ints
                 irq_cursor %= n_pkg
 
                 # (7) Bus arbitration; grant ratios scale CPU traffic.
                 # The fold over packages mirrors the scalar fused pass
                 # (step 6/7 in system.py), in package order.
-                total_snoops = dma_snoops + nic_snoops
+                total_snoops = dma_snoops + sched.nic_snoops
                 demand += total_snoops
                 sat = demand >= bus_cap_dt
                 dr = np.where(sat, bus_cap_dt / demand, 1.0)
@@ -1350,38 +1534,27 @@ class FleetServer:
                 g_dlm = p_dlm * dr
                 g_wb = p_wb * dr
                 g_pw = p_pw * dr
-                g_ua = p_ua * dr
+                g_ua = sched.p_ua * dr
                 g_pf = p_pf * pr
                 own_tx = (((g_dlm + g_wb) + g_pw) + g_ua) + g_pf
-                cpu_reads = np.zeros(n)
-                cpu_writes = np.zeros(n)
-                traffic_weight = np.zeros(n)
-                stream_weighted = np.zeros(n)
-                uncacheable_cpu = np.zeros(n)
-                prefetch_total = np.zeros(n)
-                cpu_power = np.zeros(n)
-                halted_total = np.zeros(n)
-                for p in range(n_pkg):
-                    cpu_reads += (g_dlm[p] + g_pw[p]) + g_pf[p]
-                    cpu_writes += g_wb[p]
-                    traffic_weight += own_tx[p]
-                    stream_weighted += stream_p[p] * own_tx[p]
-                    uncacheable_cpu += g_ua[p]
-                    prefetch_total += g_pf[p]
-                    cpu_power += pkg_power[p]
-                    halted_total += halted[p]
+                (
+                    cpu_reads, cpu_writes, traffic_weight, stream_weighted,
+                    uncacheable_cpu, prefetch_total, cpu_power, halted_total,
+                ) = _fold_packages(
+                    (g_dlm + g_pw) + g_pf, g_wb, own_tx, stream_p * own_tx,
+                    g_ua, g_pf, pkg_power, halted,
+                )
                 blended = np.where(
                     traffic_weight > 0, stream_weighted / traffic_weight, 0.5
                 )
-                n_run = cp.sum(axis=0)
-                dma_active = (dma_io > 0) | (nic_io > 0)
+                dma_active = (dma_io > 0) | (sched.nic_io > 0)
                 stream_count = np.maximum(
-                    n_run + np.where(dma_active, 1.0, 0.0), 1.0
+                    sched.n_run + np.where(dma_active, 1.0, 0.0), 1.0
                 )
 
                 # (8) DRAM: granted CPU traffic plus device DMA.
-                drr = dma_dram_r + nic_dram_r
-                drw = dma_dram_w + nic_dram_w
+                drr = dma_dram_r + sched.nic_dram_r
+                drw = dma_dram_w + sched.nic_dram_w
                 total_acc = ((cpu_reads + cpu_writes) + drr) + drw
                 over = total_acc > dram_cap_dt
                 scale = dram_cap_dt / total_acc
@@ -1434,20 +1607,21 @@ class FleetServer:
                 chipset_power = (
                     chip_nominal + dynamic_c * 0.35
                 ) + chip_offset * gate
-                io_bytes = dma_io + nic_io
-                io_txn = dma_txn + nic_txn
+                io_bytes = dma_io + sched.nic_io
+                io_txn = dma_txn + sched.nic_txn
                 io_energy = (
                     io_bytes * io_sw_e
                     + io_txn * io_tx_e
                     + unc_total * 0.15e-6
                 )
                 io_power = io_static + io_energy / dt
-                io_total += io_bytes
-                energy5[0] += cpu_power * dt
-                energy5[1] += chipset_power * dt
-                energy5[2] += memory_power * dt
-                energy5[3] += io_power * dt
-                energy5[4] += disk_power * dt
+                powers5 = np.stack(
+                    (
+                        cpu_power, chipset_power, memory_power, io_power,
+                        disk_power,
+                    )
+                )
+                energy5 += powers5 * dt
                 e_time += dt
                 batch_energy += (
                     (((cpu_power + chipset_power) + memory_power) + io_power)
@@ -1455,11 +1629,10 @@ class FleetServer:
                 ) * dt
 
                 # (10) Per-process accounting (needs the bus grant).
-                proc_runtime += np.where(runm2, dt * occ2, 0.0)
+                proc_runtime += sched.prt_inc
                 proc_exec += np.where(runm2, texec2, 0.0)
                 proc_fetch += np.where(runm2, tfetch2, 0.0)
                 proc_bus += np.where(runm2, tx2 * dr, 0.0)
-                ran_ever |= runm2
 
                 # (11) Counters (the scalar fast path, rows as arrays).
                 driver_unc = (dma_unc + nic_unc) / n_pkg
@@ -1490,20 +1663,17 @@ class FleetServer:
                 r_ctx0 += ctx
 
                 # (12) Instrumentation: the DAQ integrates power every
-                # tick; a lane whose sampler deadline passed closes its
-                # window (counter snapshot + DAQ means + monitor pulse).
-                # Working columns index the arrays; the generators and
-                # window logs are kept by global lane.
-                angle = (two_pi * now) / 900.0
-                powers5 = (
-                    cpu_power, chipset_power, memory_power, io_power,
-                    disk_power,
+                # tick (one pass over the five subsystems); a lane whose
+                # sampler deadline passed closes its window (counter
+                # snapshot + DAQ means + monitor pulse).  Working
+                # columns index the arrays; the generators and window
+                # logs are kept by global lane.
+                if not sampling:
+                    continue
+                drift = 1.0 + drift_rel * np.sin(
+                    (two_pi * now) / 900.0 + drift_phases
                 )
-                for si in range(5):
-                    drift = 1.0 + drift_rel * np.sin(
-                        angle + drift_phases[si]
-                    )
-                    wenergy[si] += ((powers5[si] * gains[si]) * drift) * dt
+                wenergy += ((powers5 * gains) * drift) * dt
                 closing = now + 1.0e-12 >= samp_deadline
                 if closing.any():
                     closed = np.nonzero(closing)[0]

@@ -12,7 +12,10 @@ lane-grouping.  The kernel's per-thread shortcuts — the live-thread
 prefix per batch and the bincount package partials — are pinned the
 same way, the partials against the per-thread loop they replaced, and
 so is lane gathering (a batch steps only its active lanes' columns),
-under random active masks, thread counts and P-states.
+under random active masks, thread counts and P-states.  So is the
+schedule cache (what a schedule fixes is recomputed only when it
+changes: every trigger inside one batch, and a count of recomputes),
+and the package folds are held to the package loop they replaced.
 """
 
 import dataclasses
@@ -28,7 +31,13 @@ from repro.cluster import Cluster, PowerAwareManager, StaticManager, diurnal_dem
 from repro.core.events import Subsystem
 from repro.exec import SweepSpec, sweep_specs
 from repro.simulator.config import fast_config
-from repro.simulator.fleet import FleetServer, _package_partials, simulate_fleet
+from repro.simulator import fleet as fleet_module
+from repro.simulator.fleet import (
+    FleetServer,
+    _fold_packages,
+    _package_partials,
+    simulate_fleet,
+)
 from repro.simulator.system import Server, simulate_workload
 from repro.workloads.base import Phase, PhaseBehavior, ThreadPlan, WorkloadSpec
 from repro.workloads.registry import get_workload
@@ -399,6 +408,14 @@ _NON_LOOPING = _spec(
     _plan(0.02, (0.05, 0.08), loop=False),
     _plan(0.0, (0.12, 0.1, 0.15), loop=False),
 )
+#: Phases shorter than one 10 ms tick and loops that wrap every few
+#: ticks, so the kernel's cached schedule goes stale inside most
+#: batches (a pair can skip a whole phase between two ticks).
+_SHORT_PHASES = _spec(
+    _plan(0.0, (0.004, 0.03, 0.02)),
+    _plan(0.013, (0.025, 0.006, 0.011)),
+    _plan(0.0, (0.007, 0.045, 0.003), loop=False),
+)
 
 
 def _per_lane(width, high):
@@ -432,7 +449,9 @@ class TestLaneGathering:
     def test_random_masks_and_pstates_match_servers(self, data):
         """Each lane equals a Server stepped only on its active batches,
         at that batch's P-state and thread count, sampler on."""
-        spec = data.draw(st.sampled_from((_STAGGERED, _NON_LOOPING)))
+        spec = data.draw(
+            st.sampled_from((_STAGGERED, _NON_LOOPING, _SHORT_PHASES))
+        )
         width = data.draw(st.integers(2, 6), label="width")
         n_states = len(_FAST_SAMPLING.cpu.dvfs_states)
         batches = data.draw(
@@ -493,6 +512,59 @@ class TestLaneGathering:
             watching.board.true_total_w[even], reference.board.true_total_w
         )
         assert np.isnan(watching.board.true_total_w[~even]).all()
+
+
+class TestScheduleCache:
+    """The kernel recomputes what the schedule fixes (phase, placement
+    and their products) only on a batch's first tick and on ticks where
+    a pair starts, finishes or changes phase."""
+
+    def test_every_trigger_inside_one_batch_matches_servers(self):
+        """One 100-tick batch (0.01..1.0 s) with every trigger: thread 0
+        crosses phase boundaries, enters its sync phase at 0.35 s, wraps
+        at 0.45 s and re-enters the sync phase at 0.8 s; thread 1 starts
+        at 0.305 s; thread 2's non-looping plan runs out at 0.45 s.
+        The sampler is on, so windows close inside the batch too.  A
+        second batch repeats the triggers with lane 1 frozen."""
+        spec = _spec(
+            _plan(0.0, (0.2, 0.15, 0.1)),
+            _plan(0.305, (0.1, 0.2, 0.15)),
+            _plan(0.0, (0.2, 0.25), loop=False),
+        )
+        fleet = _check_against_servers(
+            spec,
+            [SEED, SEED + 1, SEED + 2],
+            [(100, [True] * 3, [3] * 3), (100, [True, False, True], [3] * 3)],
+            _FAST_SAMPLING,
+        )
+        assert fleet._finished[2].all() and not fleet._finished[:2].any()
+        assert (fleet._affinity[:2] >= 0).all()
+
+    def test_recomputes_once_per_batch_and_per_phase_change(self, monkeypatch):
+        """An all-active gcc fleet (one live thread until 30 s) computes
+        its schedule once per batch while nothing changes, and once more
+        in the batch where thread 0 crosses from parse into optimize at
+        22 s.  Bit-identity alone would pass if every tick recomputed."""
+        calls = []
+        real = fleet_module._schedule_terms
+
+        def counted(fleet, *args):
+            calls.append(float(fleet._now[0]))
+            return real(fleet, *args)
+
+        monkeypatch.setattr(fleet_module, "_schedule_terms", counted)
+        fleet = FleetServer(fast_config(), get_workload("gcc"), [SEED, SEED + 1])
+        fleet.run_ticks(100)
+        assert len(calls) == 1
+        fleet.run_ticks(100)
+        assert len(calls) == 2
+        fleet.run_ticks(1950)
+        assert len(calls) == 3
+        assert (fleet._last_name_id[0] == 0).all()
+        fleet.run_ticks(100)
+        assert len(calls) == 5
+        assert 21.95 < calls[-1] < 22.05
+        assert (fleet._last_name_id[0] == 1).all()
 
 
 class TestDiskService:
@@ -577,6 +649,53 @@ class TestPackagePartials:
         assert np.array_equal(
             np.ascontiguousarray(got).view(np.int64), want.view(np.int64)
         )
+
+
+def _package_loop(rows):
+    """The ``for p in range(n_pkg)`` folds the kernel used before
+    ``_fold_packages`` (the oracle)."""
+    out = []
+    for row in rows:
+        acc = np.zeros(row.shape[1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for p in range(row.shape[0]):
+                acc += row[p]
+        out.append(acc)
+    return np.stack(out)
+
+
+class TestFoldPackages:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_reduce_matches_package_loop_bit_for_bit(self, data):
+        n_rows = data.draw(st.integers(2, 8), label="n_rows")
+        n_pkg = data.draw(st.integers(1, 12), label="n_pkg")
+        width = data.draw(st.integers(1, 4), label="width")
+        values = st.one_of(
+            st.sampled_from(_EDGE_FLOATS),
+            st.floats(allow_nan=False, allow_infinity=False),
+        )
+        rows = [
+            data.draw(arrays(np.float64, (n_pkg, width), elements=values))
+            for _ in range(n_rows)
+        ]
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _fold_packages(*rows)
+        want = _package_loop(rows)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_one_lane_many_packages_sums_in_package_order(self):
+        """One lane, 16 packages: adding the tiny terms one by one to 1.0
+        loses each of them, while a pairwise sum would keep their total.
+        All -0.0 terms fold to +0.0, as the scalar accumulators do."""
+        tiny = np.array([[1.0]] + [[1e-16]] * 15)
+        zeros = np.full((16, 1), -0.0)
+        got = _fold_packages(tiny, zeros)
+        assert got[0, 0] == 1.0
+        assert got[1, 0] == 0.0 and not np.signbit(got[1, 0])
+        want = _package_loop([tiny, zeros])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestSweepFleetGrouping:

@@ -309,6 +309,30 @@ class TestMonitoredFleetUnperturbedState:
             )
 
 
+class TestFrozenLaneTimestamps:
+    def test_each_window_carries_its_own_lanes_close_time(self, paper_suite):
+        """Lanes frozen for different lengths of time keep different
+        clocks, so one pulse can close windows at different times.  The
+        board and the drift monitor must stamp each window with its own
+        lane's close time (what the lane's sampler logged), not with
+        the first closing lane's."""
+        seeds = [11, 12, 13, 14]
+        fleet = FleetServer(fast_config(), get_workload("SPECjbb"), seeds)
+        monitor = FleetMonitor(paper_suite, history=64)
+        fleet.attach_fleet_monitor(monitor)
+        masks = np.random.default_rng(5).random((60, len(seeds))) < 0.5
+        masks[:, 0] = True
+        for active in masks:
+            fleet.run_ticks(50, active)
+        monitor.flush()
+        assert len({fleet.lane(lane).now_s for lane in range(4)}) == 4
+        assert monitor.n_windows == sum(len(ts) for ts in fleet._samp_ts)
+        for lane in range(len(seeds)):
+            stamps = [w["timestamp_s"] for w in monitor.board.lane_history(lane)]
+            assert stamps == fleet._samp_ts[lane], f"lane {lane}"
+            assert monitor.board.last_t_s[lane] == fleet._samp_ts[lane][-1]
+
+
 class TestPerturbLanes:
     def test_out_of_range_lane_raises(self):
         fleet = FleetServer(fast_config(), get_workload("gcc"), [1, 2])

@@ -18,12 +18,15 @@ import json
 import math
 import os
 import signal
+import subprocess
+import sys
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro import obs
 from repro.cli import main
 from repro.obs.alertmgr import Alert, AlertManager, dedup_key
@@ -782,6 +785,79 @@ class TestCLI:
 
     def test_obs_store_empty(self, tmp_path, capsys):
         assert main(["obs", "--store", str(tmp_path / "missing")]) == 1
+
+
+class TestStoreCli:
+    def test_monitored_run_queries_back_and_rolls_up_exactly(
+        self, tmp_path, capsys
+    ):
+        """A monitored run persists into a store; once it has exited, a
+        fresh process queries every series back, and each 10 s rollup
+        cell agrees with the raw points it covers."""
+        store = str(tmp_path / "tsdb-store")
+        code = main([
+            "monitor", "--workload", "gcc", "--duration", "120",
+            "--refresh", "30", "--port", "0", "--store", store,
+        ])
+        assert code == 0
+        captured = capsys.readouterr()
+        log = captured.out + captured.err
+        assert f"persisting telemetry to {store}" in log
+        assert f"store committed to {store}" in log
+        assert os.path.isfile(os.path.join(store, "drift_error_pct", "state.bin"))
+
+        # Everything below reads what the atomic state commits left on
+        # disk, from processes that never saw the monitor's memory.
+        src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = {
+            **os.environ,
+            "PYTHONPATH": src_dir + os.pathsep + os.environ.get("PYTHONPATH", ""),
+        }
+
+        def cli(*args):
+            done = subprocess.run(
+                [sys.executable, "-m", "repro.cli", *args, "--store", store],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert done.returncode == 0, (args, done.stdout, done.stderr)
+            return done.stdout
+
+        drift = cli(
+            "query", "drift_error_pct", "--label", "subsystem=total",
+            "--range", "2m",
+        )
+        assert "drift_error_pct{subsystem=total}" in drift
+        # The recording rule materialised its derived series mid-run.
+        rule = cli("query", "drift_error_pct:mean_5m", "--range", "2m")
+        assert "drift_error_pct:mean_5m{subsystem=total}" in rule
+        # Instant and CSV range modes on the live power gauge.
+        assert "live_total_power_watts:mean" in cli(
+            "query", "live_total_power_watts:mean"
+        )
+        csv = cli(
+            "query", "live_total_power_watts:mean", "--range", "2m",
+            "--step", "10", "--agg", "mean", "--csv",
+        ).splitlines()
+        assert csv[0] == "metric,labels,tier,t_s,value" and len(csv) > 1
+        assert "metric shard(s)" in cli("obs", "--range", "5m")
+
+        # Rollup tiers agree with raw exactly.
+        db = TSDB(store)
+        checked = 0
+        for name in ("drift_error_pct", "live_total_power_watts:mean"):
+            for series in db.select(name):
+                raw = series["points"]
+                (cells,) = db.select_cells(name, series["labels"], tier="10s")
+                assert sum(c[4] for c in cells["cells"]) == len(raw), name
+                for start, vmin, vmax, mean, count in cells["cells"]:
+                    window = [v for t, v in raw if start <= t < start + 10.0]
+                    assert count == len(window), (name, start)
+                    assert vmin == min(window) and vmax == max(window), (
+                        name, start,
+                    )
+                    assert abs(mean - sum(window) / count) < 1e-9, (name, start)
+                    checked += 1
+        assert checked > 0
 
 
 class TestServiceStore:
