@@ -1128,6 +1128,70 @@ def _cmd_sweep(
     return 0
 
 
+def _check_live_args(
+    args: argparse.Namespace, parser: argparse.ArgumentParser
+) -> None:
+    """Usage errors of ``monitor`` and ``serve``, before anything binds.
+
+    ``not x > 0`` also rejects NaN, which ``<= 0`` lets through: a NaN
+    SLO switched drift alerting off and a NaN ``--restore-at`` never
+    restored.
+    """
+    for name in ("duration", "refresh", "window", "slo"):
+        value = getattr(args, name)
+        if value is not None and not (value > 0 and math.isfinite(value)):
+            parser.error(f"--{name} must be positive and finite")
+    for flag, value in (("--perturb", args.perturb), ("--restore-at", args.restore_at)):
+        if value is not None and not math.isfinite(value):
+            parser.error(f"{flag} must be finite")
+
+
+def _start_endpoint(args: argparse.Namespace, command: str, drift=None, chaos=False):
+    """Telemetry on, then the flight recorder, the ``--store`` store with
+    its rules and alert plane, and the endpoint, bound and ``training``.
+
+    Returns None, after saying why on stderr, if the port is taken.
+    """
+    from repro.obs.http import ObservabilityServer
+
+    obs.enable()
+    recorder = None
+    if args.flight_dir:
+        from repro.obs import flight as flight_mod
+
+        recorder = flight_mod.get_global()
+        if recorder is not None:
+            recorder.drift = drift
+    store = alerts = rule_engine = None
+    if args.store:
+        from repro.obs.alertmgr import AlertManager
+        from repro.obs.rules import RuleEngine
+        from repro.obs.tsdb import TSDB
+
+        store = TSDB(args.store)
+        rule_engine = RuleEngine()
+        store.attach_rules(rule_engine)
+        alerts = AlertManager(store=store)
+        alerts.attach_drift(drift)
+        print(f"{command}: persisting telemetry to {args.store}")
+    endpoint = ObservabilityServer(
+        drift=drift,
+        flight=recorder,
+        chaos=chaos,
+        port=args.port,
+        store=store,
+        alerts=alerts,
+        rules=rule_engine,
+    )
+    endpoint.phase = "training"
+    try:
+        endpoint.start()
+    except OSError as error:
+        print(f"{command}: {error.strerror or error}", file=sys.stderr)
+        return None
+    return endpoint
+
+
 def _cmd_monitor(
     args: argparse.Namespace,
     parser: argparse.ArgumentParser,
@@ -1146,6 +1210,7 @@ def _cmd_monitor(
         parser.error("--fleet must be positive")
     if args.fleet > 0 and args.nodes > 0:
         parser.error("--fleet and --nodes are mutually exclusive")
+    _check_live_args(args, parser)
     perturb_lanes: "tuple[int, ...] | None" = None
     if args.perturb_lanes is not None:
         if args.fleet <= 0:
@@ -1170,7 +1235,6 @@ def _cmd_monitor(
                 + ",".join(map(str, bad))
             )
 
-    obs.enable()
     slo = drift_mod.DEFAULT_SLO_PCT if args.slo is None else args.slo
     if args.fleet > 0:
         from repro.obs.fleet import FleetDriftMonitor
@@ -1181,38 +1245,8 @@ def _cmd_monitor(
         drift = FleetDriftMonitor(args.fleet, slo_pct=slo)
     else:
         drift = drift_mod.DriftMonitor(slo_pct=slo)
-    recorder = None
-    if args.flight_dir:
-        from repro.obs import flight as flight_mod
-
-        recorder = flight_mod.get_global()
-        if recorder is not None:
-            recorder.drift = drift
-    store = alerts = rule_engine = None
-    if args.store:
-        from repro.obs.alertmgr import AlertManager
-        from repro.obs.rules import RuleEngine
-        from repro.obs.tsdb import TSDB
-
-        store = TSDB(args.store)
-        rule_engine = RuleEngine()
-        store.attach_rules(rule_engine)
-        alerts = AlertManager(store=store)
-        alerts.attach_drift(drift)
-        print(f"monitor: persisting telemetry to {args.store}")
-    endpoint = ObservabilityServer(
-        drift=drift,
-        flight=recorder,
-        port=args.port,
-        store=store,
-        alerts=alerts,
-        rules=rule_engine,
-    )
-    endpoint.phase = "training"
-    try:
-        endpoint.start()
-    except OSError as error:
-        print(f"monitor: {error.strerror or error}", file=sys.stderr)
+    endpoint = _start_endpoint(args, "monitor", drift=drift)
+    if endpoint is None:
         return 2
     # With --port 0 this prints the ephemeral port actually bound.
     print(
@@ -1227,24 +1261,19 @@ def _cmd_monitor(
     scale_suite = args.perturb is not None and args.fleet <= 0
     active = suite.scaled(args.perturb) if scale_suite else suite
     if scale_suite:
-        note = (
-            f", restoring calibration at t={args.restore_at:g}s"
-            if args.restore_at is not None
-            else ""
-        )
         print(
-            f"monitor: estimator coefficients scaled x{args.perturb:g}{note}"
+            f"monitor: estimator coefficients scaled x{args.perturb:g}"
+            f"{_restore_note(args)}"
         )
+    seconds = max(1, int(round(args.duration)))
     try:
         endpoint.phase = "running"
         if args.fleet > 0:
-            code = _monitor_fleet(
-                args, context, endpoint, drift, suite, name, perturb_lanes
-            )
+            _monitor_fleet(args, context, endpoint, suite, name, perturb_lanes, seconds)
         elif args.nodes > 0:
-            code = _monitor_cluster(args, context, endpoint, drift, suite, active, name)
+            _monitor_cluster(args, context, endpoint, suite, active, name, seconds)
         else:
-            code = _monitor_server(args, context, endpoint, drift, suite, active, name)
+            _monitor_server(args, context, endpoint, suite, active, name, seconds)
         endpoint.phase = "done"
     finally:
         if args.telemetry:
@@ -1253,15 +1282,15 @@ def _cmd_monitor(
             with open(alerts_path, "w", encoding="utf-8") as handle:
                 json.dump(drift.to_json(), handle, indent=2, sort_keys=True)
             print(f"monitor: wrote alert log to {alerts_path}")
-        if store is not None:
+        if endpoint.store is not None:
             # Short runs may never evict a window naturally; drain the
             # remainder, then commit everything in one final flush.
             if endpoint.windows is not None:
                 endpoint.windows.drain()
-            store.close()
+            endpoint.store.close()
             print(f"monitor: store committed to {args.store}")
         endpoint.stop()
-    return code
+    return 0
 
 
 def _cmd_serve(
@@ -1274,47 +1303,19 @@ def _cmd_serve(
     from time import monotonic, sleep
 
     from repro.obs import drift as drift_mod
-    from repro.obs.http import ObservabilityServer
     from repro.serve import EstimationService, LineSocketServer, SLOEngine
 
     if args.shards < 1:
         parser.error("--shards must be >= 1")
     if args.replay is None and args.rate:
         parser.error("--rate needs --replay")
+    _check_live_args(args, parser)
     nodes = args.nodes if args.nodes > 0 else 4
-    obs.enable()
     slo_pct = drift_mod.DEFAULT_SLO_PCT if args.slo is None else args.slo
-    recorder = None
-    if args.flight_dir:
-        from repro.obs import flight as flight_mod
-
-        recorder = flight_mod.get_global()
-
-    store = alerts = rule_engine = None
-    if args.store:
-        from repro.obs.alertmgr import AlertManager
-        from repro.obs.rules import RuleEngine
-        from repro.obs.tsdb import TSDB
-
-        store = TSDB(args.store)
-        rule_engine = RuleEngine()
-        store.attach_rules(rule_engine)
-        alerts = AlertManager(store=store)
-        print(f"serve: persisting telemetry to {args.store}")
-    endpoint = ObservabilityServer(
-        flight=recorder,
-        chaos=args.chaos,
-        port=args.port,
-        store=store,
-        alerts=alerts,
-        rules=rule_engine,
-    )
-    endpoint.phase = "training"
-    try:
-        endpoint.start()
-    except OSError as error:
-        print(f"serve: {error.strerror or error}", file=sys.stderr)
+    endpoint = _start_endpoint(args, "serve", chaos=args.chaos)
+    if endpoint is None:
         return 2
+    recorder, store = endpoint.flight, endpoint.store
     # With --port 0 this prints the ephemeral port actually bound.
     print(
         f"serve: endpoint at {endpoint.url()} "
@@ -1335,7 +1336,7 @@ def _cmd_serve(
     endpoint.service = service
     if store is not None:
         service.attach_store(store, window_s=args.window)
-        alerts.attach_slo(service.slo)
+        endpoint.alerts.attach_slo(service.slo)
     service.start()
     socket_server = None
     if args.socket_port is not None:
@@ -1498,14 +1499,6 @@ def _report_alerts(drift, seen: int) -> int:
     return len(history)
 
 
-def _attach_store_sink(endpoint, windows) -> None:
-    """Route a monitor's evicted windows into the endpoint's store."""
-    if endpoint.store is not None:
-        from repro.obs.tsdb import WindowSink
-
-        windows.on_evict = WindowSink(endpoint.store)
-
-
 def _store_tick(endpoint, now_s: float) -> None:
     """Periodic store upkeep: sink closed windows, alerts, then flush.
 
@@ -1524,99 +1517,120 @@ def _store_tick(endpoint, now_s: float) -> None:
         endpoint.store.flush(now_s)
 
 
-def _monitor_server(
-    args: argparse.Namespace,
-    context: "ex.ExperimentContext",
-    endpoint,
-    drift,
-    suite,
-    active,
-    name: str,
-) -> int:
+def _restore_note(args: argparse.Namespace) -> str:
+    if args.restore_at is None:
+        return ""
+    return f", restoring calibration at t={args.restore_at:g}s"
+
+
+def _monitor_loop(
+    args: argparse.Namespace, endpoint, windows, seconds: int, step, restore, summary
+) -> None:
+    """The per-second work every ``monitor`` mode shares.
+
+    ``windows`` (the observer's) backs the endpoint's ``/windows``, the
+    store sink and the flight recorder.  Each simulated second
+    ``step()`` advances the engine one second and returns its clock;
+    at ``--restore-at`` (with ``--perturb``) ``restore()`` swaps the
+    calibrated suite back; new drift transitions print; the store
+    ticks; and every ``--refresh`` seconds
+    ``summary(now_s, second, wall_s)`` prints the mode's line.
+    """
     from time import perf_counter
 
+    endpoint.windows = windows
+    if endpoint.store is not None:
+        from repro.obs.tsdb import WindowSink
+
+        windows.on_evict = WindowSink(endpoint.store)
+    if endpoint.flight is not None:
+        endpoint.flight.windows = windows
+    restored = args.perturb is None or args.restore_at is None
+    seen_alerts = 0
+    next_report = args.refresh
+    wall_start = perf_counter()
+    for second in range(1, seconds + 1):
+        now_s = step()
+        if not restored and now_s >= args.restore_at:
+            restore()
+            restored = True
+            print(f"monitor: t={now_s:6.1f}s  calibrated suite restored")
+        seen_alerts = _report_alerts(endpoint.drift, seen_alerts)
+        _store_tick(endpoint, now_s)
+        if second >= next_report:
+            summary(now_s, second, perf_counter() - wall_start)
+            next_report += args.refresh
+
+
+def _monitor_server(args, context, endpoint, suite, active, name, seconds) -> None:
     from repro.core.estimator import SystemPowerEstimator
     from repro.obs.live import LiveMonitor
     from repro.simulator.system import Server
 
-    spec = get_workload(name)
-    server = Server(context.config, spec, seed=context.seed)
+    drift = endpoint.drift
+    server = Server(context.config, get_workload(name), seed=context.seed)
     monitor = LiveMonitor(
         SystemPowerEstimator(active, attribute=True),
         drift=drift,
         window_s=args.window,
         flight=endpoint.flight,
     )
-    endpoint.windows = monitor.windows
-    _attach_store_sink(endpoint, monitor.windows)
-    if endpoint.flight is not None:
-        endpoint.flight.windows = monitor.windows
     server.attach_monitor(monitor)
-
     ticks_per_s = max(1, int(round(1.0 / context.config.tick_s)))
-    duration = max(1, int(round(args.duration)))
-    restored = args.perturb is None or args.restore_at is None
-    seen_alerts = 0
-    next_report = args.refresh
-    wall_start = perf_counter()
-    print(f"monitor: running {name} for {duration}s of simulated time ...")
-    for second in range(1, duration + 1):
+
+    def step() -> float:
         server.run_ticks(ticks_per_s)
-        if not restored and server.now_s >= args.restore_at:
-            monitor.set_suite(suite)
-            restored = True
-            print(f"monitor: t={server.now_s:6.1f}s  calibrated suite restored")
-        seen_alerts = _report_alerts(drift, seen_alerts)
-        _store_tick(endpoint, server.now_s)
-        if second >= next_report:
-            _print_live_summary(
-                server.now_s,
-                monitor.last,
-                drift,
-                second * ticks_per_s,
-                perf_counter() - wall_start,
-            )
-            next_report += args.refresh
+        return server.now_s
+
+    def summary(now_s: float, second: int, wall_s: float) -> None:
+        sample = monitor.last
+        if sample is None:
+            print(f"monitor: t={now_s:6.1f}s  (no sampler window closed yet)")
+            return
+        per_subsystem = "  ".join(
+            f"{subsystem[:4]} {sample.estimated_w.get(subsystem, 0.0):5.1f}W"
+            for subsystem in sorted(sample.true_w)
+        )
+        firing = ",".join(drift.firing) or "-"
+        rate = second * ticks_per_s / wall_s if wall_s > 0 else 0.0
+        print(
+            f"monitor: t={now_s:6.1f}s  true {sample.total_true_w:6.1f}W  "
+            f"est {sample.total_estimated_w:6.1f}W  "
+            f"err {sample.total_error_pct:4.1f}%  [{per_subsystem}]  "
+            f"alerts: {firing}  {rate:,.0f} ticks/s"
+        )
+
+    print(f"monitor: running {name} for {seconds}s of simulated time ...")
+    _monitor_loop(
+        args, endpoint, monitor.windows, seconds, step,
+        lambda: monitor.set_suite(suite), summary,
+    )
     server.detach_monitor()
     print(
         f"monitor: done — {monitor.n_windows} sampler window(s), "
         f"{len(drift.history())} alert transition(s), "
         f"firing now: {', '.join(drift.firing) or 'none'}"
     )
-    return 0
 
 
 def _monitor_fleet(
-    args: argparse.Namespace,
-    context: "ex.ExperimentContext",
-    endpoint,
-    drift,
-    suite,
-    name: "str | None",
-    perturb_lanes: "tuple[int, ...] | None",
-) -> int:
-    from time import perf_counter
-
+    args, context, endpoint, suite, name, perturb_lanes, seconds
+) -> None:
     from repro.obs.fleet import FleetMonitor
     from repro.simulator.fleet import FleetServer
 
+    drift = endpoint.drift
     name = name or "gcc"
-    spec = get_workload(name)
     seeds = [context.seed + lane for lane in range(args.fleet)]
-    fleet = FleetServer(context.config, spec, seeds)
+    fleet = FleetServer(context.config, get_workload(name), seeds)
     monitor = FleetMonitor(
         suite,
         drift=drift,
         window_s=args.window,
         flight=endpoint.flight,
     )
-    endpoint.windows = monitor.windows
     endpoint.fleet = monitor
-    _attach_store_sink(endpoint, monitor.windows)
-    if endpoint.flight is not None:
-        endpoint.flight.windows = monitor.windows
     fleet.attach_fleet_monitor(monitor)
-
     if args.perturb is not None:
         lanes = (
             perturb_lanes
@@ -1624,47 +1638,44 @@ def _monitor_fleet(
             else tuple(range(args.fleet))
         )
         monitor.perturb_lanes(args.perturb, lanes)
-        note = (
-            f", restoring calibration at t={args.restore_at:g}s"
-            if args.restore_at is not None
-            else ""
-        )
         print(
             f"monitor: lane(s) {','.join(map(str, lanes))} "
-            f"scaled x{args.perturb:g}{note}"
+            f"scaled x{args.perturb:g}{_restore_note(args)}"
+        )
+    ticks_per_s = max(1, int(round(1.0 / context.config.tick_s)))
+
+    def step() -> float:
+        fleet.run_ticks(ticks_per_s)
+        # Every second's windows are judged before a restore, with the
+        # perturbation still applied.
+        monitor.flush()
+        return fleet.now_s
+
+    def summary(now_s: float, second: int, wall_s: float) -> None:
+        document = monitor.fleet_document()
+        power = document["power_w"]
+        if not power["true"]:
+            print(f"monitor: t={now_s:6.1f}s  (no lane window closed yet)")
+            return
+        error = document.get("error_pct") or {}
+        firing = ",".join(str(lane) for lane in document["firing_lanes"]) or "-"
+        rate = second * ticks_per_s * args.fleet / wall_s if wall_s > 0 else 0.0
+        print(
+            f"monitor: t={now_s:6.1f}s  "
+            f"true mean {power['true'].get('mean', 0.0):6.1f}W  "
+            f"est mean {power.get('estimated', {}).get('mean', 0.0):6.1f}W  "
+            f"err p95 {error.get('p95', float('nan')):4.1f}%  "
+            f"firing lanes: {firing}  {rate:,.0f} lane-ticks/s"
         )
 
-    ticks_per_s = max(1, int(round(1.0 / context.config.tick_s)))
-    duration = max(1, int(round(args.duration)))
-    restored = args.perturb is None or args.restore_at is None
-    seen_alerts = 0
-    next_report = args.refresh
-    wall_start = perf_counter()
     print(
         f"monitor: fleet of {args.fleet} lane(s) running {name} for "
-        f"{duration}s of simulated time ..."
+        f"{seconds}s of simulated time ..."
     )
-    for second in range(1, duration + 1):
-        fleet.run_ticks(ticks_per_s)
-        if not restored and fleet.now_s >= args.restore_at:
-            # Flush first so windows captured under the perturbation
-            # are judged with it still applied.
-            monitor.flush()
-            monitor.restore_lanes()
-            restored = True
-            print(f"monitor: t={fleet.now_s:6.1f}s  calibrated suite restored")
-        monitor.flush()
-        seen_alerts = _report_alerts(drift, seen_alerts)
-        _store_tick(endpoint, fleet.now_s)
-        if second >= next_report:
-            _print_fleet_summary(
-                fleet.now_s,
-                monitor,
-                second * ticks_per_s * args.fleet,
-                perf_counter() - wall_start,
-            )
-            next_report += args.refresh
-    monitor.flush()
+    _monitor_loop(
+        args, endpoint, monitor.windows, seconds, step, monitor.restore_lanes,
+        summary,
+    )
     fleet.detach_fleet_monitor()
     firing = ",".join(map(str, drift.firing_lanes())) or "none"
     print(
@@ -1673,66 +1684,13 @@ def _monitor_fleet(
         f"{len(drift.history())} alert transition(s), "
         f"firing lanes: {firing}"
     )
-    return 0
 
 
-def _print_fleet_summary(
-    now_s: float, monitor, ticks_done: int, wall_s: float
-) -> None:
-    summary = monitor.fleet_document()
-    power = summary["power_w"]
-    if not power["true"]:
-        print(f"monitor: t={now_s:6.1f}s  (no lane window closed yet)")
-        return
-    error = summary.get("error_pct") or {}
-    firing = ",".join(str(lane) for lane in summary["firing_lanes"]) or "-"
-    ticks_per_s = ticks_done / wall_s if wall_s > 0 else 0.0
-    print(
-        f"monitor: t={now_s:6.1f}s  "
-        f"true mean {power['true'].get('mean', 0.0):6.1f}W  "
-        f"est mean {power.get('estimated', {}).get('mean', 0.0):6.1f}W  "
-        f"err p95 {error.get('p95', float('nan')):4.1f}%  "
-        f"firing lanes: {firing}  {ticks_per_s:,.0f} lane-ticks/s"
-    )
-
-
-def _print_live_summary(
-    now_s: float, sample, drift, ticks_done: int, wall_s: float
-) -> None:
-    if sample is None:
-        print(f"monitor: t={now_s:6.1f}s  (no sampler window closed yet)")
-        return
-    per_subsystem = "  ".join(
-        f"{subsystem[:4]} {sample.estimated_w.get(subsystem, 0.0):5.1f}W"
-        for subsystem in sorted(sample.true_w)
-    )
-    firing = ",".join(drift.firing) or "-"
-    ticks_per_s = ticks_done / wall_s if wall_s > 0 else 0.0
-    print(
-        f"monitor: t={now_s:6.1f}s  true {sample.total_true_w:6.1f}W  "
-        f"est {sample.total_estimated_w:6.1f}W  "
-        f"err {sample.total_error_pct:4.1f}%  [{per_subsystem}]  "
-        f"alerts: {firing}  {ticks_per_s:,.0f} ticks/s"
-    )
-
-
-def _monitor_cluster(
-    args: argparse.Namespace,
-    context: "ex.ExperimentContext",
-    endpoint,
-    drift,
-    suite,
-    active,
-    name: "str | None",
-) -> int:
-    from repro.cluster import (
-        Cluster,
-        PowerAwareManager,
-        diurnal_demand,
-    )
+def _monitor_cluster(args, context, endpoint, suite, active, name, seconds) -> None:
+    from repro.cluster import Cluster, PowerAwareManager, diurnal_demand
     from repro.obs.live import ClusterObserver
 
-    duration = max(1, int(round(args.duration)))
+    drift = endpoint.drift
     service = name or "SPECjbb"
     cluster = Cluster(
         n_nodes=args.nodes,
@@ -1743,10 +1701,10 @@ def _monitor_cluster(
     peak = max(1, int(cluster.capacity * 0.85))
     trough = max(1, cluster.capacity // 8)
     demand = diurnal_demand(
-        duration,
+        seconds,
         peak,
         trough,
-        period_s=max(duration / 2.0, 60.0),
+        period_s=max(seconds / 2.0, 60.0),
         seed=context.seed,
     )
     observer = ClusterObserver(
@@ -1756,55 +1714,46 @@ def _monitor_cluster(
         attribute=True,
         flight=endpoint.flight,
     )
-    endpoint.windows = observer.windows
-    _attach_store_sink(endpoint, observer.windows)
-    if endpoint.flight is not None:
-        endpoint.flight.windows = observer.windows
     manager = PowerAwareManager()
-    restored = args.perturb is None or args.restore_at is None
-    seen_alerts = 0
-    next_report = args.refresh
+    slices: "list" = []  # one ClusterTrace per second
+
+    def step() -> float:
+        t = len(slices)
+        slices.append(cluster.run([demand[t]], manager))
+        observer.on_second(cluster, float(t + 1))
+        return float(t + 1)
+
+    def summary(now_s: float, second: int, wall_s: float) -> None:
+        last = slices[-1]
+        error = (
+            f"{observer.last.total_error_pct:4.1f}%"
+            if observer.last is not None
+            else "  n/a"
+        )
+        print(
+            f"monitor: t={now_s:6.1f}s  demand {last.demand[-1]:3d}  "
+            f"served {last.served[-1]:3d}  "
+            f"nodes on {last.nodes_on[-1]}/{args.nodes}  "
+            f"power {last.power_w[-1]:7.1f}W  est err {error}  "
+            f"alerts: {','.join(drift.firing) or '-'}"
+        )
+
     print(
         f"monitor: cluster of {args.nodes} node(s) serving {service}, "
-        f"demand {trough}..{peak} threads over {duration}s ..."
+        f"demand {trough}..{peak} threads over {seconds}s ..."
     )
-    total_energy_j = 0.0
-    dropped = 0
-    for t, threads in enumerate(demand):
-        slice_trace = cluster.run(
-            [threads], manager, observer=observer, start_s=float(t)
-        )
-        total_energy_j += slice_trace.energy_j
-        dropped += slice_trace.dropped_thread_seconds
-        now = float(t + 1)
-        if not restored and now >= args.restore_at:
-            observer.set_suite(suite)
-            restored = True
-            print(f"monitor: t={now:6.1f}s  calibrated suite restored")
-        seen_alerts = _report_alerts(drift, seen_alerts)
-        _store_tick(endpoint, now)
-        if now >= next_report:
-            firing = ",".join(drift.firing) or "-"
-            error = (
-                f"{observer.last.total_error_pct:4.1f}%"
-                if observer.last is not None
-                else "  n/a"
-            )
-            print(
-                f"monitor: t={now:6.1f}s  demand {slice_trace.demand[-1]:3d}  "
-                f"served {slice_trace.served[-1]:3d}  "
-                f"nodes on {slice_trace.nodes_on[-1]}/{args.nodes}  "
-                f"power {slice_trace.power_w[-1]:7.1f}W  est err {error}  "
-                f"alerts: {firing}"
-            )
-            next_report += args.refresh
+    _monitor_loop(
+        args, endpoint, observer.windows, seconds, step,
+        lambda: observer.set_suite(suite), summary,
+    )
+    energy_j = sum(trace.energy_j for trace in slices)
+    dropped = sum(trace.dropped_thread_seconds for trace in slices)
     print(
-        f"monitor: done — energy {total_energy_j / 3600.0:.2f} Wh, "
+        f"monitor: done — energy {energy_j / 3600.0:.2f} Wh, "
         f"dropped {dropped} thread-second(s), "
         f"{len(drift.history())} alert transition(s), "
         f"firing now: {', '.join(drift.firing) or 'none'}"
     )
-    return 0
 
 
 def _print_telemetry(directory: str, cache_dir: "str | None") -> int:

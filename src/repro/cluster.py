@@ -353,6 +353,7 @@ class Cluster:
             for i in range(n_nodes)
         ]
         self._applied_pstates: "np.ndarray | None" = None
+        self._node_energy_j = [0.0] * n_nodes  # since built, across runs
 
     @property
     def capacity(self) -> int:
@@ -387,33 +388,20 @@ class Cluster:
                 powers[int(i)] = float(energies[i])
         return powers
 
-    def run(
-        self,
-        demand_trace: "list[int]",
-        manager,
-        observer=None,
-        start_s: float = 0.0,
-    ) -> ClusterTrace:
+    def run(self, demand_trace: "list[int]", manager) -> ClusterTrace:
         """Serve a per-second demand trace under the given manager.
 
         Each second the manager's ``place(nodes, demand)`` sets the
         nodes' power states, P-states and loads; a manager sees only the
         node list, so a caller may hand it a slice of a larger cluster.
-
-        ``observer`` (e.g. :class:`repro.obs.live.ClusterObserver`) is
-        called once per second with
-        ``on_second(cluster, t_s, demand, served, node_powers)`` —
-        the hook live monitoring, estimation and drift detection plug
-        into.  With telemetry enabled, per-node and
-        cluster-level gauges are published every second regardless of
-        the observer.  ``start_s`` offsets the observer's clock so a
-        driving loop can feed the trace in slices (node state carries
-        over between calls anyway).
+        With telemetry enabled, per-node and cluster-level gauges are
+        published every second.  Node state and energy carry over
+        between calls, so a caller may feed the trace in slices.
         """
         trace = ClusterTrace()
         trace.node_power_w = [[] for _ in self.nodes]
-        node_energy = [0.0] * len(self.nodes)
-        for t, offered in enumerate(demand_trace):
+        node_energy = self._node_energy_j
+        for offered in demand_trace:
             offered = int(offered)
             # Placement can only ever serve up to capacity, but the
             # trace records the *offered* demand so flash crowds above
@@ -453,10 +441,6 @@ class Cluster:
 
                 publish_lane_aggregates(
                     "cluster_node", np.asarray(node_powers, dtype=float)
-                )
-            if observer is not None:
-                observer.on_second(
-                    self, start_s + float(t + 1), offered, served, node_powers
                 )
         return trace
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -284,9 +284,3 @@ def concat_runs(runs: "list[MeasuredRun] | tuple[MeasuredRun, ...]") -> Measured
             },
         ),
     )
-
-
-def iter_subsystem_series(run: MeasuredRun) -> Iterator[tuple[Subsystem, np.ndarray]]:
-    """Yield (subsystem, measured power series) pairs for a run."""
-    for subsystem in run.power.subsystems:
-        yield subsystem, run.power.power(subsystem)

@@ -272,17 +272,6 @@ def sweep_specs(
     runs inline in this process — the results are identical either
     way, only the wall-clock differs.
 
-    Specs that differ *only in seed* — same workload, duration, pstate,
-    warmup and config — run as one vectorized
-    :func:`~repro.simulator.fleet.simulate_fleet` pass, one lane per
-    seed.  Lane results match the per-spec path exactly on the
-    simulation side (counters, energy, metadata); measured power traces
-    are tolerance-bounded per the fleet's documented epsilon.  A spec
-    whose group has no other member takes the per-spec path, and so
-    does every spec under fault injection (faults key on per-spec
-    attempts, which a batched pass does not have).  A fleet pass that
-    fails falls back to per-spec execution for its specs.
-
     Failures are retried per ``retry`` (default
     :data:`DEFAULT_RETRY_POLICY`); when a cache is attached, completed
     runs are stored as they finish, so an interrupted sweep resumes
@@ -389,73 +378,6 @@ def _record_permanent_failure(
     )
 
 
-def _run_fleet_groups(
-    specs: "list[SweepSpec]",
-    pending: "list[int]",
-    runs: "list[MeasuredRun | None]",
-    cache: "RunCache | None",
-    state: _ExecState,
-) -> "list[int]":
-    """Serve many-seed spec groups from one fleet pass each.
-
-    Returns the spec indices still pending (singleton groups, plus any
-    group whose fleet pass raised — those fall back to the per-spec
-    path so one bad batch cannot fail a whole sweep).
-    """
-    from repro.simulator.fleet import simulate_fleet
-    from repro.workloads.registry import get_workload
-
-    groups: "dict[tuple, list[int]]" = {}
-    for i in pending:
-        spec = specs[i]
-        key = (
-            spec.workload,
-            spec.duration_s,
-            spec.pstate,
-            spec.warmup_windows,
-            repr(spec.resolved_config()),
-        )
-        groups.setdefault(key, []).append(i)
-    remaining: "list[int]" = []
-    for members in groups.values():
-        if len(members) < 2:
-            remaining.extend(members)
-            continue
-        spec0 = specs[members[0]]
-        try:
-            with obs.span(
-                "sweep.fleet",
-                workload=spec0.workload,
-                n_lanes=len(members),
-            ):
-                fleet_runs = simulate_fleet(
-                    get_workload(spec0.workload),
-                    duration_s=spec0.duration_s,
-                    seeds=[specs[i].seed for i in members],
-                    config=spec0.resolved_config(),
-                    pstate=spec0.pstate,
-                )
-        except Exception as exc:
-            logger.warning(
-                "sweep: fleet pass failed for %d %s spec(s) (%s: %s); "
-                "falling back to per-spec execution",
-                len(members),
-                spec0.workload,
-                type(exc).__name__,
-                exc,
-            )
-            remaining.extend(members)
-            continue
-        obs.inc("sweep_fleet_lanes_total", len(members))
-        for i, run in zip(members, fleet_runs):
-            if specs[i].warmup_windows > 0:
-                run = run.drop_warmup(specs[i].warmup_windows)
-            runs[i] = run
-            _checkpoint(cache, specs[i], run)
-            state.completed += 1
-    return sorted(remaining)
-
-
 def _sweep_specs(
     specs: "list[SweepSpec]",
     n_workers: int,
@@ -481,24 +403,21 @@ def _sweep_specs(
 
     telemetry = obs.enabled()
     state = _ExecState()
-    to_execute = pending
-    if faults is None:
-        to_execute = _run_fleet_groups(specs, pending, runs, cache, state)
-    effective_workers = min(n_workers, len(to_execute)) if to_execute else 0
+    effective_workers = min(n_workers, len(pending)) if pending else 0
     if effective_workers > 1:
         logger.debug(
             "sweeping %d spec(s) over %d worker(s) (%d cache hit(s))",
-            len(to_execute),
+            len(pending),
             effective_workers,
             hits,
         )
         _run_pending_parallel(
-            specs, to_execute, runs, cache, telemetry, retry, faults,
+            specs, pending, runs, cache, telemetry, retry, faults,
             effective_workers, state,
         )
     else:
         _run_pending_serial(
-            specs, to_execute, runs, cache, telemetry, retry, faults, state
+            specs, pending, runs, cache, telemetry, retry, faults, state
         )
 
     if caching:

@@ -27,6 +27,7 @@ fixed-seed run produces the identical alert sequence.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -102,8 +103,8 @@ class DriftMonitor:
         resolve_ratio: float = 0.8,
         max_history: int = 256,
     ) -> None:
-        if slo_pct <= 0:
-            raise ValueError("slo_pct must be positive")
+        if not (slo_pct > 0 and math.isfinite(slo_pct)):
+            raise ValueError("slo_pct must be positive and finite")
         if not 0.0 < alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
         if min_windows < 1:

@@ -33,6 +33,7 @@ give identical windows, EWMAs and alerts.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -129,8 +130,8 @@ class FleetDriftMonitor:
     ) -> None:
         if width < 1:
             raise ValueError("width must be >= 1")
-        if slo_pct <= 0:
-            raise ValueError("slo_pct must be positive")
+        if not (slo_pct > 0 and math.isfinite(slo_pct)):
+            raise ValueError("slo_pct must be positive and finite")
         if not 0.0 < alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
         if min_windows < 1:
@@ -624,7 +625,7 @@ class FleetMonitor:
 
     # -- the hot hook --------------------------------------------------
 
-    def on_pulse(self, fleet, lanes: np.ndarray, now_s: float) -> None:
+    def on_pulse(self, fleet, lanes: np.ndarray) -> None:
         """Capture one tick's closing lanes (cheap; no estimation).
 
         Called from inside ``FleetServer.run_ticks`` with the indices
@@ -633,8 +634,7 @@ class FleetMonitor:
         per-subsystem energy delta; everything else waits for
         :meth:`flush`.  Each window is stamped with its own lane's
         close time, the one its sampler just logged: lanes frozen for
-        different lengths of time do not share a clock, so ``now_s``
-        (the first closing lane's) is not used.
+        different lengths of time do not share a clock.
         """
         lanes = np.asarray(lanes, dtype=np.int64)
         samp_ts = fleet._samp_ts

@@ -111,8 +111,8 @@ class WindowedRegistry:
         max_windows: int = DEFAULT_MAX_WINDOWS,
         on_evict=None,
     ) -> None:
-        if window_s <= 0:
-            raise ValueError("window_s must be positive")
+        if not (window_s > 0 and math.isfinite(window_s)):
+            raise ValueError("window_s must be positive and finite")
         if max_windows < 1:
             raise ValueError("max_windows must be >= 1")
         self.window_s = float(window_s)
@@ -532,7 +532,8 @@ class LiveMonitor:
 
 
 class ClusterObserver:
-    """Per-second live telemetry for :meth:`repro.cluster.Cluster.run`.
+    """Per-second live telemetry for a :class:`repro.cluster.Cluster`
+    run one second at a time, :meth:`on_second` called after each.
 
     With a fitted ``suite``, every second reads (and clears) the
     counters of all available nodes in one
@@ -576,15 +577,8 @@ class ClusterObserver:
         """Swap the model suite (e.g. after recalibration)."""
         self.suite = suite
 
-    def on_second(
-        self,
-        cluster,
-        t_s: float,
-        demand: int,
-        served: int,
-        node_powers: "list[float]",
-    ) -> "list":
-        """Per-second callback from ``Cluster.run``; returns transitions."""
+    def on_second(self, cluster, t_s: float) -> "list":
+        """Watch the second that ended at ``t_s``; returns transitions."""
         transitions: "list" = []
         if self.suite is not None:
             transitions = self._compare(cluster, t_s)

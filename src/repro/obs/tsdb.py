@@ -123,13 +123,6 @@ def _zigzag(n: int) -> int:
     return (n << 1) ^ (n >> 63)
 
 
-def _put_varint(buf: bytearray, n: int) -> None:
-    while n > 0x7F:
-        buf.append((n & 0x7F) | 0x80)
-        n >>= 7
-    buf.append(n)
-
-
 class _Series:
     """One series' open (appendable) raw block and encoder state."""
 

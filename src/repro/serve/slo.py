@@ -23,6 +23,7 @@ on disk before anyone pages.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections import deque
@@ -95,6 +96,8 @@ class SLOEngine:
         clock=None,
         flight=None,
     ) -> None:
+        if not (error_bound_pct > 0 and math.isfinite(error_bound_pct)):
+            raise ValueError("error_bound_pct must be positive and finite")
         if short_window_s <= 0 or long_window_s < short_window_s:
             raise ValueError("need 0 < short_window_s <= long_window_s")
         if fast_burn_rate <= 0:

@@ -1002,13 +1002,13 @@ class FleetServer:
     def attach_fleet_monitor(self, monitor) -> None:
         """Attach a fleet-wide monitor pulsed on every closing lane.
 
-        ``monitor.on_pulse(fleet, lanes, now_s)`` fires once per tick
-        on which any lane closes a sampling window, with the closing
-        lane indices and the first closing lane's clock; each lane's
-        own close time is the last entry of its sampler log (see
-        :class:`repro.obs.fleet.FleetMonitor`, the one way fleet
-        lanes are watched).  ``on_attach_fleet``, when
-        present, fires now.  Unattached, the tick loop pays one
+        ``monitor.on_pulse(fleet, lanes)`` fires once per tick on
+        which any lane closes a sampling window, with the closing lane
+        indices.  Lanes frozen for different lengths of time keep
+        different clocks, so a lane's close time is the last entry of
+        its own sampler log (see :class:`repro.obs.fleet.FleetMonitor`,
+        the one way fleet lanes are watched).  ``on_attach_fleet``,
+        when present, fires now.  Unattached, the tick loop pays one
         ``is not None`` check per closing tick.
         """
         self._fleet_monitor = monitor
@@ -1098,9 +1098,9 @@ class FleetServer:
         lane never being stepped.  Frozen lanes report 0.0 J.  A batch
         with every lane active works on the state arrays in place.
 
-        A fleet monitor's ``on_pulse`` gets global lane ids and the
-        first closing lane's clock; the closing lanes' window logs and
-        ``_energy5`` columns are current when it runs.
+        A fleet monitor's ``on_pulse`` gets global lane ids; the
+        closing lanes' window logs and ``_energy5`` columns are current
+        when it runs.
 
         The scheduler, CPU-package and process-accounting stages run
         on the thread rows up to the last one that can run on an
@@ -1718,9 +1718,7 @@ class FleetServer:
                         if sel is not None:
                             # The monitor reads the closing lanes' energy.
                             self._energy5[:, closed_lanes] = energy5[:, closed]
-                        fleet_monitor.on_pulse(
-                            self, closed_lanes, float(now[closed[0]])
-                        )
+                        fleet_monitor.on_pulse(self, closed_lanes)
 
         thread_stream.release()
         chip_stream.release()

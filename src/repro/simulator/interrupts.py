@@ -57,10 +57,6 @@ class InterruptController:
             self._since_sample[cpu] += 1
             self._vector_since_sample[vector][cpu] += 1
 
-    def serviced_this_tick(self) -> "list[float]":
-        """Interrupts per package since last drain (for CPU overhead)."""
-        return list(self._since_sample)
-
     def drain_tick(self) -> "tuple[list[float], dict[Vector, list[float]]]":
         """(all-vector totals, per-vector counts) per package this tick.
 

@@ -29,7 +29,6 @@ from hypothesis.extra.numpy import arrays
 
 from repro.cluster import Cluster, PowerAwareManager, StaticManager, diurnal_demand
 from repro.core.events import Subsystem
-from repro.exec import SweepSpec, sweep_specs
 from repro.simulator.config import fast_config
 from repro.simulator import fleet as fleet_module
 from repro.simulator.fleet import (
@@ -164,7 +163,7 @@ class _RecordingMonitor:
 
     ``on_window`` is the scalar ``Server`` hook; ``on_pulse`` is the
     fleet's, which names the closing lanes, so the recorder reads its
-    lane through the fleet's ``Server``-shaped view.
+    lane (and the close time its sampler logged) through the fleet.
     """
 
     def __init__(self, lane=0):
@@ -176,9 +175,9 @@ class _RecordingMonitor:
             (pulse_s, server.sampler.n_samples, sum(server.energy._energy_j.values()))
         )
 
-    def on_pulse(self, fleet, lanes, now_s):
+    def on_pulse(self, fleet, lanes):
         if self.lane in lanes:
-            self.on_window(fleet.lane(self.lane), now_s)
+            self.on_window(fleet.lane(self.lane), fleet._samp_ts[self.lane][-1])
 
 
 class TestMonitoredRunIdentity:
@@ -254,7 +253,10 @@ class TestClusterEngineEquivalence:
         cluster = Cluster(n_nodes=3, seed=123)
         schedule = record(cluster)
         observer = ClusterObserver(suite=paper_suite, attribute=True)
-        cluster.run(demand, PowerAwareManager(headroom_threads=4), observer=observer)
+        manager = PowerAwareManager(headroom_threads=4)
+        for t, threads in enumerate(demand):
+            cluster.run([threads], manager)
+            observer.on_second(cluster, float(t + 1))
         replay(schedule)
         assert schedule.n_reads >= 1
         assert schedule.frozen_lane_seconds >= 1
@@ -696,59 +698,3 @@ class TestFoldPackages:
         assert got[1, 0] == 0.0 and not np.signbit(got[1, 0])
         want = _package_loop([tiny, zeros])
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
-
-
-class TestSweepFleetGrouping:
-    def test_grouped_lanes_match_per_spec_path(self):
-        specs = [
-            SweepSpec(
-                workload="gcc", seed=s, duration_s=20.0, config=fast_config()
-            )
-            for s in (3, 4, 5)
-        ]
-        # A singleton group: must fall through to the per-spec path.
-        specs.append(
-            SweepSpec(workload="idle", seed=3, duration_s=20.0, config=fast_config())
-        )
-        grouped = sweep_specs(specs, n_workers=1)
-        # A one-spec sweep is a singleton group: the per-spec path.
-        reference = [sweep_specs([spec], n_workers=1).runs[0] for spec in specs]
-        assert len(grouped.runs) == len(reference)
-        for fleet_run, scalar_run in zip(grouped.runs, reference):
-            assert fleet_run.workload == scalar_run.workload
-            assert fleet_run.seed == scalar_run.seed
-            assert fleet_run.metadata == scalar_run.metadata
-            for event in scalar_run.counters.events:
-                assert np.array_equal(
-                    fleet_run.counters.per_cpu(event),
-                    scalar_run.counters.per_cpu(event),
-                )
-            for subsystem in scalar_run.power.subsystems:
-                assert np.allclose(
-                    fleet_run.power.power(subsystem),
-                    scalar_run.power.power(subsystem),
-                    rtol=DAQ_RTOL,
-                    atol=DAQ_ATOL,
-                )
-
-    def test_warmup_windows_applied_in_fleet_path(self):
-        full = sweep_specs(
-            [SweepSpec(workload="gcc", seed=3, duration_s=20.0, config=fast_config())],
-            n_workers=1,
-        )
-        trimmed = sweep_specs(
-            [
-                SweepSpec(
-                    workload="gcc",
-                    seed=s,
-                    duration_s=20.0,
-                    config=fast_config(),
-                    warmup_windows=3,
-                )
-                for s in (3, 4)
-            ],
-            n_workers=1,
-        )
-        assert all(
-            run.n_samples == full.runs[0].n_samples - 3 for run in trimmed.runs
-        )

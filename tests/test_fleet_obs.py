@@ -10,6 +10,8 @@ per-lane mis-calibration must flag the offending lanes — and only
 those — in ``/fleet/lanes`` and the flight bundle.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -242,6 +244,13 @@ class TestFleetDriftMonitorUnit:
             FleetDriftMonitor(2, resolve_ratio=0.0)
         with pytest.raises(IndexError):
             FleetDriftMonitor(2).lane_state(2)
+
+    @pytest.mark.parametrize("slo_pct", [math.nan, math.inf])
+    def test_non_finite_slo_rejected(self, slo_pct):
+        """NaN passed the old ``slo_pct <= 0`` check and switched every
+        lane's alerting off."""
+        with pytest.raises(ValueError):
+            FleetDriftMonitor(2, slo_pct=slo_pct)
 
     def test_out_of_range_lane_rejected(self):
         fleet = FleetDriftMonitor(2)

@@ -295,6 +295,13 @@ class TestWindowedRegistry:
         with pytest.raises(ValueError):
             WindowedRegistry(max_windows=0)
 
+    @pytest.mark.parametrize("window_s", [math.nan, math.inf])
+    def test_non_finite_window_rejected(self, window_s):
+        """NaN passed the old ``window_s <= 0`` check and every window
+        then started at NaN; an infinite width does the same."""
+        with pytest.raises(ValueError):
+            WindowedRegistry(window_s=window_s)
+
 
 class TestWindowedRegistryEdgeCases:
     """Corner cases of windowed aggregation and quantile estimation."""
@@ -538,6 +545,13 @@ class TestDriftMonitor:
         ):
             with pytest.raises(ValueError):
                 DriftMonitor(**kwargs)
+
+    @pytest.mark.parametrize("slo_pct", [math.nan, math.inf])
+    def test_non_finite_slo_rejected(self, slo_pct):
+        """A NaN SLO passed the old ``slo_pct <= 0`` check, and no
+        error compares above NaN or inf, so alerting was silently off."""
+        with pytest.raises(ValueError):
+            DriftMonitor(slo_pct=slo_pct)
 
 
 def _drift_telemetry() -> dict:
@@ -843,6 +857,14 @@ class TestObservabilityHTTP:
             assert "live_windows_total" in names
 
 
+def _run_observed(cluster, demand, manager, observer, start_s=0.0):
+    """Run ``demand`` one second at a time and call the observer after
+    each second, as ``repro-power monitor --nodes`` does."""
+    for t, threads in enumerate(demand):
+        cluster.run([threads], manager)
+        observer.on_second(cluster, start_s + float(t + 1))
+
+
 class TestClusterTelemetry:
     def _cluster(self, n_nodes=2):
         from repro.cluster import Cluster
@@ -888,6 +910,29 @@ class TestClusterTelemetry:
             trace.power_w[-1]
         )
 
+    def test_node_energy_gauge_spans_sliced_runs(self):
+        """A run fed one second per call (as ``monitor --nodes`` does)
+        publishes the same node energy as one call over the whole
+        trace; the per-call accumulator used to reset, so the sliced
+        "energy" was the last second's power."""
+        from repro.cluster import Cluster, StaticManager
+
+        def node_energy(slices):
+            obs.reset()
+            obs.enable()
+            cluster = Cluster(n_nodes=2, config=fast_config(), seed=11)
+            for demand in slices:
+                cluster.run(demand, StaticManager())
+            gauges = obs.registry().gauges
+            return [
+                gauges[("cluster_node_energy_joules", (("node", str(node)),))]
+                for node in range(2)
+            ]
+
+        whole = node_energy([[4] * 6])
+        assert node_energy([[4]] * 6) == whole
+        assert whole[0] > 1000.0
+
     def test_observer_drift_fires_then_resolves(self, paper_suite):
         from repro.cluster import StaticManager
         from repro.obs.live import ClusterObserver
@@ -895,10 +940,10 @@ class TestClusterTelemetry:
         cluster = self._cluster(2)
         manager = StaticManager()
         observer = ClusterObserver(suite=paper_suite.scaled(1.5), window_s=1.0)
-        cluster.run([6] * 8, manager, observer=observer)
+        _run_observed(cluster, [6] * 8, manager, observer)
         assert "total" in observer.drift.firing
         observer.set_suite(paper_suite)
-        cluster.run([6] * 22, manager, observer=observer, start_s=8.0)
+        _run_observed(cluster, [6] * 22, manager, observer, start_s=8.0)
         assert observer.drift.firing == ()
         history = observer.drift.history()
         fired = [a for a in history if a.state == "firing"]
@@ -915,7 +960,7 @@ class TestClusterTelemetry:
         obs.enable()
         cluster = self._cluster(2)
         observer = ClusterObserver(window_s=2.0)
-        cluster.run([4] * 6, StaticManager(), observer=observer)
+        _run_observed(cluster, [4] * 6, StaticManager(), observer)
         assert observer.suite is None
         assert len(observer.windows) > 0
         assert observer.windows.latest("cluster_power_watts") > 0.0
@@ -955,7 +1000,7 @@ class _PerNodeReference:
     def set_suite(self, suite) -> None:
         self.estimator.suite = suite
 
-    def on_second(self, cluster, t_s, demand, served, node_powers):
+    def on_second(self, cluster, t_s):
         fleet = cluster._fleet
         true_w: "dict[str, float]" = {}
         estimated_w: "dict[str, float]" = {}
@@ -1002,10 +1047,10 @@ class TestClusterObserverReference:
         cluster = Cluster(n_nodes=3, config=fast_config(), seed=TEST_SEED)
         manager = PowerAwareManager(headroom_threads=2)
         half = len(self.DEMAND) // 2
-        cluster.run(self.DEMAND[:half], manager, observer=observer)
+        _run_observed(cluster, self.DEMAND[:half], manager, observer)
         observer.set_suite(suite)
-        cluster.run(
-            self.DEMAND[half:], manager, observer=observer, start_s=float(half)
+        _run_observed(
+            cluster, self.DEMAND[half:], manager, observer, start_s=float(half)
         )
 
     def test_matches_per_node_estimator_reference(self, paper_suite):

@@ -15,6 +15,7 @@ and the ``obs`` pretty-printer's histogram quantile columns.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import socket
@@ -645,6 +646,13 @@ class TestSLOEngine:
             SLOEngine(fast_burn_rate=0.0)
         with pytest.raises(ValueError):
             SLOEngine(error_objective=1.0)
+
+    @pytest.mark.parametrize("bound", [math.nan, math.inf, 0.0])
+    def test_rejects_non_finite_or_non_positive_error_bound(self, bound):
+        """No error compares above a NaN bound, so every sample was
+        scored bad and the error budget burned on healthy input."""
+        with pytest.raises(ValueError):
+            SLOEngine(error_bound_pct=bound)
 
 
 # -- bit identity: streamed == batch -----------------------------------
