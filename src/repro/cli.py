@@ -347,7 +347,7 @@ def main(argv: "list[str] | None" = None) -> int:
         "--chaos",
         action="store_true",
         help="enable the destructive POST /service/kill_shard chaos "
-        "hook (CI smoke tests only; off by default)",
+        "hook (chaos tests only; off by default)",
     )
     serve.add_argument(
         "--rate",
@@ -499,7 +499,7 @@ def main(argv: "list[str] | None" = None) -> int:
             if args.command == "query":
                 return _cmd_query(args, parser)
             if args.store:
-                return _cmd_obs_store(args)
+                return _cmd_obs_store(args, parser)
             return _print_telemetry(
                 args.telemetry or args.workload or DEFAULT_TELEMETRY_DIR,
                 args.cache_dir,
@@ -1147,10 +1147,12 @@ def _check_live_args(
 
 
 def _start_endpoint(args: argparse.Namespace, command: str, drift=None, chaos=False):
-    """Telemetry on, then the flight recorder, the ``--store`` store with
-    its rules and alert plane, and the endpoint, bound and ``training``.
+    """Telemetry on, then the flight recorder and the endpoint, bound and
+    ``training``; then the ``--store`` store with its rules and alert
+    plane, which the endpoint reads per request.
 
-    Returns None, after saying why on stderr, if the port is taken.
+    Returns None, after saying why on stderr, if the port is taken; the
+    store is not opened then.
     """
     from repro.obs.http import ObservabilityServer
 
@@ -1162,26 +1164,8 @@ def _start_endpoint(args: argparse.Namespace, command: str, drift=None, chaos=Fa
         recorder = flight_mod.get_global()
         if recorder is not None:
             recorder.drift = drift
-    store = alerts = rule_engine = None
-    if args.store:
-        from repro.obs.alertmgr import AlertManager
-        from repro.obs.rules import RuleEngine
-        from repro.obs.tsdb import TSDB
-
-        store = TSDB(args.store)
-        rule_engine = RuleEngine()
-        store.attach_rules(rule_engine)
-        alerts = AlertManager(store=store)
-        alerts.attach_drift(drift)
-        print(f"{command}: persisting telemetry to {args.store}")
     endpoint = ObservabilityServer(
-        drift=drift,
-        flight=recorder,
-        chaos=chaos,
-        port=args.port,
-        store=store,
-        alerts=alerts,
-        rules=rule_engine,
+        drift=drift, flight=recorder, chaos=chaos, port=args.port
     )
     endpoint.phase = "training"
     try:
@@ -1189,6 +1173,17 @@ def _start_endpoint(args: argparse.Namespace, command: str, drift=None, chaos=Fa
     except OSError as error:
         print(f"{command}: {error.strerror or error}", file=sys.stderr)
         return None
+    if args.store:
+        from repro.obs.alertmgr import AlertManager
+        from repro.obs.rules import RuleEngine
+        from repro.obs.tsdb import TSDB
+
+        endpoint.store = TSDB(args.store)
+        endpoint.rules = RuleEngine()
+        endpoint.store.attach_rules(endpoint.rules)
+        endpoint.alerts = AlertManager(store=endpoint.store)
+        endpoint.alerts.attach_drift(drift)
+        print(f"{command}: persisting telemetry to {args.store}")
     return endpoint
 
 
@@ -1780,23 +1775,18 @@ def _print_telemetry(directory: str, cache_dir: "str | None") -> int:
         )
         print()
 
-    def label_str(labels: dict) -> str:
-        if not labels:
-            return ""
-        return "{" + ",".join(f"{k}={v}" for k, v in sorted(labels.items())) + "}"
-
     counters = data.get("counters", [])
     gauges = data.get("gauges", [])
     if counters:
         rows = [
-            [e["name"] + label_str(e.get("labels", {})), e["value"]]
+            [e["name"] + _label_str(e.get("labels", {})), e["value"]]
             for e in counters
         ]
         print(format_table("Counters", ("metric", "value"), rows, precision=0))
         print()
     if gauges:
         rows = [
-            [e["name"] + label_str(e.get("labels", {})), e["value"]]
+            [e["name"] + _label_str(e.get("labels", {})), e["value"]]
             for e in gauges
         ]
         print(format_table("Gauges", ("metric", "value"), rows, precision=3))
@@ -1812,7 +1802,7 @@ def _print_telemetry(directory: str, cache_dir: "str | None") -> int:
             hist = obs.Histogram.from_dict(e)
             rows.append(
                 [
-                    e["name"] + label_str(e.get("labels", {})),
+                    e["name"] + _label_str(e.get("labels", {})),
                     count,
                     mean,
                     hist.quantile(0.5),
@@ -1880,6 +1870,7 @@ def _cmd_query(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     name = args.workload
     if not name:
         parser.error("'query' needs a metric name (positional)")
+    span = _range_s(args, parser)
     if not os.path.isdir(args.store):
         print(f"query: no store at {args.store!r}", file=sys.stderr)
         return 1
@@ -1925,8 +1916,7 @@ def _cmd_query(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
     start = args.start
     end = args.end
-    if args.range_s is not None:
-        span = parse_duration(args.range_s)
+    if span is not None:
         anchor = end if end is not None else (db.max_t_s() or 0.0)
         start = anchor - span
         end = anchor
@@ -1953,23 +1943,7 @@ def _cmd_query(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             for t_s, value in series["points"]:
                 print(f"{name},{labels},{series['tier']},{t_s:g},{value:g}")
         return 0 if any(s["points"] for s in results) else 1
-    rows = []
-    for series in results:
-        points = series["points"]
-        if not points:
-            continue
-        values = [value for _, value in points]
-        rows.append(
-            [
-                name + _label_str(series["labels"]),
-                series["tier"],
-                len(points),
-                min(values),
-                sum(values) / len(values),
-                max(values),
-                values[-1],
-            ]
-        )
+    rows = _summary_rows(name, results)
     if not rows:
         print(f"query: no points for {name} in the requested range")
         return 1
@@ -1978,7 +1952,7 @@ def _cmd_query(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             f"{name} [{args.agg}"
             + (f", step {args.step}" if args.step else "")
             + "]",
-            ("series", "tier", "points", "min", "mean", "max", "last"),
+            _SUMMARY_COLUMNS,
             rows,
             precision=3,
         )
@@ -1986,10 +1960,48 @@ def _cmd_query(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     return 0
 
 
-def _cmd_obs_store(args: argparse.Namespace) -> int:
-    """``repro-power obs --store``: per-metric summary of a TSDB store."""
-    from repro.obs.tsdb import TSDB, parse_duration
+def _range_s(
+    args: argparse.Namespace, parser: argparse.ArgumentParser
+) -> "float | None":
+    """``--range`` in seconds (None when absent); a span that does not
+    parse, is not finite or is not positive is a usage error."""
+    from repro.obs.tsdb import parse_duration
 
+    if args.range_s is None:
+        return None
+    try:
+        span = parse_duration(args.range_s)
+    except ValueError:
+        span = math.nan
+    if not (span > 0 and math.isfinite(span)):
+        parser.error(
+            f"--range must be a positive, finite span, got {args.range_s!r}"
+        )
+    return span
+
+
+_SUMMARY_COLUMNS = ("series", "tier", "points", "min", "mean", "max", "last")
+
+
+def _summary_rows(name: str, results) -> "list[list]":
+    """One ``_SUMMARY_COLUMNS`` row per range-query series with points."""
+    rows = []
+    for series in results:
+        values = [value for _, value in series["points"]]
+        if values:
+            rows.append([
+                name + _label_str(series["labels"]), series["tier"],
+                len(values), min(values), sum(values) / len(values),
+                max(values), values[-1],
+            ])
+    return rows
+
+
+def _cmd_obs_store(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    """``repro-power obs --store``: per-metric summary of a TSDB store."""
+    from repro.obs.tsdb import TSDB
+
+    span = _range_s(args, parser) or 300.0
     if not os.path.isdir(args.store):
         print(
             f"no store at {args.store!r}; run monitor/serve/datacenter "
@@ -2002,32 +2014,16 @@ def _cmd_obs_store(args: argparse.Namespace) -> int:
         print(f"store at {args.store} holds no series yet")
         return 1
     newest = db.max_t_s() or 0.0
-    span = parse_duration(args.range_s) if args.range_s else 300.0
     rows = []
     for name in names:
-        for series in db.query_range(
+        rows += _summary_rows(name, db.query_range(
             name, start_s=newest - span, end_s=newest, tier=args.tier
-        ):
-            points = series["points"]
-            if not points:
-                continue
-            values = [value for _, value in points]
-            rows.append(
-                [
-                    name + _label_str(series["labels"]),
-                    series["tier"],
-                    len(points),
-                    min(values),
-                    sum(values) / len(values),
-                    max(values),
-                    values[-1],
-                ]
-            )
+        ))
     print(
         format_table(
             f"Store at {args.store}: last {span:g}s "
             f"({len(names)} metric(s))",
-            ("series", "tier", "points", "min", "mean", "max", "last"),
+            _SUMMARY_COLUMNS,
             rows,
             precision=3,
         )

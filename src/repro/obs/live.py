@@ -7,10 +7,9 @@ throughput **right now**?  This module provides the three pieces:
 
 * :class:`WindowedRegistry` — folds successive
   :class:`~repro.obs.metrics.MetricsRegistry` snapshots into
-  fixed-width time windows and answers rate / mean / quantile queries
-  over the last N windows (counters and histogram cells are
-  differenced between snapshots, gauges keep their last value per
-  window);
+  fixed-width time windows for ``/windows``, the flight recorder and
+  the TSDB sink (counters and histogram cells are differenced between
+  snapshots, gauges keep their last value per window);
 * :class:`LiveMonitor` — attaches to a
   :class:`~repro.simulator.system.Server` and, at every counter-sampler
   window boundary inside ``run_ticks``, compares the trickle-down
@@ -93,12 +92,12 @@ class WindowedRegistry:
 
     The clock is the **caller's**: the live monitors pass simulation
     time, so windows are deterministic for a fixed seed.  All methods
-    are thread-safe — the HTTP exposition thread may query while the
-    simulation thread ingests.
+    are thread-safe — the HTTP exposition thread may read while the
+    simulation thread ingests.  Queries over time are the TSDB's job.
 
     ``on_evict`` is the durable-telemetry hook: when a window falls off
     the sliding edge (a newer one pushed it past ``max_windows``) it is
-    handed — whole, exactly as :meth:`series` reported it — to the
+    handed — whole, exactly as :meth:`to_json` reported it — to the
     callback before being dropped, e.g. a
     :class:`~repro.obs.tsdb.WindowSink` persisting it into a store.
     Short runs may finish before anything evicts; :meth:`drain` hands
@@ -133,7 +132,7 @@ class WindowedRegistry:
                 return last  # same window (or a non-monotonic clock)
         # The deque would drop the oldest window silently; evict it by
         # hand first so the persistence hook sees every window, oldest
-        # first, exactly as the queries reported it.
+        # first, exactly as ``to_json`` reported it.
         if self.on_evict is not None and len(self._windows) == self.max_windows:
             self.on_evict(self._windows.popleft())
         window = _Window(start, start + self.window_s)
@@ -144,7 +143,7 @@ class WindowedRegistry:
         """Hand windows that closed before ``now_s`` to ``on_evict``.
 
         Unlike eviction/:meth:`drain` the windows stay in the registry
-        for queries, so the hook sees each closed window on **every**
+        for ``/windows``, so the hook sees each closed window on **every**
         call — it must be idempotent per window (the TSDB
         :class:`~repro.obs.tsdb.WindowSink` is).  This is the eager
         per-tick persistence path: without it, a window would only
@@ -228,135 +227,23 @@ class WindowedRegistry:
         else:
             mine.merge(delta)
 
-    # -- queries -------------------------------------------------------
-
-    def _selected(self, last: "int | None") -> "list[_Window]":
-        windows = list(self._windows)
-        if last is not None:
-            windows = windows[-last:]
-        return windows
+    # -- views ---------------------------------------------------------
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._windows)
 
-    @property
-    def span_s(self) -> float:
-        """Total time covered by the retained windows."""
-        with self._lock:
-            return len(self._windows) * self.window_s
-
-    def rate(
-        self,
-        name: str,
-        labels: "dict | None" = None,
-        last: "int | None" = None,
-    ) -> float:
-        """Counter increase per second over the last ``last`` windows.
-
-        The newest window is usually still filling, so the rate is a
-        slight underestimate until it closes.  Returns 0.0 with no
-        windows.
-        """
-        key = metric_key(name, labels)
-        with self._lock:
-            windows = self._selected(last)
-            if not windows:
-                return 0.0
-            total = sum(w.counters.get(key, 0.0) for w in windows)
-            return total / (len(windows) * self.window_s)
-
-    def mean(
-        self,
-        name: str,
-        labels: "dict | None" = None,
-        last: "int | None" = None,
-    ) -> float:
-        """Mean over the selected windows (NaN when absent).
-
-        Gauges average their per-window values; histograms merge and
-        return the merged mean; counters average their per-window
-        deltas.
-        """
-        key = metric_key(name, labels)
-        with self._lock:
-            windows = self._selected(last)
-            gauge_values = [w.gauges[key] for w in windows if key in w.gauges]
-            if gauge_values:
-                return sum(gauge_values) / len(gauge_values)
-            hists = [w.histograms[key] for w in windows if key in w.histograms]
-            if hists:
-                total = sum(h.sum for h in hists)
-                count = sum(h.count for h in hists)
-                return total / count if count else float("nan")
-            deltas = [w.counters[key] for w in windows if key in w.counters]
-            if deltas:
-                return sum(deltas) / len(deltas)
-            return float("nan")
-
-    def quantile(
-        self,
-        name: str,
-        q: float,
-        labels: "dict | None" = None,
-        last: "int | None" = None,
-    ) -> float:
-        """Histogram quantile over the merged selected windows."""
-        key = metric_key(name, labels)
-        with self._lock:
-            merged: "Histogram | None" = None
-            for window in self._selected(last):
-                hist = window.histograms.get(key)
-                if hist is None:
-                    continue
-                if merged is None:
-                    merged = Histogram(hist.buckets)
-                merged.merge(hist)
-            if merged is None:
-                return float("nan")
-            return merged.quantile(q)
-
-    def latest(self, name: str, labels: "dict | None" = None) -> float:
-        """Most recent gauge value across windows (NaN when absent)."""
-        key = metric_key(name, labels)
-        with self._lock:
-            for window in reversed(self._windows):
-                if key in window.gauges:
-                    return window.gauges[key]
-            return float("nan")
-
-    def series(
-        self,
-        name: str,
-        labels: "dict | None" = None,
-        last: "int | None" = None,
-    ) -> "list[tuple[float, float]]":
-        """Per-window ``(start_s, value)`` pairs for one metric.
-
-        Counters yield their window delta, gauges their last value,
-        histograms their window mean; windows without the metric are
-        skipped.
-        """
-        key = metric_key(name, labels)
-        out: "list[tuple[float, float]]" = []
-        with self._lock:
-            for window in self._selected(last):
-                if key in window.counters:
-                    out.append((window.start_s, window.counters[key]))
-                elif key in window.gauges:
-                    out.append((window.start_s, window.gauges[key]))
-                elif key in window.histograms:
-                    out.append((window.start_s, window.histograms[key].mean))
-        return out
-
     def to_json(self, last: "int | None" = 12) -> dict:
         """JSON-ready view of the last ``last`` windows (newest last)."""
         with self._lock:
+            windows = list(self._windows)
+            if last is not None:
+                windows = windows[-last:]
             return {
                 "window_s": self.window_s,
                 "max_windows": self.max_windows,
                 "n_windows": len(self._windows),
-                "windows": [w.to_dict() for w in self._selected(last)],
+                "windows": [w.to_dict() for w in windows],
             }
 
 

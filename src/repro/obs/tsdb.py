@@ -18,8 +18,9 @@ Layout — one shard directory per metric name under the store root:
 * ``raw-N.seg`` / ``10s-N.seg`` / ``2m-N.seg`` — immutable sealed
   segments, written exactly once.  The seal protocol writes the
   segment *before* the state that references it: a crash in between
-  leaves an orphan file (deleted on next open) while the samples are
-  still safe inside the previous ``state.bin``.
+  leaves an orphan file (deleted when the shard is next opened for
+  appends) while the samples are still safe inside the previous
+  ``state.bin``.
 
 Encoding — per series, raw samples are a byte stream of
 delta-of-delta timestamps (millisecond ints, zigzag varints) followed
@@ -264,6 +265,8 @@ class _Shard:
         self.appended = 0
         self.dropped = 0
         self.dirty = False
+        #: Opened for appends: directory made, orphan segments cleaned.
+        self.writable = False
         #: Sealed-segment manifest per tier: {"file", "min_ms", "max_ms", "n"}.
         self.manifest: "dict[str, list[dict]]" = {t: [] for t in TIERS}
         #: Open rollup cell per tier per sid: [start_ms, min, max, sum, count].
@@ -491,12 +494,10 @@ class _Shard:
             header = json.loads(data[start:start + header_len])
             blob_base = start + header_len
         except FileNotFoundError:
-            shard._clean_orphans()
             return shard
         except (ValueError, KeyError, struct.error) as exc:
             logger.warning("tsdb shard %s: unreadable state (%s); resetting",
                            name, exc)
-            shard._clean_orphans()
             return shard
         shard.seq = int(header["seq"])
         shard.max_ms = int(header["max_ms"])
@@ -532,7 +533,6 @@ class _Shard:
                 shard.pending[tier][int(entry["sid"])] = bytearray(
                     data[lo:lo + int(entry["length"])]
                 )
-        shard._clean_orphans()
         return shard
 
     def _clean_orphans(self) -> None:
@@ -714,28 +714,39 @@ class TSDB:
 
     @staticmethod
     def _dirname(name: str) -> str:
+        if name in ("", ".", ".."):
+            raise ValueError(f"metric name {name!r} names no shard directory")
         return quote(name, safe="._-")
 
-    def _shard(self, name: str) -> _Shard:
+    def _shard(self, name: str, append: bool = False) -> _Shard:
+        """The named shard, loaded from disk on first use.
+
+        A read (``append=False``) writes nothing: a metric the store has
+        not committed answers with an empty shard that is neither cached
+        nor on disk.  The first append creates the shard's directory and
+        deletes its orphan segments.
+        """
         shard = self._shards.get(name)
         if shard is None:
             directory = os.path.join(self.root, self._dirname(name))
-            os.makedirs(directory, exist_ok=True)
-            shard = _Shard.load(name, directory)
-            self._shards[name] = shard
+            if not append and not os.path.exists(
+                os.path.join(directory, "state.bin")
+            ):
+                return _Shard(name, directory)
+            shard = self._shards[name] = _Shard.load(name, directory)
+        if append and not shard.writable:
+            os.makedirs(shard.directory, exist_ok=True)
+            shard._clean_orphans()
+            shard.writable = True
         return shard
 
     def names(self) -> "list[str]":
         """Every metric name in the store (on disk + in memory).
 
-        A shard that only ever answered queries (no appends, nothing
-        committed) is not a metric, so empty read-miss shards and bare
-        directories stay out of the listing.
+        A directory without a committed ``state.bin`` is not a metric.
         """
         with self._lock:
-            names = {
-                name for name, shard in self._shards.items() if shard.series
-            }
+            names = set(self._shards)
             try:
                 for entry in os.listdir(self.root):
                     state = os.path.join(self.root, entry, "state.bin")
@@ -767,7 +778,7 @@ class TSDB:
             cached = self._appenders.get((name, items))
             if cached is not None:
                 return cached
-            shard = self._shard(name)
+            shard = self._shard(name, append=True)
             series = shard.series_for((name, items))
             appender = Appender(self, shard, series)
             self._appenders[(name, items)] = appender
@@ -844,8 +855,8 @@ class TSDB:
 
     # -- queries -------------------------------------------------------
 
-    def _matching(self, name: str, matchers) -> "list[_Series]":
-        shard = self._shard(name)
+    @staticmethod
+    def _matching(shard: _Shard, matchers) -> "list[_Series]":
         return [
             series for key, series in sorted(
                 shard.series.items(), key=lambda item: item[1].sid
@@ -870,7 +881,7 @@ class TSDB:
             end_ms = _to_ms_ceiling(end_s, shard)
             start_ms = int(math.floor(start_s * 1000.0))
             out = []
-            for series in self._matching(name, matchers):
+            for series in self._matching(shard, matchers):
                 points = shard.raw_points(series, start_ms, end_ms)
                 out.append({
                     "labels": dict(series.key[1]),
@@ -898,7 +909,7 @@ class TSDB:
             end_ms = _to_ms_ceiling(end_s, shard)
             start_ms = int(math.floor(start_s * 1000.0))
             out = []
-            for series in self._matching(name, matchers):
+            for series in self._matching(shard, matchers):
                 cells = shard.rollup_cells(series, tier, start_ms, end_ms)
                 out.append({
                     "labels": dict(series.key[1]),
@@ -921,7 +932,7 @@ class TSDB:
             shard = self._shard(name)
             at_ms = _to_ms_ceiling(at_s, shard)
             out = []
-            for series in self._matching(name, matchers):
+            for series in self._matching(shard, matchers):
                 points = shard.raw_points(series, 0, at_ms)
                 if points:
                     t_ms, value = points[-1]
@@ -965,7 +976,7 @@ class TSDB:
                 end = float(end_s)
             chosen = self._choose_tier(shard, tier, start_s)
             groups: "dict[tuple, dict]" = {}
-            for series in self._matching(name, matchers):
+            for series in self._matching(shard, matchers):
                 labels = dict(series.key[1])
                 if by is None:
                     group_key = tuple(sorted(labels.items()))

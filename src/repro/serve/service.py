@@ -274,7 +274,8 @@ class EstimationService:
 
         Its queue closes (new batches for its nodes shed), its nodes go
         stale, the freshness SLO starts burning — exactly the
-        degraded-but-serving path the ingest-smoke CI job asserts.
+        degraded-but-serving path ``tests/test_serve.py::TestChaosScenario``
+        asserts.
         There is no restart, so the HTTP exposure of this hook is a
         ``POST`` gated behind ``ObservabilityServer(chaos=True)``.
         """

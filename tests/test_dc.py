@@ -604,7 +604,7 @@ class TestDatacenterCli:
         assert "--cap-frac overflows the cap" in capsys.readouterr().err
 
     def test_capped_two_zone_scenario(self, capsys):
-        """The capped two-zone scenario CI runs: 256 nodes under a 60 %
+        """The capped two-zone scenario: 256 nodes under a 60 %
         cap hold the cap every second, report an energy-proportionality
         score, and move budget between zones during the outage."""
         from repro.cli import main as cli_main

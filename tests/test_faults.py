@@ -185,11 +185,20 @@ class TestFaultRecovery:
         for i in (0, 1):
             _assert_runs_identical(reference[i], result.runs[i])
 
-    def test_retry_counters_and_events_in_telemetry(self, specs, reference):
-        """Each fault kind surfaces through its own counter and a
-        ``sweep.retry`` trace event (kill and fail injected in separate
-        sweeps: a worker death can pre-empt a queued task's injected
-        exception, which would make a combined assertion racy)."""
+    def test_retry_counters_and_events_in_telemetry(
+        self, specs, reference, tmp_path
+    ):
+        """Each fault kind surfaces through its own counter, in the
+        dumped ``metrics.prom`` too, and a ``sweep.retry`` trace event
+        (kill and fail injected in separate sweeps: a worker death can
+        pre-empt a queued task's injected exception, which would make a
+        combined assertion racy)."""
+
+        def dumped_prom(name: str) -> str:
+            paths = obs.dump(str(tmp_path / name))
+            with open(paths["metrics.prom"], encoding="utf-8") as handle:
+                return handle.read()
+
         obs.enable()
         obs.reset()
         try:
@@ -197,6 +206,7 @@ class TestFaultRecovery:
                 specs, n_workers=2, retry=FAST_RETRY, faults=FaultPlan(kill={0: 1})
             )
             assert obs.counter("sweep_worker_failures_total") >= 1
+            assert "sweep_worker_failures_total" in dumped_prom("kill")
             kinds = {
                 e["attrs"].get("kind")
                 for e in obs.tracer().events_copy()
@@ -210,6 +220,7 @@ class TestFaultRecovery:
                 specs, n_workers=2, retry=FAST_RETRY, faults=FaultPlan(fail={1: 1})
             )
             assert obs.counter("sweep_retries_total") >= 1
+            assert "sweep_retries_total" in dumped_prom("fail")
             kinds = {
                 e["attrs"].get("kind")
                 for e in obs.tracer().events_copy()

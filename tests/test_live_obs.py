@@ -214,6 +214,28 @@ class TestSuiteScaled:
             paper_suite.scaled(float("nan"))
 
 
+def _per_window(windows, kind: str, name: str) -> list:
+    """``(start_s, value)`` for each window holding the metric, where
+    ``kind`` is "counters", "gauges" or "histograms"."""
+    return [
+        (window["start_s"], window[kind][name])
+        for window in windows.to_json(last=None)["windows"]
+        if name in window[kind]
+    ]
+
+
+def _merged(windows, name: str) -> Histogram:
+    """One histogram of every window's delta of ``name``."""
+    merged = None
+    for _, cells in _per_window(windows, "histograms", name):
+        delta = Histogram.from_dict(cells)
+        if merged is None:
+            merged = delta
+        else:
+            merged.merge(delta)
+    return merged
+
+
 class TestWindowedRegistry:
     def _registry_at(self, counter: float, gauge: float) -> MetricsRegistry:
         reg = MetricsRegistry()
@@ -221,7 +243,7 @@ class TestWindowedRegistry:
         reg.gauge("power_watts", gauge)
         return reg
 
-    def test_counter_deltas_and_rate(self):
+    def test_counter_deltas(self):
         windows = WindowedRegistry(window_s=5.0)
         reg = MetricsRegistry()
         for t, total in ((1.0, 10.0), (6.0, 30.0), (11.0, 60.0)):
@@ -229,26 +251,28 @@ class TestWindowedRegistry:
             reg.inc("ticks_total", total)
             windows.ingest(t, reg)
         assert len(windows) == 3
-        series = windows.series("ticks_total")
-        assert series == [(0.0, 10.0), (5.0, 20.0), (10.0, 30.0)]
-        assert windows.rate("ticks_total") == pytest.approx(60.0 / 15.0)
-        assert windows.rate("ticks_total", last=1) == pytest.approx(30.0 / 5.0)
+        assert _per_window(windows, "counters", "ticks_total") == [
+            (0.0, 10.0), (5.0, 20.0), (10.0, 30.0),
+        ]
 
     def test_counter_reset_counts_full_value(self):
         windows = WindowedRegistry(window_s=1.0)
         windows.ingest(0.5, self._registry_at(100.0, 0.0))
         # The process restarted: the cumulative value went *down*.
         windows.ingest(1.5, self._registry_at(40.0, 0.0))
-        assert windows.series("ticks_total") == [(0.0, 100.0), (1.0, 40.0)]
+        assert _per_window(windows, "counters", "ticks_total") == [
+            (0.0, 100.0), (1.0, 40.0),
+        ]
 
     def test_gauges_last_write_and_latest(self):
         windows = WindowedRegistry(window_s=10.0)
         windows.ingest(1.0, self._registry_at(0.0, 100.0))
         windows.ingest(2.0, self._registry_at(0.0, 150.0))  # same window
         windows.ingest(12.0, self._registry_at(0.0, 120.0))
-        assert windows.series("power_watts") == [(0.0, 150.0), (10.0, 120.0)]
-        assert windows.latest("power_watts") == 120.0
-        assert windows.mean("power_watts") == pytest.approx(135.0)
+        # Each window keeps its last write; the newest holds the latest.
+        assert _per_window(windows, "gauges", "power_watts") == [
+            (0.0, 150.0), (10.0, 120.0),
+        ]
 
     def test_histogram_deltas_merge_and_quantile(self):
         windows = WindowedRegistry(window_s=5.0)
@@ -259,9 +283,13 @@ class TestWindowedRegistry:
         reg.observe("latency", 1.5, buckets=(1.0, 2.0))
         windows.ingest(6.0, reg)
         # First window got 1 observation, second the 2 new ones only.
-        assert windows.series("latency") == [(0.0, 0.5), (5.0, 1.5)]
-        assert windows.mean("latency") == pytest.approx((0.5 + 3.0) / 3)
-        assert 1.0 <= windows.quantile("latency", 0.9) <= 2.0
+        (first_start, first), (second_start, second) = _per_window(
+            windows, "histograms", "latency"
+        )
+        assert (first_start, first["count"], first["sum"]) == (0.0, 1, 0.5)
+        assert (second_start, second["count"], second["sum"]) == (5.0, 2, 3.0)
+        assert first["counts"] == [1, 0, 0] and second["counts"] == [0, 2, 0]
+        assert 1.0 <= _merged(windows, "latency").quantile(0.9) <= 2.0
 
     def test_sliding_edge_drops_oldest(self):
         windows = WindowedRegistry(window_s=1.0, max_windows=3)
@@ -271,12 +299,9 @@ class TestWindowedRegistry:
             reg.gauge("power_watts", float(t))
             windows.ingest(float(t) + 0.5, reg)
         assert len(windows) == 3
-        assert windows.span_s == 3.0
-        assert [start for start, _ in windows.series("power_watts")] == [
-            3.0,
-            4.0,
-            5.0,
-        ]
+        assert [
+            start for start, _ in _per_window(windows, "gauges", "power_watts")
+        ] == [3.0, 4.0, 5.0]
 
     def test_to_json_shape(self):
         windows = WindowedRegistry(window_s=2.0)
@@ -304,29 +329,18 @@ class TestWindowedRegistry:
 
 
 class TestWindowedRegistryEdgeCases:
-    """Corner cases of windowed aggregation and quantile estimation."""
-
-    def test_quantile_without_histograms_is_nan(self):
-        windows = WindowedRegistry(window_s=1.0)
-        # No windows at all, then a window with no such histogram.
-        assert math.isnan(windows.quantile("latency", 0.5))
-        reg = MetricsRegistry()
-        reg.gauge("power_watts", 1.0)
-        windows.ingest(0.5, reg)
-        assert math.isnan(windows.quantile("latency", 0.5))
+    """Corner cases of windowed aggregation."""
 
     def test_single_sample_window(self):
         windows = WindowedRegistry(window_s=1.0)
         reg = MetricsRegistry()
         reg.observe("latency", 1.5, buckets=(1.0, 2.0))
         windows.ingest(0.5, reg)
-        assert windows.mean("latency") == pytest.approx(1.5)
-        # One observation: every quantile interpolates inside its
-        # bucket, so the estimate stays within the (1, 2] bounds and
-        # q = 1 lands exactly on the upper edge.
-        for q in (0.01, 0.5, 0.99):
-            assert 1.0 < windows.quantile("latency", q) <= 2.0
-        assert windows.quantile("latency", 1.0) == pytest.approx(2.0)
+        ((start, cells),) = _per_window(windows, "histograms", "latency")
+        assert start == 0.0
+        assert cells == {
+            "buckets": [1.0, 2.0], "counts": [0, 1, 0], "sum": 1.5, "count": 1,
+        }
 
     def test_counter_reset_mid_window(self):
         windows = WindowedRegistry(window_s=10.0)
@@ -339,8 +353,7 @@ class TestWindowedRegistryEdgeCases:
         reg.reset()
         reg.inc("ticks_total", 40.0)
         windows.ingest(2.0, reg)
-        assert windows.series("ticks_total") == [(0.0, 140.0)]
-        assert windows.rate("ticks_total") == pytest.approx(14.0)
+        assert _per_window(windows, "counters", "ticks_total") == [(0.0, 140.0)]
 
     def test_histogram_reset_mid_window_counts_new_observations(self):
         windows = WindowedRegistry(window_s=10.0)
@@ -353,7 +366,9 @@ class TestWindowedRegistryEdgeCases:
         reg.reset()
         reg.observe("latency", 1.5, buckets=(1.0, 2.0))
         windows.ingest(2.0, reg)
-        assert windows.mean("latency") == pytest.approx((0.5 + 0.5 + 1.5) / 3)
+        ((_, cells),) = _per_window(windows, "histograms", "latency")
+        assert (cells["count"], cells["sum"]) == (3, 0.5 + 0.5 + 1.5)
+        assert cells["counts"] == [2, 1, 0]
 
     def test_quantile_at_edges_under_merged_registries(self):
         # One observation per bucket, split across two worker
@@ -376,12 +391,10 @@ class TestWindowedRegistryEdgeCases:
         reference = Histogram(edges)
         for value in (1.0, 2.0, 3.0, 4.0):
             reference.observe(value)
+        merged = _merged(windows, "latency")
+        assert merged.to_dict() == reference.to_dict()
         for k, edge in enumerate(edges, start=1):
-            q = k / 4.0
-            assert windows.quantile("latency", q) == pytest.approx(edge)
-            assert windows.quantile("latency", q) == pytest.approx(
-                reference.quantile(q)
-            )
+            assert merged.quantile(k / 4.0) == pytest.approx(edge)
 
 
 class TestWindowEviction:
@@ -398,10 +411,10 @@ class TestWindowEviction:
             reg.inc("ticks_total", 10.0 * (t + 1))
             reg.gauge("power_watts", 100.0 + t)
             windows.ingest(float(t) + 0.5, reg)
-        # What series() reports for the window about to fall off.
+        # What to_json() reports for the window about to fall off.
         before = {
-            "counters": windows.series("ticks_total")[0],
-            "gauges": windows.series("power_watts")[0],
+            "counters": _per_window(windows, "counters", "ticks_total")[0],
+            "gauges": _per_window(windows, "gauges", "power_watts")[0],
         }
         reg.reset()
         reg.inc("ticks_total", 30.0)
@@ -417,8 +430,10 @@ class TestWindowEviction:
             before["gauges"][0],
             before["gauges"][1],
         )
-        # The hook saw the dropped window; queries kept the rest.
-        assert [s for s, _ in windows.series("power_watts")] == [1.0, 2.0]
+        # The hook saw the dropped window; the registry kept the rest.
+        assert [
+            s for s, _ in _per_window(windows, "gauges", "power_watts")
+        ] == [1.0, 2.0]
 
     def test_max_windows_one_with_backwards_clock_evicts_in_order(self):
         evicted = []
@@ -963,7 +978,8 @@ class TestClusterTelemetry:
         _run_observed(cluster, [4] * 6, StaticManager(), observer)
         assert observer.suite is None
         assert len(observer.windows) > 0
-        assert observer.windows.latest("cluster_power_watts") > 0.0
+        gauges = _per_window(observer.windows, "gauges", "cluster_power_watts")
+        assert gauges[-1][1] > 0.0
 
 
 class _RecordingDrift(DriftMonitor):

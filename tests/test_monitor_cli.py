@@ -149,8 +149,10 @@ class TestServerMode:
     def test_routes_alert_log_and_bundles(self, tmp_path):
         """At t=10 s the perturbed run fires: ``/healthz`` answers 503,
         ``/metrics`` carries every subsystem's true power, and the
-        attribution and flight-recorder routes answer."""
-        paths = ("/metrics", "/attribution", "/flightrecorder", "/healthz")
+        alert, attribution and flight-recorder routes answer."""
+        paths = (
+            "/metrics", "/alerts", "/attribution", "/flightrecorder", "/healthz"
+        )
         stdout, alerts, flight, scraped = _monitor(
             SERVER, str(tmp_path), scrape_at=10.0, paths=paths
         )
@@ -161,6 +163,8 @@ class TestServerMode:
                 f'live_power_watts{{source="true",subsystem="{subsystem}"}}'
                 in metrics.decode()
             ), subsystem
+        assert scraped["/alerts"][0] == 200
+        assert json.loads(scraped["/alerts"][1])["drift"]["firing"]
         assert scraped["/attribution"][0] == 200
         assert json.loads(scraped["/attribution"][1])["attribution"]
         assert scraped["/flightrecorder"][0] == 200

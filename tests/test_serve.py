@@ -14,11 +14,15 @@ and the ``obs`` pretty-printer's histogram quantile columns.
 
 from __future__ import annotations
 
+import glob
 import json
 import math
 import os
 import re
+import signal
 import socket
+import subprocess
+import sys
 import time
 import urllib.error
 import warnings
@@ -37,7 +41,7 @@ from repro.core.models import ConstantModel, PolynomialModel
 from repro.core.suite import TrickleDownSuite
 from repro.core.traces import CounterTrace
 from repro.obs.drift import DriftMonitor
-from repro.obs.flight import FlightRecorder
+from repro.obs.flight import FlightRecorder, load_bundle
 from repro.obs.http import ObservabilityServer
 from repro.obs.live import WindowedRegistry
 from repro.serve import (
@@ -1400,22 +1404,28 @@ class TestWindowedRegistryWallClock:
 class TestServeCli:
     COMMON = ["--duration", "20", "--tick-ms", "50", "--seed", "7"]
 
-    def test_taken_port_fails_fast_with_clear_error(self, capsys):
+    def test_taken_port_fails_fast_with_clear_error(self, capsys, tmp_path):
         from repro.cli import main
 
         # Squat on a port, then ask serve to bind it: the failure must
-        # arrive before training starts, as exit 2 with the fix spelled
-        # out — not a traceback.
+        # arrive before training starts and before the store opens, as
+        # exit 2 with the fix spelled out — not a traceback.
+        store = tmp_path / "store"
         with socket.socket() as squatter:
             squatter.bind(("127.0.0.1", 0))
             squatter.listen(1)
             port = squatter.getsockname()[1]
-            code = main(["serve", "--port", str(port), *self.COMMON])
+            code = main([
+                "serve", "--port", str(port), "--store", str(store),
+                *self.COMMON,
+            ])
         assert code == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert f"cannot bind observability endpoint to 127.0.0.1:{port}" in err
         assert "--port 0" in err
         assert "Traceback" not in err
+        assert "persisting" not in out
+        assert not store.exists()
 
     def test_port_zero_prints_bound_ephemeral_port(self, capsys):
         from repro.cli import main
@@ -1443,6 +1453,153 @@ class TestServeCli:
         assert int(match.group(1)) != 0  # the *bound* port, not the request
         assert "replay offered" in out
         assert "status=" in out
+
+
+class TestChaosScenario:
+    """``repro-power serve --chaos`` as a separate process under load
+    from ``scripts/load_ingest.py``: a shard kill sheds and stales only
+    the dead shard's nodes, the freshness SLO fast-burns, ``/healthz``
+    answers 503, a flight bundle lands, and SIGTERM writes
+    ``service.json``."""
+
+    ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    #: --slo 30 keeps the short-trained suite's error SLO quiet, so the
+    #: freshness burn is the only one.
+    SERVE = [
+        "serve", "--port", "0", "--shards", "2", "--duration", "20",
+        "--tick-ms", "50", "--seed", "7", "--stale-after", "5", "--slo",
+        "30", "--refresh", "20", "--chaos",
+    ]
+    #: crc32 routing sends load-4..7 to shard 0 and load-0..3 to shard 1.
+    DEAD_NODES = ["load-4", "load-5", "load-6", "load-7"]
+
+    def _load_argv(self, base: str, rates: str, seconds: str) -> list:
+        return [
+            sys.executable, os.path.join(self.ROOT, "scripts", "load_ingest.py"),
+            "--url", base + "/ingest", "--workload", "gcc", "--duration", "20",
+            "--nodes", "8", "--rates", rates, "--seconds", seconds, "--json",
+        ]
+
+    def _load(self, base: str, rates: str, seconds: str) -> list:
+        """One ``load_ingest.py`` run to completion; its per-rate steps."""
+        done = subprocess.run(
+            self._load_argv(base, rates, seconds),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout)["steps"]
+
+    @staticmethod
+    def _poll(url: str, done, timeout_s: float) -> dict:
+        """GET ``url`` until ``done(document)`` or the timeout; returns
+        the last document."""
+        deadline = time.monotonic() + timeout_s
+        while True:
+            document = _get(url)[1]
+            if done(document) or time.monotonic() >= deadline:
+                return document
+            time.sleep(0.2)
+
+    def test_shard_kill_degrades_burns_and_shuts_down(self, tmp_path):
+        log = tmp_path / "serve.log"
+        flight = str(tmp_path / "flight")
+        telemetry = str(tmp_path / "telemetry")
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.path.join(self.ROOT, "src")
+            + os.pathsep + os.environ.get("PYTHONPATH", ""),
+        }
+        argv = [
+            sys.executable, "-u", "-m", "repro.cli", *self.SERVE,
+            "--flight-dir", flight, "--telemetry", telemetry,
+        ]
+        trickle = None
+        with open(log, "w") as out:
+            child = subprocess.Popen(
+                argv, stdout=out, stderr=subprocess.STDOUT, env=env
+            )
+        try:
+            def endpoint():
+                match = re.search(r"endpoint at (http://\S+:\d+)", log.read_text())
+                return match.group(1) if match else None
+
+            assert _wait_for(
+                lambda: endpoint() or child.poll() is not None, timeout_s=60
+            )
+            base = endpoint()
+            assert base, log.read_text()
+            # The endpoint answers before the suite has trained.
+            assert _get(base + "/healthz")[0] == 200
+            service = self._poll(
+                base + "/service", lambda doc: doc.get("running"), 120
+            )
+            assert service.get("running"), log.read_text()
+            assert len(service["shards"]) == 2
+            assert service["required_events"]
+
+            for step in self._load(base, "2000,8000", "2"):
+                assert step["accepted"] > 0 and step["errors"] == 0, step
+            status, nodes = _get(base + "/nodes")
+            assert nodes["fleet"]["count"] == 8
+            assert nodes["fleet"]["power_w"]["sum"] > 0
+            status, health = _get(base + "/healthz")
+            assert (status, health["status"]) == (200, "ok"), health
+            service = _get(base + "/service")[1]
+            assert service["counters"]["samples_total"] > 0
+            evaluate = service["stages"]["evaluate"]
+            assert evaluate["p99_us"] > 0 and evaluate["exemplar_trace"]
+            assert not _get(base + "/slo")[1]["slos"]["freshness"]["fast_burn"]
+
+            status, killed = _post(base + "/service/kill_shard?shard=0", "")
+            assert status == 200
+            assert killed["kill_shard"]["killed"]
+            assert not killed["kill_shard"]["alive"]
+            (step,) = self._load(base, "4000", "2")
+            assert step["accepted"] > 0, step  # the live shard still serves
+            assert step["shed"] > 0, step  # the dead shard sheds visibly
+            # A trickle keeps the live shard's nodes fresh while the dead
+            # shard's go stale and the freshness budget burns.
+            trickle = subprocess.Popen(
+                self._load_argv(base, "2000", "120"),
+                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            )
+            slo = self._poll(
+                base + "/slo", lambda doc: doc["slos"]["freshness"]["fast_burn"], 60
+            )
+            freshness = slo["slos"]["freshness"]
+            assert freshness["fast_burn"], slo
+            assert freshness["burn_short"] >= slo["fast_burn_rate"]
+            status, health = _get(base + "/healthz")
+            assert status == 503
+            assert health["service"]["dead_shards"] == [0]
+            assert "freshness" in health["service"]["slo_fast_burn"]
+            assert health["service"]["nodes_stale"] >= 4
+            nodes = _get(base + "/nodes")[1]["nodes"]
+            assert sorted(n["node"] for n in nodes if n["stale"]) == self.DEAD_NODES
+            # The burn's flight bundle is written just after the burn
+            # state flips.
+            pattern = os.path.join(flight, "flight-*-slo-fast-burn-freshness")
+            assert _wait_for(lambda: glob.glob(pattern), timeout_s=30)
+            bundle = load_bundle(sorted(glob.glob(pattern))[0])
+            assert bundle["reason"] == "slo-fast-burn-freshness"
+            assert bundle["detail"]["fast_burn"]
+
+            trickle.kill()
+            child.send_signal(signal.SIGTERM)
+            assert child.wait(timeout=60) == 0
+        finally:
+            for process in (trickle, child):
+                if process is not None and process.poll() is None:
+                    process.kill()
+                    process.wait(timeout=30)
+        printed = log.read_text()
+        assert "serve: interrupted, shutting down" in printed
+        assert "serve: status=" in printed
+        with open(os.path.join(telemetry, "service.json")) as handle:
+            document = json.load(handle)
+        assert document["counters"]["samples_total"] > 0
+        assert document["shards"][0]["killed"]
+        assert document["shards"][1]["samples"] > 0
 
 
 class TestObsCliQuantiles:

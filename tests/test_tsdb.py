@@ -145,7 +145,9 @@ class TestCrashSafety:
         with open(orphan, "wb") as handle:
             handle.write(b"leftover from a seal crash")
         reopened = TSDB(store.root)
-        reopened.select("power_watts")  # faults the shard in
+        reopened.select("power_watts")  # a read deletes nothing
+        assert os.path.exists(orphan)
+        reopened.appender("power_watts", {"node": "a"})  # opens the shard
         assert not os.path.exists(orphan)
 
     def test_flush_is_the_only_commit_point(self, store):
@@ -325,6 +327,78 @@ class TestQueryEngine:
         store.flush()
         assert TSDB(store.root).max_t_s() == pytest.approx(9.0)
         assert TSDB(str(store.root) + "-empty").max_t_s() is None
+
+
+def _tree(root) -> dict:
+    """Every directory and file under ``root``, files with their bytes."""
+    found = {}
+    for base, dirs, files in os.walk(root):
+        for name in dirs:
+            found[os.path.relpath(os.path.join(base, name), root)] = None
+        for name in files:
+            path = os.path.join(base, name)
+            with open(path, "rb") as handle:
+                found[os.path.relpath(path, root)] = handle.read()
+    return found
+
+
+def _read_everything(db, name) -> None:
+    """Every read the store offers, on one metric name."""
+    db.query(name, at_s=1.0)
+    db.query_range(name, start_s=0.0, end_s=10.0, step_s=1.0)
+    db.select(name)
+    db.select_cells(name)
+    db.series(name)
+    db.rate(name)
+    db.quantile_over_time(name, 0.5)
+    db.max_t_s()
+    db.document()
+
+
+class TestReadsNeverWrite:
+    def test_dot_dot_query_deletes_nothing(self, tmp_path):
+        """``..`` mapped to the store's parent, whose ``*.seg`` files
+        the empty shard's orphan cleanup then deleted."""
+        precious = tmp_path / "precious.seg"
+        precious.write_bytes(b"not the store's")
+        db = TSDB(str(tmp_path / "store"))
+        with pytest.raises(ValueError):
+            db.query("..", at_s=1)
+        assert precious.read_bytes() == b"not the store's"
+
+    @pytest.mark.parametrize("name", ["", ".", ".."])
+    def test_names_without_a_shard_directory_are_rejected(self, store, name):
+        with pytest.raises(ValueError):
+            store.query_range(name)
+        with pytest.raises(ValueError):
+            store.appender(name)
+        assert os.listdir(store.root) == []
+
+    def test_reads_create_nothing(self, store):
+        _fill(store, n=10)
+        store.flush()
+        before = _tree(store.root)
+        for i in range(5):
+            _read_everything(store, f"junk{i}")
+        _read_everything(store, "power_watts")
+        assert _tree(store.root) == before
+        assert sorted(store._shards) == ["power_watts"]
+        assert store.names() == ["power_watts"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(name=st.text(max_size=12))
+    def test_any_read_leaves_the_tree_unchanged(self, tmp_path_factory, name):
+        root = tmp_path_factory.mktemp("reads")
+        db = TSDB(str(root / "store"))
+        _fill(db, n=10)
+        db.flush()
+        (root / "precious.seg").write_bytes(b"not the store's")
+        before = _tree(root)
+        try:
+            _read_everything(db, name)
+        except ValueError:
+            assert name in ("", ".", "..")
+        assert _tree(root) == before
 
 
 def _bucket_by_scan(points, start_s, end_s, step_s, agg):
@@ -620,7 +694,8 @@ class TestWindowSink:
         assert windows.sink_closed(7.0) == 1
         # Persisted but not evicted: live queries still see the window.
         assert len(windows) == 2
-        assert windows.series("depth")[0] == (0.0, 4.0)
+        window = windows.to_json(last=None)["windows"][0]
+        assert (window["start_s"], window["gauges"]["depth"]) == (0.0, 4.0)
         (series,) = store.select("depth")
         assert series["points"] == [(0.0, 4.0)]
 
@@ -658,6 +733,10 @@ class TestHTTPRoutes:
             ("/query_range", "name=power_watts&step=nan"),
             # Finite bounds whose bucket count overflows to infinity.
             ("/query_range", "name=power_watts&start=0&end=1e300&step=1e-300"),
+            # Names that map to no shard directory inside the store.
+            ("/query", "name=.."),
+            ("/query", "name=."),
+            ("/query_range", "name=.."),
         ],
     )
     def test_unanswerable_query_is_400(self, store, path, query):
@@ -771,6 +850,30 @@ class TestCLI:
             main(["query", "drift_error_pct", "--store", filled_store, *flags])
         assert exit_info.value.code == 2
         assert "must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("span", ["5x", "inf", "nan", "-5", "0"])
+    @pytest.mark.parametrize(
+        "command", [["query", "drift_error_pct"], ["obs"]], ids=["query", "obs"]
+    )
+    def test_bad_range_is_a_usage_error(
+        self, filled_store, capsys, command, span
+    ):
+        """Regression: ``5x`` and ``inf`` ended in a ValueError traceback
+        and ``-5`` was accepted."""
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, "--store", filled_store, f"--range={span}"])
+        assert exit_info.value.code == 2
+        assert "--range must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [[], ["--range", "1m"]])
+    @pytest.mark.parametrize("name", ["..", "."])
+    def test_name_outside_the_store_is_a_usage_error(
+        self, filled_store, capsys, name, flags
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["query", name, "--store", filled_store, *flags])
+        assert exit_info.value.code == 2
+        assert "names no shard directory" in capsys.readouterr().err
 
     def test_query_missing_store_dir(self, tmp_path, capsys):
         assert main([
