@@ -1148,8 +1148,9 @@ def _check_live_args(
 
 def _start_endpoint(args: argparse.Namespace, command: str, drift=None, chaos=False):
     """Telemetry on, then the flight recorder and the endpoint, bound and
-    ``training``; then the ``--store`` store with its rules and alert
-    plane, which the endpoint reads per request.
+    ``training``, whose alert manager watches ``drift``; then the
+    ``--store`` store with its rules, which also records alert
+    transitions.
 
     Returns None, after saying why on stderr, if the port is taken; the
     store is not opened then.
@@ -1174,15 +1175,12 @@ def _start_endpoint(args: argparse.Namespace, command: str, drift=None, chaos=Fa
         print(f"{command}: {error.strerror or error}", file=sys.stderr)
         return None
     if args.store:
-        from repro.obs.alertmgr import AlertManager
         from repro.obs.rules import RuleEngine
         from repro.obs.tsdb import TSDB
 
-        endpoint.store = TSDB(args.store)
+        endpoint.store = endpoint.alerts.store = TSDB(args.store)
         endpoint.rules = RuleEngine()
         endpoint.store.attach_rules(endpoint.rules)
-        endpoint.alerts = AlertManager(store=endpoint.store)
-        endpoint.alerts.attach_drift(drift)
         print(f"{command}: persisting telemetry to {args.store}")
     return endpoint
 
@@ -1329,9 +1327,9 @@ def _cmd_serve(
         flight=recorder,
     )
     endpoint.service = service
+    endpoint.alerts.attach_service(service)
     if store is not None:
         service.attach_store(store, window_s=args.window)
-        endpoint.alerts.attach_slo(service.slo)
     service.start()
     socket_server = None
     if args.socket_port is not None:
@@ -1371,7 +1369,7 @@ def _cmd_serve(
         while deadline is None or monotonic() < deadline:
             sleep(0.2)
             if monotonic() >= next_report:
-                _print_serve_summary(service)
+                _print_serve_summary(endpoint)
                 _store_tick(endpoint, monotonic())
                 next_report = monotonic() + args.refresh
         endpoint.phase = "done"
@@ -1380,7 +1378,7 @@ def _cmd_serve(
         endpoint.phase = "done"
     finally:
         signal.signal(signal.SIGTERM, previous_sigterm)
-        _print_serve_summary(service)
+        _print_serve_summary(endpoint)
         if args.telemetry:
             os.makedirs(args.telemetry, exist_ok=True)
             service_path = os.path.join(args.telemetry, "service.json")
@@ -1458,14 +1456,18 @@ def _serve_replay(args, context, service, nodes: int) -> None:
     )
 
 
-def _print_serve_summary(service) -> None:
-    health = service.health()
-    document = service.nodes_document()
-    fleet = document["fleet"]
+def _print_serve_summary(endpoint) -> None:
+    from repro.obs.alertmgr import health_status
+
+    service = endpoint.service
+    alerts = endpoint.alerts.poll()
+    fleet = service.nodes_document()["fleet"]
     power = fleet.get("power_w", {})
-    burn = ",".join(health["slo_fast_burn"]) or "none"
+    burn = ",".join(
+        alert.labels["slo"] for alert in alerts if alert.name == "fast_burn"
+    ) or "none"
     print(
-        f"serve: status={health['status']:8} nodes={fleet['count']} "
+        f"serve: status={health_status(alerts)[1]:8} nodes={fleet['count']} "
         f"(stale {fleet['stale']})  samples={service.samples_total}  "
         f"shed={service.shed_samples_total}  "
         f"fleet={power.get('sum', float('nan')):.1f}W  fast-burn={burn}"
@@ -1473,25 +1475,30 @@ def _print_serve_summary(service) -> None:
 
 
 def _report_alerts(drift, seen: int) -> int:
-    """Print drift transitions recorded since index ``seen``."""
+    """Print the drift transitions made after the first ``seen``; returns
+    how many there are now.  Those that already left the bounded
+    history are counted, not printed."""
     history = drift.history()
-    for alert in history[seen:]:
+    new = drift.n_transitions - seen
+    dropped = max(0, new - len(history))
+    if dropped:
+        print(
+            f"monitor: {dropped} alert transition(s) left the history "
+            "before they were printed"
+        )
+    for alert in history[len(history) - (new - dropped):]:
         top = ""
         if alert.top_terms:
             top = "  top: " + ", ".join(
                 f"{term}={watts:.1f}W" for term, watts in alert.top_terms
             )
-        lane = getattr(alert, "lane", -1)
-        stream = (
-            f"{alert.subsystem}[{lane}]" if lane >= 0 else alert.subsystem
-        )
         print(
-            f"monitor: ALERT {alert.state:>8}  {stream:8} "
+            f"monitor: ALERT {alert.state:>8}  {alert.stream:8} "
             f"ewma err {alert.error_pct:5.1f}% "
             f"(threshold {alert.threshold_pct:.1f}%)  t={alert.timestamp_s:.1f}s"
             + top
         )
-    return len(history)
+    return drift.n_transitions
 
 
 def _store_tick(endpoint, now_s: float) -> None:
@@ -1506,8 +1513,7 @@ def _store_tick(endpoint, now_s: float) -> None:
     """
     if endpoint.store is not None and endpoint.windows is not None:
         endpoint.windows.sink_closed(now_s)
-    if endpoint.alerts is not None:
-        endpoint.alerts.evaluate(now_s)
+    endpoint.alerts.evaluate(now_s)
     if endpoint.store is not None:
         endpoint.store.flush(now_s)
 
@@ -1603,7 +1609,7 @@ def _monitor_server(args, context, endpoint, suite, active, name, seconds) -> No
     server.detach_monitor()
     print(
         f"monitor: done — {monitor.n_windows} sampler window(s), "
-        f"{len(drift.history())} alert transition(s), "
+        f"{drift.n_transitions} alert transition(s), "
         f"firing now: {', '.join(drift.firing) or 'none'}"
     )
 
@@ -1676,7 +1682,7 @@ def _monitor_fleet(
     print(
         f"monitor: done — {monitor.n_windows} lane window(s) in "
         f"{monitor.n_flushes} flush(es), "
-        f"{len(drift.history())} alert transition(s), "
+        f"{drift.n_transitions} alert transition(s), "
         f"firing lanes: {firing}"
     )
 
@@ -1746,7 +1752,7 @@ def _monitor_cluster(args, context, endpoint, suite, active, name, seconds) -> N
     print(
         f"monitor: done — energy {energy_j / 3600.0:.2f} Wh, "
         f"dropped {dropped} thread-second(s), "
-        f"{len(drift.history())} alert transition(s), "
+        f"{drift.n_transitions} alert transition(s), "
         f"firing now: {', '.join(drift.firing) or 'none'}"
     )
 

@@ -1,46 +1,66 @@
-"""One alert plane over three disjoint surfaces: drift, SLO burn, dc.
+"""The one alert state: what is firing, for every route that reports it.
 
-Before this module, "is anything wrong?" required three different
-queries: the drift monitor's ``firing`` tuple, the SLO engine's
-``fast_burning`` names, and the datacenter report's cap/fallback
-tallies.  :class:`AlertManager` polls all three through small source
-adapters and maintains one deduplicated alert set with stable keys
-(``source:name{label=value,...}``), grouping, silences, and
-firing→resolved transition history.  With a store attached, every
-transition also lands as an ``alerts_firing`` sample (1.0 on firing,
-0.0 on resolve) so "what was alerting at 14:32?" stays answerable
-after the process is gone.
+:class:`AlertManager` polls its attached sources and folds them into
+one deduplicated alert set with stable keys
+(``source:name{label=value,...}``).  That one read-only :meth:`poll`
+answers ``/healthz`` (:func:`health_status`), ``/alerts``' firing set
+and the ``serve`` summary line, so they cannot disagree.
+:meth:`evaluate` diffs the poll against the previous evaluation and is
+the only thing that records firing→resolved history; with a store
+attached, every transition also lands as an ``alerts_firing`` sample
+(1.0 on firing, 0.0 on resolve) so "what was alerting at 14:32?" stays
+answerable after the process is gone.
 
 Sources (attach any subset):
 
 * ``attach_drift(monitor)`` — a scalar
   :class:`~repro.obs.drift.DriftMonitor` or vectorized
-  :class:`~repro.obs.fleet.FleetDriftMonitor`; every entry of its
-  ``firing`` tuple becomes one alert keyed by stream name.
-* ``attach_slo(engine)`` — a :class:`~repro.serve.slo.SLOEngine`;
-  every ``fast_burning`` SLO becomes one alert.
+  :class:`~repro.obs.fleet.FleetDriftMonitor`; every firing stream is
+  one critical alert (labels ``subsystem``, and ``lane`` for a fleet)
+  whose ``detail`` is the stream's latest firing transition.
+* ``attach_service(service)`` — an
+  :class:`~repro.serve.service.EstimationService`: fast-burning SLOs
+  (label ``slo``), stale nodes (``node``) and the firing drift streams
+  of served nodes (``node``, ``subsystem``) are critical; dead shards
+  (``shard``) are warnings.
 * ``attach_dc(datacenter)`` — a
   :class:`~repro.dc.datacenter.Datacenter`; a report with cap
-  violations fires ``cap_violation``, and nonzero drift-fallback
-  seconds fire ``drift_fallback`` until a cleaner report lands.
-
-Silences are matcher dicts with an expiry (the caller's clock):
-a silenced alert stays tracked — state transitions still record —
-but is excluded from the ``firing`` rollup that feeds ``/healthz``
-style decisions.
+  violations fires a critical ``cap_violation``, and nonzero
+  drift-fallback seconds a ``drift_fallback`` warning.
 """
 
 from __future__ import annotations
 
-import itertools
-import re
 from dataclasses import dataclass, field
+
+#: The ``/healthz`` status each critical alert reports, most urgent first.
+CRITICAL_STATUS = {
+    "node_stale": "stale",
+    "fast_burn": "burning",
+    "drift_slo_breach": "drifting",
+    "cap_violation": "over_cap",
+}
 
 
 def dedup_key(source: str, name: str, labels: "dict[str, str]") -> str:
     """The stable identity of one alert across polls and restarts."""
     rendered = ",".join(f"{k}={v}" for k, v in sorted(labels.items()))
     return f"{source}:{name}{{{rendered}}}"
+
+
+def health_status(alerts: "list[Alert]") -> "tuple[int, str]":
+    """``/healthz``'s (HTTP status, status word) for a firing set.
+
+    Any critical alert is a 503 named after the most urgent one: the
+    estimates must not steer anything.  Warnings alone are ``degraded``
+    but still serving (200).
+    """
+    critical = {alert.name for alert in alerts if alert.severity == "critical"}
+    if critical:
+        return 503, next(
+            status for name, status in CRITICAL_STATUS.items() if name in critical
+        )
+    return 200, "degraded" if alerts else "ok"
 
 
 @dataclass
@@ -52,8 +72,9 @@ class Alert:
     labels: "dict[str, str]"
     severity: str = "warning"
     state: str = "firing"
-    since_s: float = 0.0
-    last_seen_s: float = 0.0
+    #: When :meth:`AlertManager.evaluate` first saw it firing (``None``
+    #: until an evaluation has).
+    since_s: "float | None" = None
     detail: "dict" = field(default_factory=dict)
 
     @property
@@ -69,38 +90,33 @@ class Alert:
             "severity": self.severity,
             "state": self.state,
             "since_s": self.since_s,
-            "last_seen_s": self.last_seen_s,
             "detail": dict(self.detail),
         }
 
 
-@dataclass
-class Silence:
-    """Mute alerts matching ``matchers`` until ``until_s``."""
+def _stream_alerts(firing, unresolved, **labels: str) -> "list[Alert]":
+    """One critical alert per firing stream of one drift monitor.
 
-    silence_id: int
-    matchers: "dict[str, str]"
-    until_s: float
-    comment: str = ""
-
-    def matches(self, alert: Alert) -> bool:
-        fields = {"source": alert.source, "name": alert.name, **alert.labels}
-        for label, wanted in self.matchers.items():
-            have = fields.get(label)
-            if wanted.startswith("=~"):
-                if have is None or re.fullmatch(wanted[2:], have) is None:
-                    return False
-            elif have != wanted:
-                return False
-        return True
-
-    def to_dict(self) -> dict:
-        return {
-            "id": self.silence_id,
-            "matchers": dict(self.matchers),
-            "until_s": self.until_s,
-            "comment": self.comment,
-        }
+    ``firing`` and ``unresolved`` are the monitor's; ``labels`` (a
+    served node's name) are added to every alert.
+    """
+    latest = {transition.stream: transition for transition in unresolved}
+    out = []
+    for stream in firing:
+        # FleetDriftMonitor streams read "subsystem[lane]".
+        name, _, lane = str(stream).partition("[")
+        alert_labels = {**labels, "subsystem": name}
+        if lane:
+            alert_labels["lane"] = lane.rstrip("]")
+        transition = latest.get(stream)
+        out.append(Alert(
+            source="drift",
+            name="drift_slo_breach",
+            labels=alert_labels,
+            severity="critical",
+            detail=transition.to_dict() if transition is not None else {},
+        ))
+    return out
 
 
 class AlertManager:
@@ -111,12 +127,11 @@ class AlertManager:
         #: ``alerts_firing`` transition samples.
         self.store = store
         self.max_history = int(max_history)
+        #: The alerts firing at the last :meth:`evaluate`, by key.
         self.alerts: "dict[str, Alert]" = {}
         self.history: "list[dict]" = []
-        self.silences: "list[Silence]" = []
-        self._silence_ids = itertools.count(1)
         self._drift = None
-        self._slo = None
+        self._service = None
         self._dc = None
         self.evaluations = 0
 
@@ -125,58 +140,38 @@ class AlertManager:
     def attach_drift(self, monitor) -> None:
         self._drift = monitor
 
-    def attach_slo(self, engine) -> None:
-        self._slo = engine
+    def attach_service(self, service) -> None:
+        self._service = service
 
     def attach_dc(self, datacenter) -> None:
         self._dc = datacenter
 
-    # -- silences ------------------------------------------------------
+    # -- the one view --------------------------------------------------
 
-    def silence(
-        self, matchers: "dict[str, str]", until_s: float, comment: str = ""
-    ) -> int:
-        """Mute matching alerts until ``until_s``; returns the silence id."""
-        entry = Silence(next(self._silence_ids), dict(matchers), float(until_s), comment)
-        self.silences.append(entry)
-        return entry.silence_id
-
-    def expire_silences(self, now_s: float) -> None:
-        self.silences = [s for s in self.silences if s.until_s > now_s]
-
-    def _silenced(self, alert: Alert) -> bool:
-        return any(s.matches(alert) for s in self.silences)
-
-    # -- evaluation ----------------------------------------------------
+    def poll(self) -> "list[Alert]":
+        """Every alert firing now, in key order; changes no state."""
+        active: "dict[str, Alert]" = {}
+        for alert in self._drift_alerts() + self._service_alerts() + self._dc_alerts():
+            known = self.alerts.get(alert.key)
+            if known is not None:
+                alert.since_s = known.since_s
+            active[alert.key] = alert
+        return [active[key] for key in sorted(active)]
 
     def evaluate(self, now_s: float) -> "list[dict]":
-        """Poll every source; returns this round's transitions."""
-        self.expire_silences(now_s)
-        active: "dict[str, Alert]" = {}
-        for alert in self._drift_alerts():
-            active[alert.key] = alert
-        for alert in self._slo_alerts():
-            active[alert.key] = alert
-        for alert in self._dc_alerts():
-            active[alert.key] = alert
-
+        """Diff a poll against the last evaluation; returns (and records)
+        this round's transitions."""
+        active = {alert.key: alert for alert in self.poll()}
         transitions: "list[dict]" = []
         for key, alert in active.items():
-            known = self.alerts.get(key)
-            if known is None or known.state != "firing":
-                alert.state = "firing"
+            if key not in self.alerts:
                 alert.since_s = now_s
-                alert.last_seen_s = now_s
-                self.alerts[key] = alert
                 transitions.append(self._transition(alert, now_s))
-            else:
-                known.last_seen_s = now_s
-                known.detail = alert.detail
         for key, known in self.alerts.items():
-            if known.state == "firing" and key not in active:
+            if key not in active:
                 known.state = "resolved"
-                known.last_seen_s = now_s
                 transitions.append(self._transition(known, now_s))
+        self.alerts = active
         self.evaluations += 1
         return transitions
 
@@ -197,39 +192,34 @@ class AlertManager:
     # -- source adapters -----------------------------------------------
 
     def _drift_alerts(self) -> "list[Alert]":
-        monitor = self._drift
-        if monitor is None:
+        if self._drift is None:
             return []
-        out = []
-        slo_pct = getattr(monitor, "slo_pct", None)
-        for stream in monitor.firing:
-            # FleetDriftMonitor streams read "subsystem[lane]".
-            name, _, lane = str(stream).partition("[")
-            labels = {"subsystem": name}
-            if lane:
-                labels["lane"] = lane.rstrip("]")
-            out.append(Alert(
-                source="drift",
-                name="drift_slo_breach",
-                labels=labels,
-                severity="critical",
-                detail={"slo_pct": slo_pct},
-            ))
-        return out
+        firing = self._drift.firing
+        return _stream_alerts(firing, self._drift.unresolved() if firing else [])
 
-    def _slo_alerts(self) -> "list[Alert]":
-        engine = self._slo
-        if engine is None:
+    def _service_alerts(self) -> "list[Alert]":
+        service = self._service
+        if service is None:
             return []
-        return [
-            Alert(
-                source="slo",
-                name="fast_burn",
-                labels={"slo": name},
-                severity="critical",
-            )
-            for name in engine.fast_burning
+        out = [
+            Alert("slo", "fast_burn", {"slo": name}, "critical")
+            for name in service.slo.fast_burning
         ]
+        staleness = service.staleness.to_json()
+        out += [
+            Alert(
+                "serve", "node_stale", {"node": node}, "critical",
+                detail={"age_s": staleness["age_s"][node]},
+            )
+            for node in staleness["stale"]
+        ]
+        for node, firing, unresolved in service.drifting_nodes():
+            out += _stream_alerts(firing, unresolved, node=node)
+        out += [
+            Alert("serve", "shard_dead", {"shard": str(index)}, "warning")
+            for index in service.dead_shards()
+        ]
+        return out
 
     def _dc_alerts(self) -> "list[Alert]":
         datacenter = self._dc
@@ -261,26 +251,16 @@ class AlertManager:
 
     # -- exposition ----------------------------------------------------
 
-    @property
-    def firing(self) -> "list[Alert]":
-        """Currently firing, unsilenced alerts (stable key order)."""
-        return [
-            alert
-            for key, alert in sorted(self.alerts.items())
-            if alert.state == "firing" and not self._silenced(alert)
-        ]
-
     def document(self) -> dict:
-        """The aggregated ``/alerts`` block for this manager."""
+        """The ``/alerts`` block: one poll's firing set and its alerts
+        grouped by source, and the evaluated transition history."""
+        firing = self.poll()
         groups: "dict[str, list]" = {}
-        for key, alert in sorted(self.alerts.items()):
-            doc = alert.to_dict()
-            doc["silenced"] = self._silenced(alert)
-            groups.setdefault(alert.source, []).append(doc)
+        for alert in firing:
+            groups.setdefault(alert.source, []).append(alert.to_dict())
         return {
-            "firing": [alert.key for alert in self.firing],
+            "firing": [alert.key for alert in firing],
             "groups": groups,
-            "silences": [s.to_dict() for s in self.silences],
             "history": list(self.history),
             "evaluations": self.evaluations,
         }

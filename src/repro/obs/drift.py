@@ -58,6 +58,11 @@ class DriftAlert:
     #: so an alert names its likely offenders without a second query.
     top_terms: "tuple[tuple[str, float], ...]" = ()
 
+    @property
+    def stream(self) -> str:
+        """The monitor's name for the stream (its ``firing`` entry)."""
+        return self.subsystem
+
     def to_dict(self) -> dict:
         return {
             "subsystem": self.subsystem,
@@ -117,6 +122,8 @@ class DriftMonitor:
         self.resolve_ratio = float(resolve_ratio)
         self._streams: "dict[str, _Stream]" = {}
         self._history: "deque[DriftAlert]" = deque(maxlen=max_history)
+        #: Every transition ever made; the history keeps the newest.
+        self.n_transitions = 0
 
     # -- observation ---------------------------------------------------
 
@@ -259,6 +266,7 @@ class DriftMonitor:
             top_terms=top_terms,
         )
         self._history.append(alert)
+        self.n_transitions += 1
         obs.inc("drift_alerts_total", 1.0, {"subsystem": name, "state": state})
         obs.event(
             "drift.alert",

@@ -84,6 +84,10 @@ class LaneDriftAlert(DriftAlert):
 
     lane: int = -1
 
+    @property
+    def stream(self) -> str:
+        return f"{self.subsystem}[{self.lane}]"
+
     def to_dict(self) -> dict:
         doc = super().to_dict()
         doc["lane"] = self.lane
@@ -115,8 +119,8 @@ class FleetDriftMonitor:
 
     The inspection surface mirrors the scalar monitor's — ``firing``,
     ``unresolved()``, ``history()``, ``to_json()`` — with stream names
-    qualified as ``"<subsystem>[<lane>]"`` so the drift-aware
-    ``/healthz`` handler works unchanged.
+    qualified as ``"<subsystem>[<lane>]"`` so the alert manager reads
+    both alike.
     """
 
     def __init__(
@@ -145,6 +149,8 @@ class FleetDriftMonitor:
         self.resolve_ratio = float(resolve_ratio)
         self._streams: "dict[str, _LaneStream]" = {}
         self._history: "deque[LaneDriftAlert]" = deque(maxlen=max_history)
+        #: Every transition ever made; the history keeps the newest.
+        self.n_transitions = 0
 
     # -- observation ---------------------------------------------------
 
@@ -263,6 +269,7 @@ class FleetDriftMonitor:
             lane=int(lanes[idx]),
         )
         self._history.append(alert)
+        self.n_transitions += 1
         obs.inc(
             "fleet_drift_alerts_total", 1.0, {"subsystem": name, "state": state}
         )

@@ -8,9 +8,9 @@ route           payload
 =============== =======================================================
 /metrics        Prometheus text exposition of the metrics registry
 /metrics.json   the same metrics as JSON (the ``metrics.json`` shape)
-/alerts         the aggregated alert plane: drift-monitor state, SLO
-                burn, dc alerts and the unified AlertManager document
-                (absent sources are explicit ``null``, never 404)
+/alerts         the AlertManager document (firing set, alerts grouped
+                by source, transition history) and the drift monitor's
+                state (``null`` when none is attached, never 404)
 /query          instant query against the attached store:
                 ``?name=...&label=k=v&at=T``
 /query_range    range query: ``?name=...&start=&end=&step=&agg=&by=``
@@ -19,9 +19,9 @@ route           payload
                 and the store's shard/segment summary
 /windows        the windowed registry's recent windows (when attached);
                 ``?last=N`` pages the newest N windows
-/healthz        liveness **and drift state**: 200 while healthy, 503
-                with the unresolved alerts once the attached drift
-                monitor has firing streams
+/healthz        liveness and the AlertManager's firing set: 503 while
+                any alert is critical (drift, stale node, fast burn,
+                cap violation), 200 ``degraded`` on warnings alone
 /attribution    the latest per-term watt decomposition (when a flight
                 recorder is attached and the estimator attributes)
 /flightrecorder flight-recorder status; ``?dump=1`` writes a bundle
@@ -69,6 +69,8 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs
 
+from repro.obs.alertmgr import AlertManager, health_status
+
 logger = logging.getLogger(__name__)
 
 #: Prometheus text exposition content type.
@@ -82,7 +84,7 @@ class ObservabilityServer:
         registry: metrics registry to expose (default: the process
             registry, ``obs.registry()``).
         drift: a :class:`~repro.obs.drift.DriftMonitor` for ``/alerts``
-            (optional; the route reports an empty document without it).
+            (optional).
         windows: a :class:`~repro.obs.live.WindowedRegistry` for
             ``/windows`` (optional).
         flight: a :class:`~repro.obs.flight.FlightRecorder` for
@@ -91,13 +93,13 @@ class ObservabilityServer:
             ``/fleet*`` routes (optional).
         service: a :class:`~repro.serve.service.EstimationService` for
             the streaming routes — ``POST /ingest``, ``/nodes``,
-            ``/nodes/<id>``, ``/service``, ``/slo`` — and the
-            staleness/burn-aware ``/healthz`` verdict (optional).
+            ``/nodes/<id>``, ``/service``, ``/slo`` (optional).
         store: a :class:`~repro.obs.tsdb.TSDB` for ``/query`` and
             ``/query_range`` (optional; the routes answer
             ``{"store": null}`` without one).
-        alerts: an :class:`~repro.obs.alertmgr.AlertManager` folded
-            into the aggregated ``/alerts`` payload (optional).
+        alerts: the :class:`~repro.obs.alertmgr.AlertManager` that
+            answers ``/healthz`` and ``/alerts`` (default: a new one
+            over ``drift``, ``service`` and ``dc``).
         rules: a :class:`~repro.obs.rules.RuleEngine` served on
             ``/rules`` next to the store summary (optional).
         dc: a :class:`~repro.dc.datacenter.Datacenter` (or any object
@@ -162,6 +164,11 @@ class ObservabilityServer:
         self.service = service
         self.dc = dc
         self.store = store
+        if alerts is None:
+            alerts = AlertManager()
+            alerts.attach_drift(drift)
+            alerts.attach_service(service)
+            alerts.attach_dc(dc)
         self.alerts = alerts
         self.rules = rules
         self.chaos = bool(chaos)
@@ -365,68 +372,30 @@ class ObservabilityServer:
         if path == "/slo":
             if self.service is None:
                 return 200, "application/json", _json_body({"slo": None})
-            return 200, "application/json", _json_body(self.service.slo.check())
+            return 200, "application/json", _json_body(
+                self.service.slo.document()
+            )
         if path in ("/healthz", "/", ""):
-            document = {
-                "status": "ok",
+            alerts = self.alerts.poll()
+            code, status = health_status(alerts)
+            return code, "application/json", _json_body({
+                "status": status,
                 "phase": self.phase,
                 "uptime_s": round(self.uptime_s, 3),
                 "routes": list(self.ROUTES),
-            }
-            # Drift-aware health: firing alerts mean the estimates
-            # should not steer anything, so report unhealthy (503) and
-            # name the unresolved alerts in the body.
-            if self.drift is not None and self.drift.firing:
-                document["status"] = "drifting"
-                document["firing"] = list(self.drift.firing)
-                document["alerts"] = [
-                    alert.to_dict() for alert in self.drift.unresolved()
-                ]
-                return 503, "application/json", _json_body(document)
-            # Streaming-service health: stale estimates, fast-burning
-            # SLOs and drifting nodes are 503 (same unresolved-alert
-            # semantics); dead shards alone are degraded **but still
-            # serving**, so they keep the 200.
-            if self.service is not None:
-                verdict = self.service.health()
-                document["service"] = verdict
-                document["status"] = verdict["status"]
-                if not verdict["healthy"]:
-                    return 503, "application/json", _json_body(document)
-            return 200, "application/json", _json_body(document)
+                "firing": [alert.key for alert in alerts],
+                "alerts": [alert.to_dict() for alert in alerts],
+            })
         return 404, "application/json", _json_body(
             {"error": f"unknown route {path!r}", "routes": list(self.ROUTES)}
         )
 
     def alerts_document(self) -> dict:
-        """The aggregated ``/alerts`` payload.
-
-        Every alert surface gets a key; unattached sources are an
-        explicit ``null`` (the route is always 200 — "no monitor" is an
-        answer, not an error).
-        """
-        slo_doc = None
-        if self.service is not None:
-            slo_doc = self.service.slo.check()
-        dc_doc = None
-        if self.dc is not None:
-            report = getattr(self.dc, "last_report", self.dc)
-            if report is not None:
-                dc_doc = {
-                    "cap_violations": getattr(report, "cap_violations", 0),
-                    "boots_denied": getattr(report, "boots_denied", 0),
-                    "cap_enforcements": getattr(report, "cap_enforcements", 0),
-                    "drift_fallback_seconds": getattr(
-                        report, "drift_fallback_seconds", 0
-                    ),
-                }
+        """The ``/alerts`` payload: the AlertManager document and the
+        drift monitor's state (``null`` without one)."""
         return {
             "drift": self.drift.to_json() if self.drift is not None else None,
-            "slo": slo_doc,
-            "dc": dc_doc,
-            "alerts": (
-                self.alerts.document() if self.alerts is not None else None
-            ),
+            "alerts": self.alerts.document(),
         }
 
     def _query_route(self, query: str) -> "tuple[int, str, str]":

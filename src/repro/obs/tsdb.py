@@ -698,8 +698,8 @@ class TSDB:
         retention_s: "dict[str, float] | None" = None,
         seal_bytes: int = DEFAULT_SEAL_BYTES,
     ) -> None:
+        # The first append creates the root; a reader never does.
         self.root = os.path.abspath(root)
-        os.makedirs(self.root, exist_ok=True)
         self.retention_s = dict(DEFAULT_RETENTION_S)
         if retention_s:
             self.retention_s.update(retention_s)

@@ -23,10 +23,12 @@ The ops plane rides :mod:`repro.obs` and is the headline feature:
 * **backpressure telemetry** — bounded shard queues
   (:class:`~repro.serve.queues.BoundedQueue`) with depth/high-water
   gauges and shed counters; overload sheds visibly instead of OOMing;
-* **staleness** — :class:`~repro.serve.staleness.StalenessTracker`
-  feeds ``/healthz`` (stale estimates are unhealthy estimates);
+* **staleness** — :class:`~repro.serve.staleness.StalenessTracker`;
+  stale nodes, like fast-burning SLOs, drifting nodes and dead shards,
+  are :class:`~repro.obs.alertmgr.AlertManager` alerts on ``/healthz``;
 * **SLO burn** — :class:`~repro.serve.slo.SLOEngine` tracks error and
-  freshness budgets and fires the flight recorder on fast burn.
+  freshness budgets; the housekeeping :meth:`~EstimationService.tick`
+  fires the flight recorder on fast burn.
 
 Telemetry stays opt-in: with ``obs`` disabled and ``ops=False`` the
 ingest path is the bare decode→evaluate→publish pipeline the
@@ -122,7 +124,7 @@ class EstimationService:
         shards: estimator worker count (stable-hash node routing).
         queue_depth: per-shard queue bound, in batches.
         coalesce: max queued batches a worker folds into one evaluate.
-        stale_after_s: node staleness horizon for ``/healthz``.
+        stale_after_s: seconds without a sample before a node is stale.
         drift_slo_pct: per-node drift bound (paper default 9 %).
         attribute: also publish per-term watt attribution per node.
         node_history: per-node estimate ring length.
@@ -698,37 +700,15 @@ class EstimationService:
             if shard.killed or (self.running and not shard.alive)
         ]
 
-    def health(self) -> dict:
-        """Liveness verdict merged into ``/healthz``.
-
-        ``stale`` nodes or a fast-burning SLO make the service
-        unhealthy (503 — estimates must not steer anything); dead
-        shards alone are *degraded but serving* (200).
-        """
-        fresh, stale = self.staleness.sweep()
-        burning = list(self.slo.fast_burning)
-        drifting = sorted(
-            state.node
-            for state in self._node_states()
-            if state.drift is not None and state.drift.firing
-        )
-        dead = self.dead_shards()
-        healthy = not stale and not burning and not drifting
-        status = "ok"
-        if dead:
-            status = "degraded"
-        if stale or burning or drifting:
-            status = "stale" if stale else "burning" if burning else "drifting"
-        return {
-            "status": status,
-            "healthy": healthy,
-            "nodes_fresh": len(fresh),
-            "nodes_stale": len(stale),
-            "stale_nodes": stale,
-            "dead_shards": dead,
-            "slo_fast_burn": burning,
-            "drifting_nodes": drifting,
-        }
+    def drifting_nodes(self) -> "list[tuple[str, tuple[str, ...], list]]":
+        """``(node, firing streams, unresolved transitions)`` of every
+        node whose drift monitor fires, read under the node lock."""
+        with self._nodes_lock:
+            return [
+                (state.node, state.drift.firing, state.drift.unresolved())
+                for state in self._nodes.values()
+                if state.drift is not None and state.drift.firing
+            ]
 
     def nodes_document(self) -> dict:
         """The ``/nodes`` payload: per-node summary + fleet aggregate."""
@@ -822,9 +802,8 @@ class EstimationService:
                 "poison_samples_total": self.poison_samples_total,
             },
             "required_events": sorted(e.value for e in self.required_events),
-            "slo": self.slo.check(),
+            "slo": self.slo.document(),
             "staleness": self.staleness.to_json(),
-            "health": self.health(),
         }
 
     def stage_document(self) -> dict:

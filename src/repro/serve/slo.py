@@ -77,10 +77,6 @@ class _Budget:
             return 0.0
         return (bad / total) / (1.0 - self.objective)
 
-    def budget_remaining(self, now: float, window_s: float) -> float:
-        """1.0 = untouched budget, 0.0 = spent (clamped below at 0)."""
-        return max(0.0, 1.0 - self.burn_rate(now, window_s))
-
 
 class SLOEngine:
     """Tracks error + freshness budgets and fires on fast burn."""
@@ -135,12 +131,42 @@ class SLOEngine:
 
     # -- evaluation ----------------------------------------------------
 
-    def check(self, now: "float | None" = None) -> dict:
-        """Recompute burn rates, fire/clear fast-burn, publish gauges.
+    def _rates(self, budget: _Budget, moment: float) -> "tuple[float, float]":
+        return (
+            budget.burn_rate(moment, self.short_window_s),
+            budget.burn_rate(moment, self.long_window_s),
+        )
 
-        Returns the same document :meth:`to_json` builds; call sites
-        (the service housekeeping loop, the ``/slo`` route) use it as
-        the scrapeable burn state.
+    @staticmethod
+    def _entry(budget: _Budget, short: float, long: float) -> dict:
+        return {
+            "objective": budget.objective,
+            "burn_short": round(short, 4),
+            "burn_long": round(long, 4),
+            # 1.0 = untouched budget, 0.0 = spent (clamped below at 0).
+            "budget_remaining": round(max(0.0, 1.0 - long), 4),
+            "fast_burn": budget.fast_burn,
+            "fast_burn_count": budget.fast_burn_count,
+            "good_total": budget.good_total,
+            "bad_total": budget.bad_total,
+        }
+
+    def _document(self, state: dict) -> dict:
+        return {
+            "error_bound_pct": self.error_bound_pct,
+            "short_window_s": self.short_window_s,
+            "long_window_s": self.long_window_s,
+            "fast_burn_rate": self.fast_burn_rate,
+            "slos": state,
+        }
+
+    def check(self, now: "float | None" = None) -> dict:
+        """Recompute burn rates, fire/clear fast burn, publish gauges.
+
+        Only the service's housekeeping tick calls this: a fast-burn
+        edge emits ``slo.burn``, bumps ``slo_fast_burn_total`` and
+        triggers a flight bundle.  Returns the :meth:`document` as of
+        the new state.
         """
         moment = self._now(now)
         fired: "list[str]" = []
@@ -148,8 +174,7 @@ class SLOEngine:
             state = {}
             for name, budget in self._budgets.items():
                 budget.prune(moment, self.long_window_s)
-                short = budget.burn_rate(moment, self.short_window_s)
-                long = budget.burn_rate(moment, self.long_window_s)
+                short, long = self._rates(budget, moment)
                 burning = (
                     short >= self.fast_burn_rate and long >= self.fast_burn_rate
                 )
@@ -157,18 +182,7 @@ class SLOEngine:
                     budget.fast_burn_count += 1
                     fired.append(name)
                 budget.fast_burn = burning
-                state[name] = {
-                    "objective": budget.objective,
-                    "burn_short": round(short, 4),
-                    "burn_long": round(long, 4),
-                    "budget_remaining": round(
-                        budget.budget_remaining(moment, self.long_window_s), 4
-                    ),
-                    "fast_burn": burning,
-                    "fast_burn_count": budget.fast_burn_count,
-                    "good_total": budget.good_total,
-                    "bad_total": budget.bad_total,
-                }
+                state[name] = self._entry(budget, short, long)
                 obs.gauge("slo_burn_rate", short, {"slo": name, "window": "short"})
                 obs.gauge("slo_burn_rate", long, {"slo": name, "window": "long"})
                 obs.gauge(
@@ -193,13 +207,19 @@ class SLOEngine:
                     f"slo-fast-burn-{name}",
                     detail={"slo": name, **detail},
                 )
-        return {
-            "error_bound_pct": self.error_bound_pct,
-            "short_window_s": self.short_window_s,
-            "long_window_s": self.long_window_s,
-            "fast_burn_rate": self.fast_burn_rate,
-            "slos": state,
-        }
+        return self._document(state)
+
+    def document(self, now: "float | None" = None) -> dict:
+        """The scrapeable burn state (``/slo``, ``/service``): burn rates
+        at ``now``, fast-burn flags as of the last :meth:`check`.
+        Read-only, so a scrape never fires anything."""
+        moment = self._now(now)
+        with self._lock:
+            state = {
+                name: self._entry(budget, *self._rates(budget, moment))
+                for name, budget in self._budgets.items()
+            }
+        return self._document(state)
 
     @property
     def fast_burning(self) -> "tuple[str, ...]":
@@ -210,6 +230,3 @@ class SLOEngine:
                 for name, budget in self._budgets.items()
                 if budget.fast_burn
             )
-
-    def to_json(self, now: "float | None" = None) -> dict:
-        return self.check(now)

@@ -4,9 +4,9 @@ A node is *fresh* while its last accepted sample arrived within
 ``stale_after_s`` (service wall clock, injectable for tests).  The
 tracker feeds three consumers:
 
-* ``/healthz`` — stale nodes flip the service unhealthy (503), the
-  same unresolved-alert semantics the drift monitor uses: stale
-  estimates must not steer anything;
+* the alert plane — each stale node is a critical
+  :class:`~repro.obs.alertmgr.AlertManager` alert, so ``/healthz``
+  answers 503: stale estimates must not steer anything;
 * the freshness SLO — every sweep records one good/bad event per known
   node into the :class:`~repro.serve.slo.SLOEngine`;
 * the gauge plane — ``serve_nodes_fresh`` / ``serve_nodes_stale``.

@@ -422,7 +422,7 @@ class TestFleetRoutes:
         assert status == 503
         doc = json.loads(body)
         assert doc["status"] == "drifting"
-        assert any("[1]" in name for name in doc["firing"])
+        assert any(a["labels"].get("lane") == "1" for a in doc["alerts"])
 
     def test_windows_last_paging(self, paper_suite):
         import json

@@ -793,22 +793,27 @@ class TestObservabilityHTTP:
             metrics = json.loads(_fetch(endpoint.url("/metrics.json")))
             assert metrics["counters"][0]["name"] == "requests_total"
             alerts = json.loads(_fetch(endpoint.url("/alerts")))
-            # /alerts aggregates every alert surface; unattached ones
-            # are explicit nulls rather than missing keys (or a 404).
+            # /alerts carries the drift monitor's state and the alert
+            # manager's view of it, with or without a store.
             assert set(alerts["drift"]["firing"]) == {"cpu", "total"}
-            assert alerts["slo"] is None
-            assert alerts["dc"] is None
-            assert alerts["alerts"] is None
+            assert set(alerts) == {"drift", "alerts"}
+            firing = alerts["alerts"]["firing"]
+            assert firing == [
+                "drift:drift_slo_breach{subsystem=cpu}",
+                "drift:drift_slo_breach{subsystem=total}",
+            ]
             # The attached drift monitor is firing, so health is a 503
-            # naming the unresolved alerts.
+            # naming the same alerts, each with its firing transition.
             with pytest.raises(urllib.error.HTTPError) as err:
                 _fetch(endpoint.url("/healthz"))
             assert err.value.code == 503
             health = json.loads(err.value.read().decode("utf-8"))
             assert health["status"] == "drifting"
-            assert set(health["firing"]) == {"cpu", "total"}
-            assert {a["subsystem"] for a in health["alerts"]} == {"cpu", "total"}
-            assert all(a["state"] == "firing" for a in health["alerts"])
+            assert health["firing"] == firing
+            assert [a["detail"]["subsystem"] for a in health["alerts"]] == [
+                "cpu", "total"
+            ]
+            assert all(a["detail"]["state"] == "firing" for a in health["alerts"])
             assert "windows" in json.loads(_fetch(endpoint.url("/windows")))
             with pytest.raises(urllib.error.HTTPError) as err:
                 _fetch(endpoint.url("/no-such-route"))
@@ -823,7 +828,7 @@ class TestObservabilityHTTP:
             health = json.loads(_fetch(endpoint.url("/healthz")))
             assert health["status"] == "ok"
             assert set(health["routes"]) == set(ObservabilityServer.ROUTES)
-            assert "firing" not in health and "alerts" not in health
+            assert health["firing"] == [] and health["alerts"] == []
 
     def test_attribution_and_flightrecorder_routes(self, tmp_path):
         from repro.obs.attribution import Attribution

@@ -276,3 +276,60 @@ class TestLiveArguments:
             main([*command, "--tick-ms", "50", *flags])
         assert exit_info.value.code == 2
         assert message in capsys.readouterr().err
+
+
+class TestAlertLog:
+    """The monitor's alert log once the drift history is full: every
+    transition is printed or counted as dropped, and the done lines
+    report the true count, not the history's capped length."""
+
+    @staticmethod
+    def _monitor(fleet: bool):
+        from repro.obs.drift import DriftMonitor
+        from repro.obs.fleet import FleetDriftMonitor
+
+        # alpha 1 (no smoothing): each window flips every stream.
+        if fleet:
+            return FleetDriftMonitor(2, alpha=1.0, min_windows=1, max_history=4)
+        return DriftMonitor(alpha=1.0, min_windows=1, max_history=4)
+
+    @pytest.mark.parametrize("fleet", [False, True], ids=["scalar", "fleet"])
+    def test_every_transition_is_printed_or_counted(self, fleet):
+        import numpy as np
+
+        from repro import cli
+
+        drift = self._monitor(fleet)
+        width = 2 if fleet else 1
+        seen, window, out = 0, 0, StringIO()
+        with redirect_stdout(out):
+            # Bursts of 3 and 5 windows overflow the 4-entry history.
+            for burst in (1, 1, 3, 1, 5, 3):
+                for _ in range(burst):
+                    window += 1
+                    estimate = 200.0 if window % 2 else 100.0
+                    if fleet:
+                        drift.observe(
+                            float(window), {"cpu": np.full(width, estimate)},
+                            {"cpu": np.full(width, 100.0)},
+                        )
+                    else:
+                        drift.observe(
+                            float(window), {"cpu": estimate}, {"cpu": 100.0}
+                        )
+                seen = cli._report_alerts(drift, seen)
+        lines = out.getvalue().splitlines()
+        printed = [line for line in lines if "ALERT" in line]
+        dropped = sum(
+            int(match.group(1))
+            for line in lines
+            for match in [re.match(r"monitor: (\d+) alert transition", line)]
+            if match
+        )
+        # cpu and total flip on each of the 14 windows, in every lane;
+        # the last window resolves them.
+        assert drift.n_transitions == seen == 2 * width * 14
+        assert len(printed) + dropped == drift.n_transitions
+        assert dropped > 0
+        assert "ALERT resolved" in printed[-1]
+        assert len(drift.history()) == 4

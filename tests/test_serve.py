@@ -40,6 +40,7 @@ from repro.core.features import FeatureSet
 from repro.core.models import ConstantModel, PolynomialModel
 from repro.core.suite import TrickleDownSuite
 from repro.core.traces import CounterTrace
+from repro.obs.alertmgr import AlertManager, health_status
 from repro.obs.drift import DriftMonitor
 from repro.obs.flight import FlightRecorder, load_bundle
 from repro.obs.http import ObservabilityServer
@@ -134,6 +135,11 @@ def _post(url: str, body: str):
             return response.status, json.load(response)
     except urllib.error.HTTPError as error:
         return error.code, json.load(error)
+
+
+def _labels(document: dict, name: str) -> "list[dict]":
+    """The labels of every ``name`` alert in a ``/healthz`` body."""
+    return [a["labels"] for a in document["alerts"] if a["name"] == name]
 
 
 def _scaled_truth_frames(
@@ -844,21 +850,24 @@ class TestEstimationService:
                 clock=lambda: clock[0],
             ),
         )
+        alerts = AlertManager()
+        alerts.attach_service(service)
         line = frames_from_run(
             gcc_run, "n0", frame_samples=16, events=required_events(suite)
         )[0]
         service.ingest_inline(line)
-        verdict = service.health()
-        assert verdict["nodes_fresh"] == 1 and not verdict["stale_nodes"]
+        assert not [a for a in alerts.poll() if a.name == "node_stale"]
         clock[0] += 10.0
         for _ in range(3):
             service.tick()
             clock[0] += 1.0
-        verdict = service.health()
-        assert verdict["status"] == "stale"
-        assert not verdict["healthy"]
-        assert verdict["stale_nodes"] == ["n0"]
-        assert "freshness" in verdict["slo_fast_burn"]
+        firing = alerts.poll()
+        assert health_status(firing) == (503, "stale")
+        stale = [a.labels for a in firing if a.name == "node_stale"]
+        assert stale == [{"node": "n0"}]
+        assert {"slo": "freshness"} in [
+            a.labels for a in firing if a.name == "fast_burn"
+        ]
         nodes = service.nodes_document()
         assert nodes["nodes"][0]["stale"]
         assert nodes["fleet"]["stale"] == 1
@@ -875,9 +884,12 @@ class TestEstimationService:
             result = service.kill_shard(0)
             assert result["killed"] and not result["alive"]
             assert service.dead_shards() == [0]
-            verdict = service.health()
-            assert verdict["status"] == "degraded"
-            assert verdict["healthy"]  # degraded but serving: still 200
+            alerts = AlertManager()
+            alerts.attach_service(service)
+            firing = alerts.poll()
+            assert [a.key for a in firing] == ["serve:shard_dead{shard=0}"]
+            # Degraded but serving: still 200.
+            assert health_status(firing) == (200, "degraded")
             line = frames_from_run(
                 gcc_run, dead_node, frame_samples=8, events=events
             )[0]
@@ -1002,7 +1014,7 @@ class TestEstimationService:
             e.value for e in required_events(suite)
         )
         assert "slos" in document["slo"]
-        assert document["health"]["status"] == "ok"
+        assert "health" not in document
 
     def test_span_sampling_traces_one_in_n(self, suite):
         obs.enable()
@@ -1093,13 +1105,12 @@ class TestHttpRoutes:
         )[0]
         service.ingest_inline(line)
         status, document = _get(endpoint.url("/healthz"))
-        assert status == 200
-        assert document["service"]["nodes_fresh"] == 1
+        assert (status, document["firing"]) == (200, [])
         clock[0] += 60.0
         status, document = _get(endpoint.url("/healthz"))
         assert status == 503
         assert document["status"] == "stale"
-        assert document["service"]["stale_nodes"] == ["n0"]
+        assert _labels(document, "node_stale") == [{"node": "n0"}]
 
     def test_service_route_and_kill_shard_chaos_hook(self, suite):
         service = EstimationService(suite, shards=2)
@@ -1238,6 +1249,211 @@ class TestHttpRoutes:
 
 
 # -- socket transport --------------------------------------------------
+
+
+class TestOneAlertView:
+    """``/healthz``, ``/alerts`` and the store's ``alerts_firing`` series
+    read one alert manager, wired as ``repro-power serve --store`` wires
+    it, and no GET fires anything."""
+
+    @staticmethod
+    def _endpoint(tmp_path, service):
+        """``_start_endpoint`` and the service hook-up of ``_cmd_serve``."""
+        from argparse import Namespace
+
+        from repro import cli
+
+        args = Namespace(flight_dir=None, port=0, store=str(tmp_path / "store"))
+        endpoint = cli._start_endpoint(args, "serve")
+        endpoint.service = service
+        endpoint.alerts.attach_service(service)
+        return endpoint
+
+    @staticmethod
+    def _view(endpoint) -> "tuple[int, dict]":
+        """``/healthz``, checked against ``/alerts`` scraped right after."""
+        status, health = _get(endpoint.url("/healthz"))
+        alerts = _get(endpoint.url("/alerts"))[1]
+        assert set(alerts) == {"drift", "alerts"}
+        assert alerts["alerts"]["firing"] == health["firing"]
+        return status, health
+
+    def test_every_source_reaches_healthz_alerts_and_the_store(
+        self, tmp_path, suite, gcc_run
+    ):
+        clock = [1000.0]
+        service = EstimationService(
+            suite, shards=2, stale_after_s=5.0, clock=lambda: clock[0]
+        )
+        n = gcc_run.counters.n_samples
+        bad, _ = _scaled_truth_frames(
+            suite, gcc_run, np.full(n, 1.30), node="d", frame_samples=n
+        )
+        good, _ = _scaled_truth_frames(
+            suite, gcc_run, np.ones(n), node="d", frame_samples=n
+        )
+        endpoint = self._endpoint(tmp_path, service)
+        try:
+            assert self._view(endpoint)[0] == 200
+            # A drifting served node: 503 drifting, each firing stream an
+            # alert carrying its firing transition.
+            service.ingest_inline(bad[0])
+            status, health = self._view(endpoint)
+            assert (status, health["status"]) == (503, "drifting")
+            drift = [a for a in health["alerts"] if a["name"] == "drift_slo_breach"]
+            assert {a["labels"]["subsystem"] for a in drift} >= {"cpu", "total"}
+            assert all(a["labels"]["node"] == "d" for a in drift)
+            for alert in drift:
+                detail = alert["detail"]
+                assert detail["state"] == "firing"
+                assert detail["error_pct"] > detail["threshold_pct"]
+                assert "top_terms" in detail
+            # The bad samples fast-burn the error SLO at the next tick.
+            service.tick()
+            status, health = self._view(endpoint)
+            assert (status, health["status"]) == (503, "burning")
+            assert _labels(health, "fast_burn") == [{"slo": "error"}]
+            # The node goes silent: stale.
+            clock[0] += 60.0
+            status, health = self._view(endpoint)
+            assert (status, health["status"]) == (503, "stale")
+            assert _labels(health, "node_stale") == [{"node": "d"}]
+            service.kill_shard(1)
+            assert {"shard": "1"} in _labels(self._view(endpoint)[1], "shard_dead")
+            fired = endpoint.alerts.evaluate(clock[0])
+            assert {t["key"] for t in fired} == set(self._view(endpoint)[1]["firing"])
+
+            # Calibrated samples resolve the drift and freshen the node;
+            # the bad samples age out of both SLO windows.
+            clock[0] += 200.0
+            service.ingest_inline(good[0])
+            service.tick()
+            status, health = self._view(endpoint)
+            assert (status, health["status"]) == (200, "degraded")
+            assert health["firing"] == ["serve:shard_dead{shard=1}"]
+            resolved = endpoint.alerts.evaluate(clock[0])
+            assert {t["state"] for t in resolved} == {"resolved"}
+            assert {t["key"] for t in resolved} == {
+                t["key"] for t in fired
+            } - {"serve:shard_dead{shard=1}"}
+
+            values = {}
+            for series in endpoint.store.select("alerts_firing"):
+                labels = dict(series["labels"])
+                key = (labels.pop("alert"), tuple(sorted(labels.items())))
+                values[key] = [v for _, v in series["points"]]
+            assert values[("fast_burn", (("slo", "error"), ("source", "slo")))] == [
+                1.0, 0.0
+            ]
+            assert values[("node_stale", (("node", "d"), ("source", "serve")))] == [
+                1.0, 0.0
+            ]
+            assert values[("drift_slo_breach", (
+                ("node", "d"), ("source", "drift"), ("subsystem", "total"),
+            ))] == [1.0, 0.0]
+            assert values[("shard_dead", (("shard", "1"), ("source", "serve")))] == [
+                1.0
+            ]
+            assert len(values) == len(fired)
+        finally:
+            endpoint.stop()
+
+    def test_polls_while_shards_publish(self, suite, gcc_run):
+        """The alert view reads served nodes' drift state while shard
+        workers write it; every poll must succeed."""
+        import sys
+        import threading
+
+        n = gcc_run.counters.n_samples
+        # 100 % then 0 % error, 16 samples each: every stream fires and
+        # resolves over and over.
+        factors = np.where((np.arange(n) // 16) % 2 == 0, 2.0, 1.0)
+        lines = []
+        for i in range(8):
+            lines += _scaled_truth_frames(
+                suite, gcc_run, factors, node=f"n{i}", frame_samples=4
+            )[0]
+        # More shard workers than cores.
+        service = EstimationService(suite, shards=4, coalesce=1)
+        alerts = AlertManager()
+        alerts.attach_service(service)
+        stop, polls, errors = threading.Event(), [0], []
+
+        def poll():
+            while not stop.is_set():
+                try:
+                    alerts.poll()
+                except Exception as error:
+                    errors.append(error)
+                polls[0] += 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        poller = threading.Thread(target=poll, daemon=True)
+        try:
+            with service:
+                poller.start()
+                for _ in range(5):
+                    for line in lines:
+                        while not service.ingest(line)["accepted"]:
+                            time.sleep(0.001)
+                assert _wait_for(
+                    lambda: service.samples_total == 5 * 8 * n, timeout_s=60
+                )
+        finally:
+            stop.set()
+            poller.join(timeout=10)
+            sys.setswitchinterval(interval)
+        assert not poller.is_alive()
+        assert not errors, errors[:3]
+        assert polls[0] > 0
+
+    def test_datacenter_counts_like_any_source(self):
+        from types import SimpleNamespace
+
+        report = SimpleNamespace(
+            policy="subsystem", cap_violations=0, drift_fallback_seconds=4
+        )
+        endpoint = ObservabilityServer(dc=SimpleNamespace(last_report=report))
+        status, _, body = endpoint.payload("/healthz")
+        assert (status, json.loads(body)["status"]) == (200, "degraded")
+        report.cap_violations = 2
+        status, _, body = endpoint.payload("/healthz")
+        document = json.loads(body)
+        assert (status, document["status"]) == (503, "over_cap")
+        assert document["firing"] == [
+            "dc:cap_violation{policy=subsystem}",
+            "dc:drift_fallback{policy=subsystem}",
+        ]
+
+    def test_no_get_fires_anything(self, tmp_path, suite):
+        obs.enable()
+        clock = [1000.0]
+        flight = tmp_path / "flight"
+        recorder = FlightRecorder(out_dir=str(flight))
+        service = EstimationService(
+            suite, shards=1, clock=lambda: clock[0], flight=recorder
+        )
+        endpoint = self._endpoint(tmp_path, service)
+        # Both budgets burn; no housekeeping tick has run yet.
+        service.slo.record_error_batch(0, 100)
+        service.slo.record_freshness(0, 4)
+        try:
+            for path in ("/healthz", "/alerts", "/slo", "/service"):
+                assert _get(endpoint.url(path))[0] == 200, path
+            slos = _get(endpoint.url("/slo"))[1]["slos"]
+            assert slos["error"]["burn_short"] >= 14.4
+            assert not slos["error"]["fast_burn"]
+        finally:
+            endpoint.stop()
+        assert not flight.exists() or not list(flight.iterdir())
+        for name in ("error", "freshness"):
+            assert obs.counter("slo_fast_burn_total", {"slo": name}) == 0.0
+        # The next tick fires both, as it always has.
+        service.tick()
+        assert len(list(flight.glob("flight-*-slo-fast-burn-*"))) == 2
+        for name in ("error", "freshness"):
+            assert obs.counter("slo_fast_burn_total", {"slo": name}) == 1.0
 
 
 class TestSocketTransport:
@@ -1571,9 +1787,9 @@ class TestChaosScenario:
             assert freshness["burn_short"] >= slo["fast_burn_rate"]
             status, health = _get(base + "/healthz")
             assert status == 503
-            assert health["service"]["dead_shards"] == [0]
-            assert "freshness" in health["service"]["slo_fast_burn"]
-            assert health["service"]["nodes_stale"] >= 4
+            assert _labels(health, "shard_dead") == [{"shard": "0"}]
+            assert {"slo": "freshness"} in _labels(health, "fast_burn")
+            assert len(_labels(health, "node_stale")) >= 4
             nodes = _get(base + "/nodes")[1]["nodes"]
             assert sorted(n["node"] for n in nodes if n["stale"]) == self.DEAD_NODES
             # The burn's flight bundle is written just after the burn

@@ -6,8 +6,8 @@ loss, corrupt state, orphan segments), tiered downsampling with *exact*
 min/mean/max/count rollups across compaction and restart, per-tier
 retention, the query engine (matchers, instant, range, step
 aggregation, label grouping, tier selection, rate, quantiles),
-recording rules, the AlertManager folding drift/SLO/dc sources into one
-deduplicated plane with silences and ``alerts_firing`` persistence, the
+recording rules, the AlertManager folding drift/service/dc sources into
+one deduplicated plane with ``alerts_firing`` persistence, the
 ``WindowSink`` bridge, the HTTP query/alert routes, and the
 ``repro-power query`` / ``obs --store`` CLI.
 """
@@ -372,7 +372,7 @@ class TestReadsNeverWrite:
             store.query_range(name)
         with pytest.raises(ValueError):
             store.appender(name)
-        assert os.listdir(store.root) == []
+        assert not os.path.exists(store.root)
 
     def test_reads_create_nothing(self, store):
         _fill(store, n=10)
@@ -384,6 +384,17 @@ class TestReadsNeverWrite:
         assert _tree(store.root) == before
         assert sorted(store._shards) == ["power_watts"]
         assert store.names() == ["power_watts"]
+
+    def test_reads_of_a_missing_root_create_it_not(self, tmp_path):
+        """Opening a store only to read it used to create its root; the
+        first append is what creates it now."""
+        root = tmp_path / "store"
+        db = TSDB(str(root))
+        _read_everything(db, "power_watts")
+        assert db.names() == [] and db.query("power_watts") == []
+        assert not root.exists()
+        _fill(db, n=3)
+        assert (root / "power_watts").is_dir()
 
     @settings(max_examples=200, deadline=None)
     @given(name=st.text(max_size=12))
@@ -556,10 +567,27 @@ class _FakeDrift:
         self.slo_pct = 9.0
         self.firing = tuple(firing)
 
+    def unresolved(self):
+        return []
 
-class _FakeSLO:
-    def __init__(self, burning=()):
-        self.fast_burning = tuple(burning)
+
+class _FakeService:
+    """What the AlertManager reads of an ``EstimationService``."""
+
+    def __init__(self, burning=(), dead=()):
+        from types import SimpleNamespace
+
+        self.slo = SimpleNamespace(fast_burning=tuple(burning))
+        self.staleness = SimpleNamespace(
+            to_json=lambda: {"stale": [], "age_s": {}}
+        )
+        self._dead = list(dead)
+
+    def drifting_nodes(self):
+        return []
+
+    def dead_shards(self):
+        return self._dead
 
 
 class TestAlertManager:
@@ -584,7 +612,7 @@ class TestAlertManager:
         drift.firing = ()
         resolved = manager.evaluate(12.0)
         assert all(t["state"] == "resolved" for t in resolved)
-        assert manager.firing == []
+        assert manager.poll() == []
         series = store.select("alerts_firing")
         assert len(series) == 2
         for entry in series:
@@ -595,36 +623,17 @@ class TestAlertManager:
 
         manager = AlertManager(store=store)
         manager.attach_drift(_FakeDrift(firing=("cpu",)))
-        manager.attach_slo(_FakeSLO(burning=("freshness",)))
+        manager.attach_service(_FakeService(burning=("freshness",), dead=(1,)))
         manager.attach_dc(SimpleNamespace(
             policy="subsystem", cap_violations=3, drift_fallback_seconds=7,
         ))
         manager.evaluate(1.0)
         doc = manager.document()
-        assert set(doc["groups"]) == {"drift", "slo", "dc"}
-        assert len(doc["firing"]) == 4  # breach + burn + cap + fallback
+        assert set(doc["groups"]) == {"drift", "slo", "serve", "dc"}
+        # breach + burn + dead shard + cap + fallback
+        assert len(doc["firing"]) == 5
         assert doc["groups"]["dc"][0]["detail"]["cap_violations"] == 3
-
-    def test_silences_mute_but_keep_tracking(self):
-        drift = _FakeDrift(firing=("cpu",))
-        manager = AlertManager()
-        manager.attach_drift(drift)
-        silence_id = manager.silence({"subsystem": "cpu"}, until_s=100.0)
-        assert silence_id == 1
-        manager.evaluate(1.0)
-        assert manager.firing == []  # silenced
-        doc = manager.document()
-        assert doc["groups"]["drift"][0]["silenced"] is True
-        # Expiry un-mutes without re-firing.
-        manager.evaluate(101.0)
-        assert len(manager.firing) == 1
-
-    def test_regex_silences(self):
-        manager = AlertManager()
-        manager.attach_drift(_FakeDrift(firing=("cpu[1]", "cpu[2]", "disk")))
-        manager.silence({"lane": "=~[0-9]+"}, until_s=10.0)
-        manager.evaluate(1.0)
-        assert [a.labels["subsystem"] for a in manager.firing] == ["disk"]
+        assert doc["groups"]["serve"][0]["labels"] == {"shard": "1"}
 
     def test_history_bounded(self):
         manager = AlertManager(max_history=4)
@@ -786,8 +795,8 @@ class TestHTTPRoutes:
         status, _, body = server.payload("/alerts", "")
         assert status == 200
         doc = json.loads(body)
-        # Unattached surfaces are explicit nulls, never a 404.
-        assert doc["drift"] is None and doc["slo"] is None and doc["dc"] is None
+        # No drift monitor is an explicit null, never a 404.
+        assert doc["drift"] is None and set(doc) == {"drift", "alerts"}
         assert doc["alerts"]["firing"] == [
             "drift:drift_slo_breach{subsystem=cpu}"
         ]
