@@ -517,13 +517,10 @@ def main(argv: "list[str] | None" = None) -> int:
         from repro.obs import flight as flight_mod
 
         recorder = flight_mod.FlightRecorder(out_dir=args.flight_dir)
-        flight_mod.set_global(recorder)
-        recorder.install_excepthook()
+        previous_recorder = flight_mod.set_global(recorder)
     try:
         return _dispatch(args, parser)
     except Exception as error:
-        # The finally below uninstalls the excepthook before the
-        # interpreter would run it, so dump the crash bundle here.
         if recorder is not None:
             recorder.trigger(
                 "unhandled_exception",
@@ -532,8 +529,7 @@ def main(argv: "list[str] | None" = None) -> int:
         raise
     finally:
         if recorder is not None:
-            recorder.uninstall_excepthook()
-            flight_mod.clear_global()
+            flight_mod.set_global(previous_recorder)
             if recorder.bundles:
                 print(
                     f"flight: wrote {len(recorder.bundles)} bundle(s) to "
@@ -1152,12 +1148,20 @@ def _start_endpoint(args: argparse.Namespace, command: str, drift=None, chaos=Fa
     ``--store`` store with its rules, which also records alert
     transitions.
 
+    The endpoint owns the process's only ``--window``-wide windowed
+    registry: it backs ``/windows`` and the flight recorder's bundles,
+    and with ``--store`` its closed windows persist through a
+    :class:`~repro.obs.tsdb.WindowSink`.  Whoever owns the clock folds
+    into it.
+
     Returns None, after saying why on stderr, if the port is taken; the
     store is not opened then.
     """
     from repro.obs.http import ObservabilityServer
+    from repro.obs.live import WindowedRegistry
 
     obs.enable()
+    windows = WindowedRegistry(window_s=args.window)
     recorder = None
     if args.flight_dir:
         from repro.obs import flight as flight_mod
@@ -1165,8 +1169,10 @@ def _start_endpoint(args: argparse.Namespace, command: str, drift=None, chaos=Fa
         recorder = flight_mod.get_global()
         if recorder is not None:
             recorder.drift = drift
+            recorder.windows = windows
     endpoint = ObservabilityServer(
-        drift=drift, flight=recorder, chaos=chaos, port=args.port
+        drift=drift, windows=windows, flight=recorder, chaos=chaos,
+        port=args.port,
     )
     endpoint.phase = "training"
     try:
@@ -1176,11 +1182,12 @@ def _start_endpoint(args: argparse.Namespace, command: str, drift=None, chaos=Fa
         return None
     if args.store:
         from repro.obs.rules import RuleEngine
-        from repro.obs.tsdb import TSDB
+        from repro.obs.tsdb import TSDB, WindowSink
 
         endpoint.store = endpoint.alerts.store = TSDB(args.store)
         endpoint.rules = RuleEngine()
         endpoint.store.attach_rules(endpoint.rules)
+        windows.on_evict = WindowSink(endpoint.store)
         print(f"{command}: persisting telemetry to {args.store}")
     return endpoint
 
@@ -1278,8 +1285,7 @@ def _cmd_monitor(
         if endpoint.store is not None:
             # Short runs may never evict a window naturally; drain the
             # remainder, then commit everything in one final flush.
-            if endpoint.windows is not None:
-                endpoint.windows.drain()
+            endpoint.windows.drain()
             endpoint.store.close()
             print(f"monitor: store committed to {args.store}")
         endpoint.stop()
@@ -1328,8 +1334,9 @@ def _cmd_serve(
     )
     endpoint.service = service
     endpoint.alerts.attach_service(service)
-    if store is not None:
-        service.attach_store(store, window_s=args.window)
+    # The housekeeping thread owns the clock: it folds the windows, so
+    # a replay that keeps this thread busy cannot stall them.
+    service.windows = endpoint.windows
     service.start()
     socket_server = None
     if args.socket_port is not None:
@@ -1392,8 +1399,10 @@ def _cmd_serve(
             socket_server.stop()
         service.stop()
         if store is not None:
-            # stop() drained the service's windows; record the final
-            # alert state and commit.
+            # The housekeeping thread has stopped folding: drain the
+            # endpoint's windows, commit, record the final alert state.
+            endpoint.windows.drain()
+            store.flush()
             _store_tick(endpoint, monotonic())
             store.close()
             print(f"serve: store committed to {args.store}")
@@ -1502,17 +1511,13 @@ def _report_alerts(drift, seen: int) -> int:
 
 
 def _store_tick(endpoint, now_s: float) -> None:
-    """Periodic store upkeep: sink closed windows, alerts, then flush.
+    """Periodic upkeep: record alert transitions, then flush the store.
 
-    Closed windows persist eagerly (the sink is idempotent, so their
-    eventual eviction is a no-op) — without this the store would trail
-    the live registry by the whole sliding-window depth.  The flush
-    evaluates recording rules at ``now_s`` and commits everything
-    appended so far, so a killed run loses at most one refresh
-    interval.
+    The flush evaluates recording rules at ``now_s`` and commits
+    everything appended so far, so a killed run loses at most one
+    refresh interval.  Windows are folded by the clock's owner, not
+    here: :func:`_monitor_loop`, or ``serve``'s housekeeping tick.
     """
-    if endpoint.store is not None and endpoint.windows is not None:
-        endpoint.windows.sink_closed(now_s)
     endpoint.alerts.evaluate(now_s)
     if endpoint.store is not None:
         endpoint.store.flush(now_s)
@@ -1525,33 +1530,31 @@ def _restore_note(args: argparse.Namespace) -> str:
 
 
 def _monitor_loop(
-    args: argparse.Namespace, endpoint, windows, seconds: int, step, restore, summary
+    args: argparse.Namespace, endpoint, seconds: int, step, restore, summary
 ) -> None:
     """The per-second work every ``monitor`` mode shares.
 
-    ``windows`` (the observer's) backs the endpoint's ``/windows``, the
-    store sink and the flight recorder.  Each simulated second
-    ``step()`` advances the engine one second and returns its clock;
-    at ``--restore-at`` (with ``--perturb``) ``restore()`` swaps the
-    calibrated suite back; new drift transitions print; the store
-    ticks; and every ``--refresh`` seconds
-    ``summary(now_s, second, wall_s)`` prints the mode's line.
+    Each simulated second ``step()`` advances the engine one second and
+    returns its clock, and the loop, which owns that clock, folds the
+    process registry into the endpoint's windows; at ``--restore-at``
+    (with ``--perturb``) ``restore()`` swaps the calibrated suite back;
+    new drift transitions print; the store ticks; and every
+    ``--refresh`` seconds ``summary(now_s, second, wall_s)`` prints the
+    mode's line.
     """
     from time import perf_counter
 
-    endpoint.windows = windows
-    if endpoint.store is not None:
-        from repro.obs.tsdb import WindowSink
-
-        windows.on_evict = WindowSink(endpoint.store)
-    if endpoint.flight is not None:
-        endpoint.flight.windows = windows
+    windows = endpoint.windows
     restored = args.perturb is None or args.restore_at is None
     seen_alerts = 0
     next_report = args.refresh
     wall_start = perf_counter()
     for second in range(1, seconds + 1):
         now_s = step()
+        windows.ingest(now_s, obs.registry())
+        # Closed windows persist eagerly (the sink is idempotent), not
+        # only once they fall off the sliding edge.
+        windows.sink_closed(now_s)
         if not restored and now_s >= args.restore_at:
             restore()
             restored = True
@@ -1573,7 +1576,6 @@ def _monitor_server(args, context, endpoint, suite, active, name, seconds) -> No
     monitor = LiveMonitor(
         SystemPowerEstimator(active, attribute=True),
         drift=drift,
-        window_s=args.window,
         flight=endpoint.flight,
     )
     server.attach_monitor(monitor)
@@ -1603,8 +1605,7 @@ def _monitor_server(args, context, endpoint, suite, active, name, seconds) -> No
 
     print(f"monitor: running {name} for {seconds}s of simulated time ...")
     _monitor_loop(
-        args, endpoint, monitor.windows, seconds, step,
-        lambda: monitor.set_suite(suite), summary,
+        args, endpoint, seconds, step, lambda: monitor.set_suite(suite), summary
     )
     server.detach_monitor()
     print(
@@ -1624,12 +1625,7 @@ def _monitor_fleet(
     name = name or "gcc"
     seeds = [context.seed + lane for lane in range(args.fleet)]
     fleet = FleetServer(context.config, get_workload(name), seeds)
-    monitor = FleetMonitor(
-        suite,
-        drift=drift,
-        window_s=args.window,
-        flight=endpoint.flight,
-    )
+    monitor = FleetMonitor(suite, drift=drift, flight=endpoint.flight)
     endpoint.fleet = monitor
     fleet.attach_fleet_monitor(monitor)
     if args.perturb is not None:
@@ -1673,10 +1669,7 @@ def _monitor_fleet(
         f"monitor: fleet of {args.fleet} lane(s) running {name} for "
         f"{seconds}s of simulated time ..."
     )
-    _monitor_loop(
-        args, endpoint, monitor.windows, seconds, step, monitor.restore_lanes,
-        summary,
-    )
+    _monitor_loop(args, endpoint, seconds, step, monitor.restore_lanes, summary)
     fleet.detach_fleet_monitor()
     firing = ",".join(map(str, drift.firing_lanes())) or "none"
     print(
@@ -1711,7 +1704,6 @@ def _monitor_cluster(args, context, endpoint, suite, active, name, seconds) -> N
     observer = ClusterObserver(
         suite=active,
         drift=drift,
-        window_s=args.window,
         attribute=True,
         flight=endpoint.flight,
     )
@@ -1744,8 +1736,7 @@ def _monitor_cluster(args, context, endpoint, suite, active, name, seconds) -> N
         f"demand {trough}..{peak} threads over {seconds}s ..."
     )
     _monitor_loop(
-        args, endpoint, observer.windows, seconds, step,
-        lambda: observer.set_suite(suite), summary,
+        args, endpoint, seconds, step, lambda: observer.set_suite(suite), summary
     )
     energy_j = sum(trace.energy_j for trace in slices)
     dropped = sum(trace.dropped_thread_seconds for trace in slices)

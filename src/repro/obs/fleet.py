@@ -42,7 +42,6 @@ import numpy as np
 from repro import obs
 from repro.core.events import SUBSYSTEMS
 from repro.obs.drift import DEFAULT_SLO_PCT, DriftAlert, _EPS_W
-from repro.obs.live import DEFAULT_WINDOW_S, WindowedRegistry
 
 #: Cross-lane aggregate labels published by :func:`publish_lane_aggregates`.
 AGGREGATES = ("min", "mean", "p50", "p95", "max")
@@ -149,8 +148,10 @@ class FleetDriftMonitor:
         self.resolve_ratio = float(resolve_ratio)
         self._streams: "dict[str, _LaneStream]" = {}
         self._history: "deque[LaneDriftAlert]" = deque(maxlen=max_history)
-        #: Every transition ever made; the history keeps the newest.
+        #: Every transition ever made, in all and by state; the history
+        #: keeps the newest.
         self.n_transitions = 0
+        self.n_by_state = {"firing": 0, "resolved": 0}
 
     # -- observation ---------------------------------------------------
 
@@ -270,6 +271,7 @@ class FleetDriftMonitor:
         )
         self._history.append(alert)
         self.n_transitions += 1
+        self.n_by_state[state] += 1
         obs.inc(
             "fleet_drift_alerts_total", 1.0, {"subsystem": name, "state": state}
         )
@@ -541,8 +543,6 @@ class FleetMonitor:
         self,
         suite,
         drift: "FleetDriftMonitor | None" = None,
-        windows: "WindowedRegistry | None" = None,
-        window_s: float = DEFAULT_WINDOW_S,
         flight=None,
         history: int = DEFAULT_LANE_HISTORY,
         flush_lanes: "int | None" = None,
@@ -552,9 +552,6 @@ class FleetMonitor:
             raise ValueError("max_pending must be >= 1")
         self.suite = suite
         self.drift = drift
-        self.windows = (
-            windows if windows is not None else WindowedRegistry(window_s=window_s)
-        )
         self.flight = flight
         self.history = int(history)
         self.flush_lanes = flush_lanes
@@ -739,7 +736,6 @@ class FleetMonitor:
             obs.gauge(
                 "fleet_monitor_windows_total", float(self.n_windows)
             )
-        self.windows.ingest(last_t, obs.registry())
         if self.flight is not None:
             self._record_flight(last_t, transitions)
         return transitions
@@ -772,7 +768,6 @@ class FleetMonitor:
     def fleet_document(self) -> dict:
         """The ``/fleet`` summary: width, aggregates, alert rollups."""
         board, drift = self.board, self.drift
-        history = drift.history()
         return {
             "width": self.width,
             "n_windows": self.n_windows,
@@ -786,11 +781,7 @@ class FleetMonitor:
             "slo_pct": drift.slo_pct,
             "firing_lanes": list(drift.firing_lanes()),
             "firing": list(drift.firing),
-            "alerts": {
-                "total": len(history),
-                "firing": sum(1 for a in history if a.state == "firing"),
-                "resolved": sum(1 for a in history if a.state == "resolved"),
-            },
+            "alerts": {"total": drift.n_transitions, **drift.n_by_state},
         }
 
     def lanes_document(self, top: "int | None" = None) -> dict:

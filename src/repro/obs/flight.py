@@ -19,7 +19,8 @@ Triggers (all funnel into :meth:`FlightRecorder.trigger`):
   :class:`~repro.obs.drift.DriftMonitor` transition;
 * the sweep engine on permanent spec failures (``SweepError`` /
   partial results) via the module-global recorder;
-* an unhandled exception, through :meth:`install_excepthook`;
+* an unhandled exception out of a ``repro-power`` command run with
+  ``--flight-dir``;
 * an explicit request — ``GET /flightrecorder?dump=1`` on the
   :class:`~repro.obs.http.ObservabilityServer`, the CLI's global
   ``--flight-dir``, or CI's ``REPRO_FLIGHT_DIR`` convention
@@ -36,7 +37,6 @@ from __future__ import annotations
 import json
 import os
 import re
-import sys
 import threading
 import time
 from collections import deque
@@ -83,8 +83,9 @@ class FlightRecorder:
     ``out_dir`` is where bundles land; with ``out_dir=None`` the
     recorder still records (and serves ``/flightrecorder``) but
     :meth:`trigger` only logs the request.  ``drift``/``windows`` are
-    attached by whoever owns them (the monitor CLI) so the bundle can
-    include alert state and recent windows; both are optional.
+    attached by whoever owns them (the CLI's endpoint bring-up) so the
+    bundle can include alert state and recent windows; both are
+    optional.
     """
 
     def __init__(
@@ -116,7 +117,6 @@ class FlightRecorder:
         self._latest_attribution = None
         self._seq = 0
         self.bundles: "list[str]" = []
-        self._prev_excepthook = None
 
     # -- recording -----------------------------------------------------
 
@@ -234,39 +234,6 @@ class FlightRecorder:
         obs.inc("flight_bundles_total")
         obs.event("flight.dump", reason=reason, path=directory)
         return directory
-
-    # -- crash hook ----------------------------------------------------
-
-    def install_excepthook(self) -> None:
-        """Dump a bundle on any unhandled exception (idempotent; the
-        previous hook still runs afterwards)."""
-        if self._prev_excepthook is not None:
-            return
-        prev = sys.excepthook
-
-        def hook(exc_type, exc, tb):
-            if not issubclass(exc_type, (KeyboardInterrupt, SystemExit)):
-                try:
-                    self.trigger(
-                        "unhandled_exception",
-                        detail={"type": exc_type.__name__, "error": str(exc)},
-                    )
-                except Exception:  # never mask the original crash
-                    pass
-            prev(exc_type, exc, tb)
-
-        self._prev_excepthook = prev
-        sys.excepthook = hook
-
-    def uninstall_excepthook(self) -> None:
-        """Restore the previous hook (only if ours is still current)."""
-        if self._prev_excepthook is None:
-            return
-        if getattr(sys.excepthook, "__qualname__", "").startswith(
-            "FlightRecorder.install_excepthook"
-        ):
-            sys.excepthook = self._prev_excepthook
-        self._prev_excepthook = None
 
 
 # -- module-global recorder --------------------------------------------

@@ -9,7 +9,10 @@ throughput **right now**?  This module provides the three pieces:
   :class:`~repro.obs.metrics.MetricsRegistry` snapshots into
   fixed-width time windows for ``/windows``, the flight recorder and
   the TSDB sink (counters and histogram cells are differenced between
-  snapshots, gauges keep their last value per window);
+  snapshots, gauges keep their last value per window).  A process has
+  one, owned by its endpoint; whoever owns the clock folds into it
+  (the ``monitor`` loop once per simulated second, the ``serve``
+  service's housekeeping tick), never the monitors below;
 * :class:`LiveMonitor` — attaches to a
   :class:`~repro.simulator.system.Server` and, at every counter-sampler
   window boundary inside ``run_ticks``, compares the trickle-down
@@ -287,9 +290,8 @@ class LiveMonitor:
     1. estimates per-subsystem power from the window's counter sample
        (through the supplied :class:`SystemPowerEstimator`),
     2. derives the window's true mean power from the energy account,
-    3. publishes ``live_power_watts`` / ``live_error_pct`` gauges,
-    4. feeds the residuals to the :class:`DriftMonitor`, and
-    5. folds the global registry into the :class:`WindowedRegistry`.
+    3. publishes ``live_power_watts`` / ``live_error_pct`` gauges, and
+    4. feeds the residuals to the :class:`DriftMonitor`.
 
     The monitor only reads simulator state — it never touches RNG
     streams or counters — so an attached run stays bit-identical to an
@@ -300,15 +302,10 @@ class LiveMonitor:
         self,
         estimator,
         drift: "DriftMonitor | None" = None,
-        windows: "WindowedRegistry | None" = None,
-        window_s: float = DEFAULT_WINDOW_S,
         flight=None,
     ) -> None:
         self.estimator = estimator
         self.drift = drift if drift is not None else DriftMonitor()
-        self.windows = (
-            windows if windows is not None else WindowedRegistry(window_s=window_s)
-        )
         #: Optional :class:`~repro.obs.flight.FlightRecorder`; when set
         #: every window is recorded as a frame and a *firing* drift
         #: transition dumps a post-mortem bundle.
@@ -373,7 +370,6 @@ class LiveMonitor:
         transitions = self.drift.observe(
             pulse_s, estimated_w, true_w, attribution=attribution
         )
-        self.windows.ingest(pulse_s, obs.registry())
         if self.flight is not None:
             self.flight.record(
                 pulse_s,
@@ -434,15 +430,13 @@ class ClusterObserver:
     are summed over nodes in node order into the cluster residuals the
     :class:`DriftMonitor` watches.  A node's first available second
     only primes its energy baseline.  Without a suite the observer
-    still windows the cluster gauges.
+    only counts seconds; the cluster still publishes its own gauges.
     """
 
     def __init__(
         self,
         suite=None,
         drift: "DriftMonitor | None" = None,
-        windows: "WindowedRegistry | None" = None,
-        window_s: float = DEFAULT_WINDOW_S,
         attribute: bool = False,
         flight=None,
     ) -> None:
@@ -450,9 +444,6 @@ class ClusterObserver:
         self.attribute = bool(attribute)
         self.flight = flight
         self.drift = drift if drift is not None else DriftMonitor()
-        self.windows = (
-            windows if windows is not None else WindowedRegistry(window_s=window_s)
-        )
         self.n_seconds = 0
         self.last: "LiveSample | None" = None
         #: Per-node energy at its last read, ``(5, n_nodes)``, and which
@@ -469,7 +460,6 @@ class ClusterObserver:
         transitions: "list" = []
         if self.suite is not None:
             transitions = self._compare(cluster, t_s)
-        self.windows.ingest(t_s, obs.registry())
         self.n_seconds += 1
         return transitions
 

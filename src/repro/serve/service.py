@@ -200,25 +200,12 @@ class EstimationService:
         self.shed_samples_total = 0
         self.decode_errors_total = 0
         self.poison_samples_total = 0
-        self.store = None
-        self._store_windows = None
-
-    def attach_store(self, db, window_s: float = 5.0) -> None:
-        """Persist this service's telemetry into a TSDB.
-
-        Every housekeeping :meth:`tick` folds the process registry into
-        a :class:`~repro.obs.live.WindowedRegistry` whose evicted
-        windows land in ``db`` (one sample per metric at the window's
-        start); :meth:`stop` drains the remainder and flushes the
-        store, so short runs persist too.
-        """
-        from repro.obs.live import WindowedRegistry
-        from repro.obs.tsdb import WindowSink
-
-        self.store = db
-        self._store_windows = WindowedRegistry(
-            window_s=window_s, on_evict=WindowSink(db)
-        )
+        #: The endpoint's :class:`~repro.obs.live.WindowedRegistry`, if
+        #: handed one: the service owns the clock, so every housekeeping
+        #: :meth:`tick` folds the process registry into it and hands
+        #: its closed windows to its sink (a ``--store``'s
+        #: :class:`~repro.obs.tsdb.WindowSink`).
+        self.windows = None
 
     # -- lifecycle -----------------------------------------------------
 
@@ -260,9 +247,6 @@ class EstimationService:
             self._housekeeper.join(timeout=5.0)
             self._housekeeper = None
         self._started_monotonic = None
-        if self._store_windows is not None:
-            self._store_windows.drain()
-            self.store.flush()
 
     def __enter__(self) -> "EstimationService":
         self.start()
@@ -417,8 +401,9 @@ class EstimationService:
                 logger.exception("serve housekeeping tick failed")
 
     def tick(self, now: "float | None" = None) -> dict:
-        """One liveness/SLO sweep (housekeeping cadence; callable
-        directly from tests with an injected clock)."""
+        """One liveness/SLO sweep, then the fold into :attr:`windows`
+        (housekeeping cadence; callable directly from tests with an
+        injected clock)."""
         if not self.ops:
             return {}
         moment = self._clock() if now is None else now
@@ -444,11 +429,11 @@ class EstimationService:
                 ("min", arr.min()), ("max", arr.max()),
             ):
                 obs.gauge("serve_fleet_power_watts", float(value), {"agg": agg})
-        if self._store_windows is not None:
-            self._store_windows.ingest(moment, obs.registry())
+        if self.windows is not None:
+            self.windows.ingest(moment, obs.registry())
             # Closed windows persist eagerly (the sink is idempotent);
-            # eviction and the stop() drain then skip them.
-            self._store_windows.sink_closed(moment)
+            # eviction and the final drain then skip them.
+            self.windows.sink_closed(moment)
         return state
 
     # -- the shared processing pipeline --------------------------------

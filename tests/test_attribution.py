@@ -36,11 +36,13 @@ from repro.obs.attribution import (
 )
 from repro.obs.drift import DriftMonitor
 from repro.obs.flight import BUNDLE_JSON, BUNDLE_METRICS, FlightRecorder, load_bundle
-from repro.obs.live import LiveMonitor
+from repro.obs.http import ObservabilityServer
+from repro.obs.live import LiveMonitor, WindowedRegistry
 from repro.simulator.config import fast_config
 from repro.simulator.system import Server
 from repro.workloads.registry import get_workload
 from tests.conftest import TEST_SEED
+from tests.test_live_obs import _run_folding
 from tests.test_models import synthetic_trace
 
 #: The acceptance bound: attribution must be exact to float round-off.
@@ -311,22 +313,28 @@ class TestFlightRecorder:
         with pytest.raises(ValueError, match="not a flight-recorder bundle"):
             load_bundle(str(stray))
 
-    def test_excepthook_installs_chains_and_uninstalls(self, tmp_path):
-        recorder = FlightRecorder(out_dir=str(tmp_path))
-        previous = sys.excepthook
-        recorder.install_excepthook()
-        recorder.install_excepthook()  # idempotent
-        assert sys.excepthook is not previous
-        try:
+    def test_crashing_command_dumps_one_bundle_and_reraises(
+        self, tmp_path, monkeypatch
+    ):
+        from repro import cli
+
+        def crash():
             raise RuntimeError("boom")
-        except RuntimeError:
-            sys.excepthook(*sys.exc_info())
-        assert len(recorder.bundles) == 1
-        doc = load_bundle(recorder.bundles[0])
+
+        monkeypatch.setattr(cli, "render_propagation_diagram", crash)
+        outer = FlightRecorder(out_dir=str(tmp_path / "outer"))
+        flight_mod.set_global(outer)
+        hook = sys.excepthook
+        flight = tmp_path / "flight"
+        with pytest.raises(RuntimeError, match="boom"):
+            cli.main(["fig1", "--flight-dir", str(flight)])
+        (bundle,) = os.listdir(flight)
+        doc = load_bundle(str(flight / bundle))
         assert doc["reason"] == "unhandled_exception"
         assert doc["detail"] == {"type": "RuntimeError", "error": "boom"}
-        recorder.uninstall_excepthook()
-        assert sys.excepthook is previous
+        assert sys.excepthook is hook
+        assert flight_mod.get_global() is outer
+        assert outer.bundles == []
 
     def test_global_recorder_and_env_fallback(self, tmp_path, monkeypatch):
         assert flight_mod.trigger_global("no.recorder") is None
@@ -357,11 +365,15 @@ class TestDriftAlertBundle:
             SystemPowerEstimator(paper_suite.scaled(1.5), attribute=True),
             flight=recorder,
         )
+        endpoint = ObservabilityServer(
+            drift=monitor.drift, windows=WindowedRegistry(), flight=recorder
+        )
+        # Wired as the CLI's endpoint bring-up wires the recorder.
         recorder.drift = monitor.drift
-        recorder.windows = monitor.windows
+        recorder.windows = endpoint.windows
         server = Server(fast_config(), get_workload("gcc"), seed=TEST_SEED)
         server.attach_monitor(monitor)
-        server.run_ticks(DURATION_TICKS)
+        _run_folding(server, DURATION_TICKS, endpoint.windows)
         assert "total" in monitor.drift.firing
         assert recorder.bundles
         doc = load_bundle(recorder.bundles[0])

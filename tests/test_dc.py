@@ -655,10 +655,12 @@ class TestScenarioInvariants:
     ):
         """Random zones, traffic seed, outage, flash crowd and cap: every
         second the cap holds on the estimated sensor, no zone serves
-        more than was offered, the datacenter's power is its zones'
-        powers summed in zone order, and an outage moves users without
-        losing any.  The policy naps and wakes nodes, so which lanes
-        the fleet steps changes from second to second."""
+        more than was offered, each zone's power is its nodes' watts
+        summed and the datacenter's its zones' powers summed in zone
+        order, the energy is the nodes' energies summed, and an outage
+        moves users without losing any.  The policy naps and wakes
+        nodes, so which lanes the fleet steps changes from second to
+        second."""
         n_zones = data.draw(st.integers(2, 3), label="zones")
         sizes = data.draw(
             st.lists(st.integers(2, 4), min_size=n_zones, max_size=n_zones),
@@ -697,14 +699,28 @@ class TestScenarioInvariants:
         dc = Datacenter(
             traffic, cap, config=config, calibration=calibration, seed=seed
         )
+        node_w: "list[list[float]]" = []  # each second's per-node watts
+        step_second = dc.cluster._step_second
+
+        def capture():
+            powers = step_second()
+            node_w.append(list(powers))
+            return powers
+
+        dc.cluster._step_second = capture
         report = dc.run(duration)
+        assert len(node_w) == duration
         for t in range(duration):
             assert report.power_w[t] <= cap, t
             assert report.served_threads[t] <= report.offered_threads[t], t
             total = 0.0
-            for zone in dc.zones:
+            for zone, span in dc.zones.items():
+                assert report.zone_power_w[zone][t] == sum(node_w[t][span]), t
                 total += report.zone_power_w[zone][t]
             assert report.power_w[t] == total, t
+        # Energy = the nodes' energies summed (1 s steps: W == J).
+        node_energy_j = [sum(column) for column in zip(*node_w)]
+        assert report.energy_j == pytest.approx(sum(node_energy_j), rel=1e-12)
 
         # Users are conserved across the outage.  A zone's demand is its
         # users rounded to whole threads: outside the outage nothing

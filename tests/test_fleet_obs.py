@@ -26,7 +26,7 @@ from repro.obs.fleet import (
 )
 from repro.obs.flight import FlightRecorder
 from repro.obs.http import ObservabilityServer
-from repro.obs.live import LiveMonitor
+from repro.obs.live import LiveMonitor, WindowedRegistry
 from repro.simulator.config import fast_config
 from repro.simulator.fleet import FleetServer
 from repro.simulator.system import Server
@@ -57,7 +57,10 @@ def _fleet_seeds():
     return [TEST_SEED + i for i in range(WIDTH)]
 
 
-def _run_fleet(suite, workload, flight=None, perturb=True):
+def _run_fleet(suite, workload, flight=None, perturb=True, windows=None):
+    """With ``windows``, run one simulated second at a time and fold the
+    registry into it after each, as ``repro-power monitor --fleet``
+    folds its endpoint's windows."""
     fleet = FleetServer(
         fast_config(), get_workload(workload), _fleet_seeds()
     )
@@ -65,7 +68,14 @@ def _run_fleet(suite, workload, flight=None, perturb=True):
     fleet.attach_fleet_monitor(monitor)
     if perturb:
         monitor.perturb_lanes(PERTURB_FACTOR, PERTURBED_LANES)
-    fleet.run_ticks(N_TICKS)
+    if windows is None:
+        fleet.run_ticks(N_TICKS)
+    else:
+        per_s = int(round(1.0 / fleet.config.tick_s))
+        for _ in range(N_TICKS // per_s):
+            fleet.run_ticks(per_s)
+            monitor.flush()
+            windows.ingest(fleet.now_s, obs.registry())
     monitor.flush()
     return fleet, monitor
 
@@ -362,9 +372,7 @@ class TestFleetRoutes:
 
     def _served_monitor(self, paper_suite):
         _, monitor = _run_fleet(paper_suite, "gcc")
-        return ObservabilityServer(
-            drift=monitor.drift, windows=monitor.windows, fleet=monitor
-        )
+        return ObservabilityServer(drift=monitor.drift, fleet=monitor)
 
     def test_fleet_summary_route(self, paper_suite):
         import json
@@ -427,13 +435,13 @@ class TestFleetRoutes:
     def test_windows_last_paging(self, paper_suite):
         import json
 
-        _, monitor = _run_fleet(paper_suite, "gcc")
-        endpoint = ObservabilityServer(windows=monitor.windows)
+        endpoint = ObservabilityServer(windows=WindowedRegistry())
+        _run_fleet(paper_suite, "gcc", windows=endpoint.windows)
         status, _, body = endpoint.payload("/windows", "last=1")
         assert status == 200
         doc = json.loads(body)
         assert len(doc["windows"]) == 1
-        assert doc["n_windows"] >= 1
+        assert doc["n_windows"] == 5  # 20 s in 5 s windows, the last one open
         full = json.loads(endpoint.payload("/windows")[2])
         assert len(full["windows"]) <= 12
         assert endpoint.payload("/windows", "last=0")[0] == 400

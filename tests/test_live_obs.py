@@ -728,6 +728,16 @@ def _monitored_server(suite, workload="gcc", **monitor_kwargs):
     return server, monitor
 
 
+def _run_folding(server, ticks: int, windows) -> None:
+    """Run ``ticks`` one simulated second at a time and fold the process
+    registry into ``windows`` after each, as ``repro-power monitor``'s
+    loop folds its endpoint's windows."""
+    per_s = int(round(1.0 / server.config.tick_s))
+    for _ in range(ticks // per_s):
+        server.run_ticks(per_s)
+        windows.ingest(server.now_s, obs.registry())
+
+
 class TestLiveMonitorIntegration:
     def test_monitored_run_is_bit_identical(self, paper_suite):
         plain = Server(fast_config(), get_workload("gcc"), seed=TEST_SEED)
@@ -742,7 +752,10 @@ class TestLiveMonitorIntegration:
     def test_live_samples_track_ground_truth(self, paper_suite):
         obs.enable()
         server, monitor = _monitored_server(paper_suite)
-        server.run_ticks(DURATION_TICKS)
+        endpoint = ObservabilityServer(
+            drift=monitor.drift, windows=WindowedRegistry()
+        )
+        _run_folding(server, DURATION_TICKS, endpoint.windows)
         sample = monitor.last
         assert sample is not None
         assert set(sample.true_w) == {s.value for s in Subsystem}
@@ -753,7 +766,12 @@ class TestLiveMonitorIntegration:
         gauges = obs.registry().gauges
         key = ("live_power_watts", (("source", "true"), ("subsystem", "total")))
         assert gauges[key] == pytest.approx(sample.total_true_w)
-        assert len(monitor.windows) > 0
+        totals = _per_window(
+            endpoint.windows, "gauges",
+            "live_power_watts{source=true,subsystem=total}",
+        )
+        assert len(totals) == 5  # 20 s in 5 s windows, the last one open
+        assert totals[-1][1] == gauges[key]
 
     def test_miscalibration_fires_then_restore_resolves(self, paper_suite):
         obs.enable()
@@ -863,26 +881,33 @@ class TestObservabilityHTTP:
     def test_scrape_while_run_progresses(self, paper_suite):
         obs.enable()
         server, monitor = _monitored_server(paper_suite)
-        with ObservabilityServer(drift=monitor.drift, windows=monitor.windows) as endpoint:
-            server.run_ticks(DURATION_TICKS // 4)
+        with ObservabilityServer(
+            drift=monitor.drift, windows=WindowedRegistry(window_s=1.0)
+        ) as endpoint:
+            _run_folding(server, DURATION_TICKS // 4, endpoint.windows)
             first = _fetch(endpoint.url("/metrics"))
             assert 'live_power_watts{source="true",subsystem="total"}' in first
-            windows_before = len(monitor.windows)
-            server.run_ticks(DURATION_TICKS // 4)
+            before = json.loads(_fetch(endpoint.url("/windows")))["n_windows"]
+            assert before > 0
+            _run_folding(server, DURATION_TICKS // 4, endpoint.windows)
             second = _fetch(endpoint.url("/metrics"))
             assert "live_power_watts" in second
-            assert len(monitor.windows) >= windows_before
+            after = json.loads(_fetch(endpoint.url("/windows")))["n_windows"]
+            assert after > before
             ticks = json.loads(_fetch(endpoint.url("/metrics.json")))
             names = {entry["name"] for entry in ticks["counters"]}
             assert "live_windows_total" in names
 
 
-def _run_observed(cluster, demand, manager, observer, start_s=0.0):
+def _run_observed(cluster, demand, manager, observer, start_s=0.0, windows=None):
     """Run ``demand`` one second at a time and call the observer after
-    each second, as ``repro-power monitor --nodes`` does."""
+    each second, then fold the registry into ``windows`` if given, as
+    ``repro-power monitor --nodes`` does."""
     for t, threads in enumerate(demand):
         cluster.run([threads], manager)
         observer.on_second(cluster, start_s + float(t + 1))
+        if windows is not None:
+            windows.ingest(start_s + float(t + 1), obs.registry())
 
 
 class TestClusterTelemetry:
@@ -959,7 +984,7 @@ class TestClusterTelemetry:
 
         cluster = self._cluster(2)
         manager = StaticManager()
-        observer = ClusterObserver(suite=paper_suite.scaled(1.5), window_s=1.0)
+        observer = ClusterObserver(suite=paper_suite.scaled(1.5))
         _run_observed(cluster, [6] * 8, manager, observer)
         assert "total" in observer.drift.firing
         observer.set_suite(paper_suite)
@@ -979,12 +1004,17 @@ class TestClusterTelemetry:
 
         obs.enable()
         cluster = self._cluster(2)
-        observer = ClusterObserver(window_s=2.0)
-        _run_observed(cluster, [4] * 6, StaticManager(), observer)
+        observer = ClusterObserver()
+        endpoint = ObservabilityServer(windows=WindowedRegistry(window_s=2.0))
+        _run_observed(
+            cluster, [4] * 6, StaticManager(), observer, windows=endpoint.windows
+        )
         assert observer.suite is None
-        assert len(observer.windows) > 0
-        gauges = _per_window(observer.windows, "gauges", "cluster_power_watts")
-        assert gauges[-1][1] > 0.0
+        assert observer.n_seconds == 6
+        document = json.loads(endpoint.payload("/windows")[2])
+        assert document["n_windows"] == 4  # t = 1..6 s in 2 s windows
+        gauges = _per_window(endpoint.windows, "gauges", "cluster_power_watts")
+        assert len(gauges) == 4 and gauges[-1][1] > 0.0
 
 
 class _RecordingDrift(DriftMonitor):

@@ -137,6 +137,17 @@ class TestGoldenOutputs:
         assert _sha256(_strip(stdout, root).encode()) == stdout_sha, stdout
 
 
+def _assert_folded(answer: "tuple[int, bytes]", gauge: str) -> None:
+    """``/windows`` scraped at t=10 s holds the endpoint's 5 s windows,
+    folded once per simulated second: [0, 5), [5, 10) and [10, 15),
+    each carrying ``gauge``."""
+    status, body = answer
+    assert status == 200
+    windows = json.loads(body)["windows"]
+    assert [w["start_s"] for w in windows] == [0.0, 5.0, 10.0]
+    assert all(gauge in w["gauges"] for w in windows), gauge
+
+
 def _drift_bundles(flight: str) -> "list[dict]":
     paths = sorted(glob.glob(os.path.join(flight, "flight-*-drift-alert")))
     assert paths, os.listdir(flight)
@@ -151,7 +162,8 @@ class TestServerMode:
         ``/metrics`` carries every subsystem's true power, and the
         alert, attribution and flight-recorder routes answer."""
         paths = (
-            "/metrics", "/alerts", "/attribution", "/flightrecorder", "/healthz"
+            "/metrics", "/alerts", "/attribution", "/flightrecorder",
+            "/healthz", "/windows",
         )
         stdout, alerts, flight, scraped = _monitor(
             SERVER, str(tmp_path), scrape_at=10.0, paths=paths
@@ -169,6 +181,9 @@ class TestServerMode:
         assert json.loads(scraped["/attribution"][1])["attribution"]
         assert scraped["/flightrecorder"][0] == 200
         assert scraped["/healthz"][0] == 503
+        _assert_folded(
+            scraped["/windows"], "live_power_watts{source=true,subsystem=total}"
+        )
 
         assert re.search(r"ALERT\s+firing", stdout)
         assert "calibrated suite restored" in stdout
@@ -188,7 +203,10 @@ class TestFleetMode:
         """Lanes 5 and 21 are mis-calibrated: at t=10 s they are the
         fleet's firing lanes and rank first, and every alert and drift
         bundle names one of them."""
-        paths = ("/fleet", "/fleet/lanes?top=8", "/fleet/lane/5", "/fleet/lane/999")
+        paths = (
+            "/fleet", "/fleet/lanes?top=8", "/fleet/lane/5", "/fleet/lane/999",
+            "/windows",
+        )
         stdout, alerts, flight, scraped = _monitor(
             FLEET, str(tmp_path), scrape_at=10.0, paths=paths
         )
@@ -206,6 +224,7 @@ class TestFleetMode:
         assert sorted(lane["lane"] for lane in lanes[:2]) == [5, 21]
         assert scraped["/fleet/lane/5"][0] == 200
         assert scraped["/fleet/lane/999"][0] == 404
+        _assert_folded(scraped["/windows"], "fleet_monitor_windows_total")
 
         assert re.search(r"ALERT\s+firing.*\[5\]", stdout)
         assert re.search(r"ALERT\s+firing.*\[21\]", stdout)
@@ -223,6 +242,7 @@ class TestFleetMode:
             assert detail["lane"] in (5, 21)
             assert detail["fleet"]["width"] == 24
             assert detail["lane_history"]
+            assert bundle["windows"]["windows"]
             attributed.add(detail["lane"])
         assert attributed == {5, 21}
 
@@ -332,4 +352,31 @@ class TestAlertLog:
         assert len(printed) + dropped == drift.n_transitions
         assert dropped > 0
         assert "ALERT resolved" in printed[-1]
+        assert len(drift.history()) == 4
+
+    def test_fleet_rollups_count_every_transition(self):
+        """``/fleet``'s alert rollups count every transition, not the
+        ones left in the bounded history."""
+        import numpy as np
+
+        from repro.obs.fleet import FleetMonitor
+        from repro.simulator.config import fast_config
+        from repro.simulator.fleet import FleetServer
+        from repro.workloads.registry import get_workload
+
+        drift = self._monitor(fleet=True)
+        monitor = FleetMonitor(suite=None, drift=drift)
+        fleet = FleetServer(fast_config(), get_workload("gcc"), [1, 2])
+        fleet.attach_fleet_monitor(monitor)
+        for window in range(1, 15):
+            estimate = 200.0 if window % 2 else 100.0
+            drift.observe(
+                float(window), {"cpu": np.full(2, estimate)},
+                {"cpu": np.full(2, 100.0)},
+            )
+        # cpu and total fire on the 7 odd windows and resolve on the 7
+        # even ones, in both lanes.
+        assert monitor.fleet_document()["alerts"] == {
+            "total": 56, "firing": 28, "resolved": 28,
+        }
         assert len(drift.history()) == 4

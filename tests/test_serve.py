@@ -1263,10 +1263,13 @@ class TestOneAlertView:
 
         from repro import cli
 
-        args = Namespace(flight_dir=None, port=0, store=str(tmp_path / "store"))
+        args = Namespace(
+            flight_dir=None, port=0, store=str(tmp_path / "store"), window=5.0
+        )
         endpoint = cli._start_endpoint(args, "serve")
         endpoint.service = service
         endpoint.alerts.attach_service(service)
+        service.windows = endpoint.windows
         return endpoint
 
     @staticmethod
@@ -1669,6 +1672,52 @@ class TestServeCli:
         assert int(match.group(1)) != 0  # the *bound* port, not the request
         assert "replay offered" in out
         assert "status=" in out
+
+    def test_endpoint_windows_back_routes_bundles_and_store(
+        self, tmp_path, monkeypatch
+    ):
+        """The service's housekeeping tick folds the endpoint's windows:
+        ``/windows`` answers with them, a ``?dump=1`` bundle carries
+        them, and each closed one is what ``--store`` persisted."""
+        from repro import cli
+        from repro.obs.tsdb import TSDB
+
+        store, flight = str(tmp_path / "store"), str(tmp_path / "flight")
+        scraped = {}
+        store_tick = cli._store_tick
+
+        def scraping_tick(endpoint, now_s):
+            if endpoint.phase == "running" and not scraped:
+                url = endpoint.url("/windows")
+                # Two 1 s windows: the first has closed.
+                _wait_for(lambda: len(_get(url)[1]["windows"]) >= 2, 30.0, 0.1)
+                scraped["/windows"] = _get(url)
+                scraped["dump"] = _get(endpoint.url("/flightrecorder?dump=1"))
+            store_tick(endpoint, now_s)
+
+        monkeypatch.setattr(cli, "_store_tick", scraping_tick)
+        code = cli.main([
+            "serve", "--replay", "gcc", "--nodes", "1", "--shards", "1",
+            "--port", "0", "--refresh", "0.5", "--serve-for", "1",
+            "--window", "1", "--store", store, "--flight-dir", flight,
+            *self.COMMON,
+        ])
+        assert code == 0
+        status, document = scraped["/windows"]
+        assert status == 200
+        windows = document["windows"]
+        assert len(windows) >= 2, document
+        status, dumped = scraped["dump"]
+        assert status == 200
+        bundle = load_bundle(dumped["dumped"])
+        assert bundle["windows"]["windows"]
+        assert bundle["windows"]["window_s"] == 1.0
+        (series,) = TSDB(store).select("serve_nodes_fresh")
+        persisted = dict(series["points"])
+        for window in windows[:-1]:
+            assert persisted[window["start_s"]] == (
+                window["gauges"]["serve_nodes_fresh"]
+            )
 
 
 class TestChaosScenario:

@@ -973,29 +973,22 @@ class TestStoreCli:
 
 
 class TestServiceStore:
-    def test_attach_store_persists_and_drains_on_stop(self, tmp_path):
-        from repro.core.events import Subsystem
-        from repro.core.models import ConstantModel
-        from repro.core.suite import TrickleDownSuite
-        from repro.serve.service import EstimationService
+    def test_serve_replay_persists_serve_series(self, tmp_path, capsys):
+        """``serve --store``'s shutdown drains the endpoint's windows,
+        which the housekeeping tick folded, and commits them."""
+        from repro.cli import main
 
-        obs.enable()
-        suite = TrickleDownSuite(
-            {Subsystem.CPU: ConstantModel(10.0)}, recipe_name="tsdb-test"
-        )
-        db = TSDB(str(tmp_path / "s"))
-        service = EstimationService(suite, shards=1)
-        service.attach_store(db, window_s=1.0)
-        try:
-            for second in range(8):
-                service.tick(float(second))
-        finally:
-            service.stop()
-        reopened = TSDB(db.root)
-        assert reopened.names()  # windows drained + flushed on stop
-        assert any(
-            name.startswith("serve_") for name in reopened.names()
-        )
+        store = str(tmp_path / "s")
+        code = main([
+            "serve", "--replay", "gcc", "--nodes", "1", "--shards", "1",
+            "--port", "0", "--serve-for", "1", "--window", "1", "--store",
+            store, "--duration", "20", "--tick-ms", "50", "--seed", "7",
+        ])
+        assert code == 0
+        assert f"serve: store committed to {store}" in capsys.readouterr().out
+        names = TSDB(store).names()
+        for name in ("serve_published_total", "serve_nodes_fresh"):
+            assert name in names, names
 
     def test_datacenter_report_persist(self, tmp_path):
         from repro.dc.datacenter import DatacenterReport
