@@ -1399,8 +1399,11 @@ def _cmd_serve(
             socket_server.stop()
         service.stop()
         if store is not None:
-            # The housekeeping thread has stopped folding: drain the
-            # endpoint's windows, commit, record the final alert state.
+            # Every accepted sample is published and the housekeeping
+            # thread has stopped: fold what its last tick missed, at the
+            # service's clock, then drain the endpoint's windows, commit
+            # and record the final alert state.
+            endpoint.windows.ingest(service.staleness.now(), obs.registry())
             endpoint.windows.drain()
             store.flush()
             _store_tick(endpoint, monotonic())
@@ -1529,28 +1532,38 @@ def _restore_note(args: argparse.Namespace) -> str:
     return f", restoring calibration at t={args.restore_at:g}s"
 
 
+def _ticks_per_s(config: SystemConfig) -> int:
+    """The ticks every ``monitor`` mode runs per simulated second."""
+    return max(1, int(round(1.0 / config.tick_s)))
+
+
 def _monitor_loop(
-    args: argparse.Namespace, endpoint, seconds: int, step, restore, summary
+    args: argparse.Namespace, endpoint, config: SystemConfig, seconds: int,
+    step, restore, summary,
 ) -> None:
     """The per-second work every ``monitor`` mode shares.
 
-    Each simulated second ``step()`` advances the engine one second and
-    returns its clock, and the loop, which owns that clock, folds the
-    process registry into the endpoint's windows; at ``--restore-at``
-    (with ``--perturb``) ``restore()`` swaps the calibrated suite back;
-    new drift transitions print; the store ticks; and every
-    ``--refresh`` seconds ``summary(now_s, second, wall_s)`` prints the
-    mode's line.
+    Each simulated second ``step()`` advances the engine one second, and
+    the loop, which owns the clock, folds the process registry into the
+    endpoint's windows; at ``--restore-at`` (with ``--perturb``)
+    ``restore()`` swaps the calibrated suite back; new drift transitions
+    print; the store ticks; and every ``--refresh`` seconds
+    ``summary(now_s, second, wall_s)`` prints the mode's line.
     """
     from time import perf_counter
 
     windows = endpoint.windows
+    ticks_per_s = _ticks_per_s(config)
     restored = args.perturb is None or args.restore_at is None
     seen_alerts = 0
     next_report = args.refresh
     wall_start = perf_counter()
     for second in range(1, seconds + 1):
-        now_s = step()
+        step()
+        # A product, where the engines sum their ticks: whole seconds
+        # read whole whenever the tick divides one second (at 10 ms
+        # ticks the engines' t=3 reads 2.99999999999998).
+        now_s = second * ticks_per_s * config.tick_s
         windows.ingest(now_s, obs.registry())
         # Closed windows persist eagerly (the sink is idempotent), not
         # only once they fall off the sliding edge.
@@ -1579,11 +1592,10 @@ def _monitor_server(args, context, endpoint, suite, active, name, seconds) -> No
         flight=endpoint.flight,
     )
     server.attach_monitor(monitor)
-    ticks_per_s = max(1, int(round(1.0 / context.config.tick_s)))
+    ticks_per_s = _ticks_per_s(context.config)
 
-    def step() -> float:
+    def step() -> None:
         server.run_ticks(ticks_per_s)
-        return server.now_s
 
     def summary(now_s: float, second: int, wall_s: float) -> None:
         sample = monitor.last
@@ -1605,7 +1617,8 @@ def _monitor_server(args, context, endpoint, suite, active, name, seconds) -> No
 
     print(f"monitor: running {name} for {seconds}s of simulated time ...")
     _monitor_loop(
-        args, endpoint, seconds, step, lambda: monitor.set_suite(suite), summary
+        args, endpoint, context.config, seconds, step,
+        lambda: monitor.set_suite(suite), summary,
     )
     server.detach_monitor()
     print(
@@ -1639,14 +1652,13 @@ def _monitor_fleet(
             f"monitor: lane(s) {','.join(map(str, lanes))} "
             f"scaled x{args.perturb:g}{_restore_note(args)}"
         )
-    ticks_per_s = max(1, int(round(1.0 / context.config.tick_s)))
+    ticks_per_s = _ticks_per_s(context.config)
 
-    def step() -> float:
+    def step() -> None:
         fleet.run_ticks(ticks_per_s)
         # Every second's windows are judged before a restore, with the
         # perturbation still applied.
         monitor.flush()
-        return fleet.now_s
 
     def summary(now_s: float, second: int, wall_s: float) -> None:
         document = monitor.fleet_document()
@@ -1669,7 +1681,10 @@ def _monitor_fleet(
         f"monitor: fleet of {args.fleet} lane(s) running {name} for "
         f"{seconds}s of simulated time ..."
     )
-    _monitor_loop(args, endpoint, seconds, step, monitor.restore_lanes, summary)
+    _monitor_loop(
+        args, endpoint, context.config, seconds, step, monitor.restore_lanes,
+        summary,
+    )
     fleet.detach_fleet_monitor()
     firing = ",".join(map(str, drift.firing_lanes())) or "none"
     print(
@@ -1710,11 +1725,10 @@ def _monitor_cluster(args, context, endpoint, suite, active, name, seconds) -> N
     manager = PowerAwareManager()
     slices: "list" = []  # one ClusterTrace per second
 
-    def step() -> float:
+    def step() -> None:
         t = len(slices)
         slices.append(cluster.run([demand[t]], manager))
         observer.on_second(cluster, float(t + 1))
-        return float(t + 1)
 
     def summary(now_s: float, second: int, wall_s: float) -> None:
         last = slices[-1]
@@ -1736,7 +1750,8 @@ def _monitor_cluster(args, context, endpoint, suite, active, name, seconds) -> N
         f"demand {trough}..{peak} threads over {seconds}s ..."
     )
     _monitor_loop(
-        args, endpoint, seconds, step, lambda: observer.set_suite(suite), summary
+        args, endpoint, context.config, seconds, step,
+        lambda: observer.set_suite(suite), summary,
     )
     energy_j = sum(trace.energy_j for trace in slices)
     dropped = sum(trace.dropped_thread_seconds for trace in slices)

@@ -521,7 +521,8 @@ def _make_handler(server: ObservabilityServer):
                     data = self.rfile.read(length).decode("utf-8")
                     receipt = server.service.ingest(data, transport="http")
                     # Anything accepted was already enqueued and WILL be
-                    # processed, so a non-2xx would invite a whole-body
+                    # processed (stopping the service drains the shard
+                    # queues), so a non-2xx would invite a whole-body
                     # retry that duplicates those samples.  200 whenever
                     # something got in (clients resend from the receipt's
                     # counts); 429 = fully shed, back off; 400 = every

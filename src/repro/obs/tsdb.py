@@ -22,6 +22,12 @@ Layout — one shard directory per metric name under the store root:
   appends) while the samples are still safe inside the previous
   ``state.bin``.
 
+Both kinds are one container, written by :func:`_write_container` and
+read by :func:`_read_container`: a magic line (``RTST1`` for state,
+``RTSG1`` for segments), the JSON header's length (``uint32``, little
+endian), the JSON header, then the blobs back to back, each at the
+offset and with the length its header entry names.
+
 Encoding — per series, raw samples are a byte stream of
 delta-of-delta timestamps (millisecond ints, zigzag varints) followed
 by a tagged value: ``0`` repeats the previous value, ``1`` packs an
@@ -32,11 +38,14 @@ assumed.
 
 Downsampling — sealing a raw segment folds its samples (in timestamp
 order) into open rollup cells per tier: **10 s** and **2 min** cells
-holding ``(min, max, sum, count)``; ``mean = sum / count``.  Cells
-close when a later sample passes their edge and accumulate into the
-tier's own segments.  Retention is per tier (defaults: raw 1 h,
-10 s 24 h, 2 min 14 d) measured against the newest appended timestamp
-— the caller's clock, so fixed-seed runs prune deterministically.
+holding ``(min, max, sum, count)``; ``mean = sum / count``.  A cell
+closes when a later sample passes its edge and goes, in the same seal,
+into the tier's next segment, so ``state.bin`` holds only each series'
+open cell.  Queries fold the unsealed raw tail into a copy of it with
+the same function, :func:`_fold_cells`.  Retention is per tier
+(defaults: raw 1 h, 10 s 24 h, 2 min 14 d) measured against the newest
+appended timestamp — the caller's clock, so fixed-seed runs prune
+deterministically.
 
 Queries — :meth:`select` (raw points), :meth:`select_cells` (rollup
 cells), :meth:`query` (instant), :meth:`query_range` (step-aligned
@@ -273,10 +282,6 @@ class _Shard:
         self.cells: "dict[str, dict[int, list]]" = {
             t: {} for t in TIER_WIDTH_MS
         }
-        #: Closed-but-unsealed rollup cells per tier per sid (packed).
-        self.pending: "dict[str, dict[int, bytearray]]" = {
-            t: {} for t in TIER_WIDTH_MS
-        }
 
     # -- series --------------------------------------------------------
 
@@ -295,104 +300,72 @@ class _Shard:
 
     # -- sealing and rollups -------------------------------------------
 
-    def _fold(self, sid: int, samples: "list[tuple[int, float]]") -> None:
-        """Fold decoded raw samples into the open rollup cells (in order)."""
-        for tier, width in TIER_WIDTH_MS.items():
-            cells = self.cells[tier]
-            cell = cells.get(sid)
-            for t_ms, value in samples:
-                start = t_ms - t_ms % width
-                if cell is None or start > cell[0]:
-                    if cell is not None:
-                        pend = self.pending[tier].setdefault(sid, bytearray())
-                        pend += _CELL.pack(*cell)
-                    cell = [start, value, value, value, 1]
-                elif start == cell[0]:
-                    if value < cell[1]:
-                        cell[1] = value
-                    if value > cell[2]:
-                        cell[2] = value
-                    cell[3] += value
-                    cell[4] += 1
-                # start < cell[0] cannot happen: appends are ordered
-            if cell is not None:
-                cells[sid] = cell
-
     def seal(self) -> "list[str]":
         """Seal open raw blocks into a segment; cascade rollup segments.
 
+        Each series' samples fold into its open rollup cells, and the
+        cells they close go straight into that tier's new segment.
         Returns the segment file paths written (state is NOT yet
         committed — the caller writes ``state.bin`` after, making the
         new segments visible atomically).  Retention is the caller's
         job: :meth:`TSDB.flush` prunes right after sealing so it can
         unlink the doomed files once the state commit lands.
         """
-        written: "list[str]" = []
-        blocks = []
+        raw = []
+        closed: "dict[str, list]" = {tier: [] for tier in TIER_WIDTH_MS}
         for series in sorted(self.series.values(), key=lambda s: s.sid):
             if not series.count:
                 continue
-            self._fold(series.sid, _decode_block(series.buf, series.count))
-            blocks.append((
-                series.sid, series.key, series.count,
-                series.first_ms, series.last_ms, bytes(series.buf),
+            samples = _decode_block(series.buf, series.count)
+            for tier, width in TIER_WIDTH_MS.items():
+                cells: "list[list]" = []
+                self.cells[tier][series.sid] = _fold_cells(
+                    self.cells[tier].get(series.sid), samples, width, cells
+                )
+                if cells:
+                    closed[tier].append((
+                        series, len(cells), cells[0][0], cells[-1][0] + width,
+                        b"".join(_CELL.pack(*cell) for cell in cells),
+                    ))
+            raw.append((
+                series, series.count, series.first_ms, series.last_ms,
+                series.buf,
             ))
             series.reset()
-        if blocks:
-            written.append(self._write_segment("raw", blocks))
-        for tier in TIER_WIDTH_MS:
-            pending = self.pending[tier]
-            if not pending:
-                continue
-            cell_blocks = []
-            width = TIER_WIDTH_MS[tier]
-            for sid in sorted(pending):
-                blob = bytes(pending[sid])
-                n = len(blob) // _CELL.size
-                if not n:
-                    continue
-                first = _CELL.unpack_from(blob, 0)[0]
-                last = _CELL.unpack_from(blob, (n - 1) * _CELL.size)[0]
-                series = self.by_sid[sid]
-                cell_blocks.append(
-                    (sid, series.key, n, first, last + width, blob)
-                )
-            pending.clear()
-            if cell_blocks:
-                written.append(self._write_segment(tier, cell_blocks))
-        return written
+        return [
+            self._write_segment(tier, blocks)
+            for tier, blocks in [("raw", raw), *closed.items()]
+            if blocks
+        ]
 
     def _write_segment(self, tier: str, blocks: "list[tuple]") -> str:
+        """Write ``(series, count, min_ms, max_ms, blob)`` blocks as the
+        tier's next segment and list it in the manifest."""
         seq = self.seq
         self.seq += 1
         filename = f"{tier}-{seq:06d}.seg"
-        header = {"tier": tier, "name": self.name, "seq": seq, "series": []}
-        offset = 0
-        blobs = []
-        total = 0
-        min_ms = min(b[3] for b in blocks)
-        max_ms = max(b[4] for b in blocks)
-        for sid, key, count, first_ms, last_ms, blob in blocks:
-            header["series"].append({
-                "sid": sid,
-                "key": [key[0], [list(item) for item in key[1]]],
+        entries = [
+            {
+                "sid": series.sid,
+                "key": [series.key[0], [list(item) for item in series.key[1]]],
                 "count": count,
-                "min_ms": first_ms,
-                "max_ms": last_ms,
-                "offset": offset,
-                "length": len(blob),
-            })
-            offset += len(blob)
-            total += count
-            blobs.append(blob)
-        encoded = json.dumps(header, sort_keys=True).encode("utf-8")
+                "min_ms": min_ms,
+                "max_ms": max_ms,
+            }
+            for series, count, min_ms, max_ms, _ in blocks
+        ]
         path = os.path.join(self.directory, filename)
-        _atomic_write(
-            path, _SEG_MAGIC + _LEN.pack(len(encoded)) + encoded + b"".join(blobs)
+        _write_container(
+            path, _SEG_MAGIC,
+            {"tier": tier, "name": self.name, "seq": seq, "series": entries},
+            entries, [block[4] for block in blocks],
         )
-        self.manifest[tier].append(
-            {"file": filename, "min_ms": min_ms, "max_ms": max_ms, "n": total}
-        )
+        self.manifest[tier].append({
+            "file": filename,
+            "min_ms": min(entry["min_ms"] for entry in entries),
+            "max_ms": max(entry["max_ms"] for entry in entries),
+            "n": sum(entry["count"] for entry in entries),
+        })
         return path
 
     def prune(self, retention_ms: "dict[str, float]") -> "list[str]":
@@ -422,34 +395,18 @@ class _Shard:
 
     def save_state(self) -> None:
         """Atomically commit the shard's full mutable state."""
-        blobs: "list[bytes]" = []
-        offset = 0
-        open_raw = []
-        for series in sorted(self.series.values(), key=lambda s: s.sid):
-            blob = bytes(series.buf)
-            open_raw.append({
+        ordered = sorted(self.series.values(), key=lambda s: s.sid)
+        open_raw = [
+            {
                 "sid": series.sid,
                 "count": series.count,
                 "first_ms": series.first_ms,
                 "last_ms": series.last_ms,
                 "prev_delta": series.prev_delta,
                 "prev_val": float.hex(series.prev_val),
-                "offset": offset,
-                "length": len(blob),
-            })
-            offset += len(blob)
-            blobs.append(blob)
-        pending = {}
-        for tier, per_sid in self.pending.items():
-            entries = []
-            for sid in sorted(per_sid):
-                blob = bytes(per_sid[sid])
-                entries.append(
-                    {"sid": sid, "offset": offset, "length": len(blob)}
-                )
-                offset += len(blob)
-                blobs.append(blob)
-            pending[tier] = entries
+            }
+            for series in ordered
+        ]
         header = {
             "version": 1,
             "name": self.name,
@@ -460,7 +417,7 @@ class _Shard:
             "manifest": self.manifest,
             "series": [
                 [s.sid, s.key[0], [list(item) for item in s.key[1]]]
-                for s in sorted(self.series.values(), key=lambda x: x.sid)
+                for s in ordered
             ],
             "open_raw": open_raw,
             "cells": {
@@ -471,34 +428,27 @@ class _Shard:
                 ]
                 for tier, per_sid in self.cells.items()
             },
-            "pending": pending,
         }
-        encoded = json.dumps(header, sort_keys=True).encode("utf-8")
-        _atomic_write(
-            os.path.join(self.directory, "state.bin"),
-            _STATE_MAGIC + _LEN.pack(len(encoded)) + encoded + b"".join(blobs),
+        _write_container(
+            os.path.join(self.directory, "state.bin"), _STATE_MAGIC, header,
+            open_raw, [series.buf for series in ordered],
         )
         self.dirty = False
 
     @classmethod
     def load(cls, name: str, directory: str) -> "_Shard":
         shard = cls(name, directory)
-        path = os.path.join(directory, "state.bin")
         try:
-            with open(path, "rb") as handle:
-                data = handle.read()
-            if not data.startswith(_STATE_MAGIC):
-                raise ValueError("bad state magic")
-            header_len = _LEN.unpack_from(data, len(_STATE_MAGIC))[0]
-            start = len(_STATE_MAGIC) + _LEN.size
-            header = json.loads(data[start:start + header_len])
-            blob_base = start + header_len
+            header, data, blob_base = _read_container(
+                os.path.join(directory, "state.bin"), _STATE_MAGIC
+            )
         except FileNotFoundError:
             return shard
         except (ValueError, KeyError, struct.error) as exc:
             logger.warning("tsdb shard %s: unreadable state (%s); resetting",
                            name, exc)
             return shard
+        # Older stores also carry "pending", always empty lists: ignored.
         shard.seq = int(header["seq"])
         shard.max_ms = int(header["max_ms"])
         shard.appended = int(header.get("appended", 0))
@@ -527,12 +477,6 @@ class _Shard:
                     int(start_ms), float.fromhex(vmin), float.fromhex(vmax),
                     float.fromhex(vsum), int(count),
                 ]
-        for tier, entries in header.get("pending", {}).items():
-            for entry in entries:
-                lo = blob_base + int(entry["offset"])
-                shard.pending[tier][int(entry["sid"])] = bytearray(
-                    data[lo:lo + int(entry["length"])]
-                )
         return shard
 
     def _clean_orphans(self) -> None:
@@ -564,107 +508,140 @@ class _Shard:
 
     # -- reads ---------------------------------------------------------
 
-    def _read_segment(self, entry: dict) -> "tuple[dict, bytes, int]":
-        path = os.path.join(self.directory, entry["file"])
-        with open(path, "rb") as handle:
-            data = handle.read()
-        if not data.startswith(_SEG_MAGIC):
-            raise ValueError(f"bad segment magic in {path}")
-        header_len = _LEN.unpack_from(data, len(_SEG_MAGIC))[0]
-        start = len(_SEG_MAGIC) + _LEN.size
-        header = json.loads(data[start:start + header_len])
-        return header, data, start + header_len
+    def _blocks(self, tier: str, sid: int, start_ms: int, end_ms: int):
+        """Yield ``(block, data, base)`` for each sealed block of series
+        ``sid`` in the tier's segments that overlap the range; the
+        block's bytes start at ``data[base + block["offset"]]``.  A
+        segment that cannot be read is skipped with a warning."""
+        for entry in self.manifest[tier]:
+            if entry["max_ms"] < start_ms or entry["min_ms"] > end_ms:
+                continue
+            try:
+                header, data, base = _read_container(
+                    os.path.join(self.directory, entry["file"]), _SEG_MAGIC
+                )
+            except (OSError, ValueError) as exc:
+                logger.warning("tsdb shard %s: skipping segment %s (%s)",
+                               self.name, entry["file"], exc)
+                continue
+            for block in header["series"]:
+                if block["sid"] == sid:
+                    yield block, data, base
 
     def raw_points(
         self, series: _Series, start_ms: int, end_ms: int
     ) -> "list[tuple[int, float]]":
         """All raw ``(t_ms, value)`` of one series inside the range."""
         out: "list[tuple[int, float]]" = []
-        for entry in self.manifest["raw"]:
-            if entry["max_ms"] < start_ms or entry["min_ms"] > end_ms:
+        for block, data, base in self._blocks(
+            "raw", series.sid, start_ms, end_ms
+        ):
+            if block["max_ms"] < start_ms or block["min_ms"] > end_ms:
                 continue
-            try:
-                header, data, base = self._read_segment(entry)
-            except (OSError, ValueError) as exc:
-                logger.warning("tsdb shard %s: skipping segment %s (%s)",
-                               self.name, entry["file"], exc)
-                continue
-            for block in header["series"]:
-                if block["sid"] != series.sid:
-                    continue
-                if block["max_ms"] < start_ms or block["min_ms"] > end_ms:
-                    continue
-                lo = base + block["offset"]
-                decoded = _decode_block(
-                    data[lo:lo + block["length"]], block["count"]
-                )
-                out.extend(
-                    p for p in decoded if start_ms <= p[0] <= end_ms
-                )
-        if series.count:
-            out.extend(
-                p
-                for p in _decode_block(series.buf, series.count)
-                if start_ms <= p[0] <= end_ms
+            lo = base + block["offset"]
+            decoded = _decode_block(
+                data[lo:lo + block["length"]], block["count"]
             )
+            out.extend(p for p in decoded if start_ms <= p[0] <= end_ms)
+        out.extend(
+            p for p in _decode_block(series.buf, series.count)
+            if start_ms <= p[0] <= end_ms
+        )
         return out
 
     def rollup_cells(
         self, series: _Series, tier: str, start_ms: int, end_ms: int
     ) -> "list[tuple[int, float, float, float, int]]":
-        """Sealed + pending + open cells of one series inside the range.
+        """Sealed and open cells of one series inside the range.
 
         The open raw block's tail has not been folded into cells yet, so
-        it is folded on the fly — queries see every appended sample at
-        every tier, not just the sealed ones.
+        it is folded on the fly, into a copy of the open cell — queries
+        see every appended sample at every tier, not just the sealed
+        ones.
         """
-        cells: "list[tuple[int, float, float, float, int]]" = []
         width = TIER_WIDTH_MS[tier]
-        for entry in self.manifest[tier]:
-            if entry["max_ms"] < start_ms or entry["min_ms"] > end_ms:
-                continue
-            try:
-                header, data, base = self._read_segment(entry)
-            except (OSError, ValueError) as exc:
-                logger.warning("tsdb shard %s: skipping segment %s (%s)",
-                               self.name, entry["file"], exc)
-                continue
-            for block in header["series"]:
-                if block["sid"] != series.sid:
-                    continue
-                lo = base + block["offset"]
-                for i in range(block["count"]):
-                    cell = _CELL.unpack_from(data, lo + i * _CELL.size)
-                    if start_ms - width < cell[0] <= end_ms:
-                        cells.append(cell)
-        pending = self.pending[tier].get(series.sid)
-        if pending:
-            for i in range(len(pending) // _CELL.size):
-                cell = _CELL.unpack_from(pending, i * _CELL.size)
-                if start_ms - width < cell[0] <= end_ms:
-                    cells.append(cell)
-        # Open cell plus the un-folded open-raw tail, merged on the fly.
-        live: "dict[int, list]" = {}
+        cells: "list" = []
+        for block, data, base in self._blocks(
+            tier, series.sid, start_ms, end_ms
+        ):
+            lo = base + block["offset"]
+            cells.extend(
+                _CELL.unpack_from(data, lo + i * _CELL.size)
+                for i in range(block["count"])
+            )
         open_cell = self.cells[tier].get(series.sid)
-        if open_cell is not None:
-            live[open_cell[0]] = list(open_cell)
-        if series.count:
-            for t_ms, value in _decode_block(series.buf, series.count):
-                start = t_ms - t_ms % width
-                cell = live.get(start)
-                if cell is None:
-                    live[start] = [start, value, value, value, 1]
-                else:
-                    if value < cell[1]:
-                        cell[1] = value
-                    if value > cell[2]:
-                        cell[2] = value
-                    cell[3] += value
-                    cell[4] += 1
-        for start in sorted(live):
-            if start_ms - width < start <= end_ms:
-                cells.append(tuple(live[start]))
-        return cells
+        last = _fold_cells(
+            None if open_cell is None else list(open_cell),
+            _decode_block(series.buf, series.count), width, cells,
+        )
+        if last is not None:
+            cells.append(last)
+        return [
+            tuple(cell)
+            for cell in cells
+            if start_ms - width < cell[0] <= end_ms
+        ]
+
+
+def _fold_cells(cell, samples, width: int, closed: list):
+    """Fold time-ordered ``(t_ms, value)`` samples into rollup cells
+    ``width`` ms wide; returns the cell left open.
+
+    ``cell`` is the open cell, ``[start_ms, min, max, sum, count]`` or
+    ``None``, and is updated in place.  A cell that a later sample
+    passes is appended to ``closed``.  A sample older than the open
+    cell is not folded.
+    """
+    for t_ms, value in samples:
+        start = t_ms - t_ms % width
+        if cell is None or start > cell[0]:
+            if cell is not None:
+                closed.append(cell)
+            cell = [start, value, value, value, 1]
+        elif start == cell[0]:
+            if value < cell[1]:
+                cell[1] = value
+            if value > cell[2]:
+                cell[2] = value
+            cell[3] += value
+            cell[4] += 1
+    return cell
+
+
+def _write_container(
+    path: str, magic: bytes, header: dict, entries: "list[dict]", blobs: list
+) -> None:
+    """Atomically write the container ``state.bin`` and every segment
+    share: ``magic``, the JSON header's length, the header, then the
+    blobs back to back.  Each blob's ``offset`` (from the header's end)
+    and ``length`` go into its entry of ``entries``, which ``header``
+    holds."""
+    offset = 0
+    for entry, blob in zip(entries, blobs):
+        entry["offset"] = offset
+        entry["length"] = len(blob)
+        offset += len(blob)
+    encoded = json.dumps(header, sort_keys=True).encode("utf-8")
+    _atomic_write(
+        path, magic + _LEN.pack(len(encoded)) + encoded + b"".join(blobs)
+    )
+
+
+def _read_container(path: str, magic: bytes) -> "tuple[dict, bytes, int]":
+    """Read a :func:`_write_container` file: ``(header, data, base)``,
+    where the blob at ``offset`` starts at ``data[base + offset]``.
+
+    A missing file raises ``OSError``, a wrong magic or a header that is
+    not JSON ``ValueError``, and a file too short to hold the header's
+    length ``struct.error``.
+    """
+    with open(path, "rb") as handle:
+        data = handle.read()
+    if not data.startswith(magic):
+        raise ValueError(f"bad magic in {path}")
+    start = len(magic) + _LEN.size
+    header_len = _LEN.unpack_from(data, len(magic))[0]
+    return json.loads(data[start:start + header_len]), data, start + header_len
 
 
 def _atomic_write(path: str, payload: bytes) -> None:

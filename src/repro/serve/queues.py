@@ -58,7 +58,7 @@ class BoundedQueue:
     def get(self, timeout: "float | None" = 0.1):
         """Dequeue one item, or ``None`` on timeout / close."""
         with self._not_empty:
-            if not self._items:
+            if not self._items and not self._closed:
                 self._not_empty.wait(timeout)
             if not self._items:
                 return None

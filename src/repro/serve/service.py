@@ -235,7 +235,9 @@ class EstimationService:
         self._housekeeper.start()
 
     def stop(self) -> None:
-        """Stop workers and housekeeping; drains nothing (idempotent)."""
+        """Close the shard queues, let each live worker publish every
+        batch it had accepted, then stop housekeeping (idempotent).  A
+        killed shard's backlog stays unpublished."""
         self._stop.set()
         for shard in self.shards:
             shard.queue.close()
@@ -360,9 +362,14 @@ class EstimationService:
     # -- workers -------------------------------------------------------
 
     def _worker(self, shard: _Shard) -> None:
-        while not (self._stop.is_set() or shard.killed):
+        # A live worker leaves only once its queue is closed and empty:
+        # nothing arrives after close, so every accepted batch is
+        # published.  A killed shard stops at once.
+        while not shard.killed:
             item = shard.queue.get(timeout=0.2)
             if item is None:
+                if shard.queue.closed and not shard.queue.depth:
+                    return
                 continue
             items = [item] + shard.queue.drain(self.coalesce - 1)
             if self.ops and obs.enabled():

@@ -247,6 +247,28 @@ class TestFleetMode:
         assert attributed == {5, 21}
 
 
+class TestWholeSecondClock:
+    def test_one_second_windows_hold_one_second_of_ticks(self, tmp_path):
+        """At the default 10 ms tick the engine's clock reads 2.99999…
+        at t=3; the loop folds at its own whole second, so each 1 s
+        window holds exactly that second's 100 ticks.  Folding at the
+        engine's clock put two seconds in the 2 s window and none in
+        the 17 s one."""
+        from repro.obs.tsdb import TSDB
+
+        _monitor(
+            ["monitor", "gcc", "--duration", "20", "--window", "1", "--seed", "7"],
+            str(tmp_path),
+        )
+        (series,) = TSDB(str(tmp_path / "store")).select(
+            "sim_ticks_total", {"workload": "gcc"}
+        )
+        points = series["points"]
+        assert [t for t, _ in points] == [float(s) for s in range(1, 21)]
+        # The first window also holds the training run's ticks.
+        assert [ticks for _, ticks in points[1:]] == [100.0] * 19
+
+
 class TestLiveArguments:
     """Values that would silently switch alerting off, never end or end
     in a traceback are usage errors (exit 2), raised before the

@@ -904,6 +904,22 @@ class TestEstimationService:
                 lambda: service.samples_total >= receipt["accepted"]
             )
 
+    def test_stop_publishes_every_accepted_sample(self, suite, gcc_run):
+        """A backlog queued before the worker starts is published by the
+        time ``stop()`` returns: a live worker leaves only once its
+        queue is closed and empty (it used to leave as soon as the stop
+        flag was set, dropping what was still queued)."""
+        lines = frames_from_run(
+            gcc_run, "n0", frame_samples=1, events=required_events(suite)
+        )
+        service = EstimationService(suite, shards=1, coalesce=1, ops=False)
+        accepted = sum(service.ingest(line)["accepted"] for line in lines)
+        assert accepted == len(lines) == gcc_run.counters.n_samples > 100
+        service.start()
+        service.stop()
+        assert service.samples_total == accepted
+        assert service.shards[0].queue.depth == 0
+
     def test_poison_batch_drops_but_worker_survives(
         self, suite, gcc_run, monkeypatch
     ):

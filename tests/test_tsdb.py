@@ -14,10 +14,14 @@ one deduplicated plane with ``alerts_firing`` persistence, the
 
 from __future__ import annotations
 
+import glob
+import hashlib
 import json
 import math
 import os
+import re
 import signal
+import struct
 import subprocess
 import sys
 import time
@@ -200,6 +204,126 @@ class TestRollups:
         _fill(store, n=25)
         (series,) = store.select_cells("power_watts", tier="10s")
         assert sum(cell[4] for cell in series["cells"]) == 25
+
+
+#: sha256 of the pinned store's segment files, of its ``state.bin``
+#: files without the ``"pending"`` header key older stores carry, and
+#: of a fresh reader's answers (see :func:`_pinned_store`).
+PINNED = {
+    "segments": "d331d3dbefa5f3e6a05653b7a793bed5bdb5fa65cd7c26e596061f32e54a5f16",
+    "states": "180eca17e0d21d8dd0da0e40ae0cdd338d7529b6eaa98b977ef0360edabd7d36",
+    "answers": "365675f5b5ca691a0aab9e2940f0783d477f6cc9d8a6ec4b04c0bbc4098c7533",
+}
+
+
+def _pinned_store(root: str) -> None:
+    """A deterministic store: four series over two metrics, flushed every
+    25 steps, with a seal threshold low enough that ``raw``, ``10s`` and
+    ``2m`` segments all seal.  Values cover every encoding (repeats,
+    integers, raw doubles) and timestamps are uneven."""
+    db = TSDB(root, seal_bytes=512)
+    power = [db.appender("power_watts", {"node": node}) for node in "ab"]
+    work = db.appender("work_total", {"node": "a", "kind": "x"})
+    late = None
+    for i in range(2010):
+        t = i * 0.5 + (i % 3) * 0.001
+        power[0].append(t, float((i * 37) % 101 - 50))
+        power[1].append(t, 100.0 + (i % 40) * 0.1)
+        work.append(t, float(i // 10))
+        if i >= 600:
+            # A series born mid-run, with resets and a huge double.
+            late = late or db.appender("work_total", {"node": "b", "kind": "y"})
+            late.append(t, i * 0.25 if i % 7 else -1e17)
+        if i % 25 == 24:
+            db.flush()
+    db.flush()
+
+
+def _digest(document) -> str:
+    return hashlib.sha256(
+        json.dumps(document, sort_keys=True).encode("utf-8")
+    ).hexdigest()
+
+
+def _store_files(root: str, pattern: str) -> "dict[str, bytes]":
+    found = {}
+    for path in sorted(glob.glob(os.path.join(root, "*", pattern))):
+        with open(path, "rb") as handle:
+            found[os.path.relpath(path, root)] = handle.read()
+    return found
+
+
+def _split_state(data: bytes) -> "tuple[dict, bytes]":
+    """A ``state.bin``'s JSON header and the blobs after it."""
+    start = len(b"RTST1\n") + 4
+    (header_len,) = struct.unpack_from("<I", data, len(b"RTST1\n"))
+    return json.loads(data[start:start + header_len]), data[start + header_len:]
+
+
+def _state_digests(root: str) -> "dict[str, str]":
+    digests = {}
+    for path, data in _store_files(root, "state.bin").items():
+        header, blobs = _split_state(data)
+        header.pop("pending", None)
+        digests[path] = _digest([header, hashlib.sha256(blobs).hexdigest()])
+    return digests
+
+
+def _answers(root: str) -> list:
+    """Every query a fresh reader offers, over ranges that cut segments."""
+    db = TSDB(root)
+    out = []
+    for name in db.names():
+        out.append(db.series(name))
+        for start_s, end_s in ((0.0, None), (123.4, 456.7)):
+            out.append(db.select(name, None, start_s, end_s))
+            for tier in ("10s", "2m"):
+                out.append(db.select_cells(name, None, start_s, end_s, tier))
+            out.append(db.rate(name, None, start_s, end_s))
+            out.append(db.quantile_over_time(name, 0.9, None, start_s, end_s))
+        out.append(db.query(name))
+        out.append(db.query(name, {"node": "=~a|b"}, at_s=321.0))
+        for tier in ("raw", "10s", "2m", "auto"):
+            out.append(db.query_range(name, None, 100.0, 700.0, tier=tier))
+            for agg in _AGGS:
+                out.append(db.query_range(
+                    name, None, 30.0, 990.0, step_s=45.0, agg=agg, tier=tier
+                ))
+        out.append(db.query_range(name, step_s=60.0, agg="sum", by=("kind",)))
+    return out
+
+
+class TestPinnedStore:
+    """The on-disk format and every answer, pinned byte for byte."""
+
+    def test_segments_states_and_answers_are_pinned(self, tmp_path):
+        root = str(tmp_path / "pinned")
+        _pinned_store(root)
+        segments = _store_files(root, "*.seg")
+        tiers = {os.path.basename(path).split("-")[0] for path in segments}
+        assert tiers == {"raw", "10s", "2m"}
+        assert _digest({
+            path: hashlib.sha256(data).hexdigest()
+            for path, data in segments.items()
+        }) == PINNED["segments"]
+        assert _digest(_state_digests(root)) == PINNED["states"]
+        assert _digest(_answers(root)) == PINNED["answers"]
+
+    def test_a_retired_pending_key_moves_no_answer(self, tmp_path):
+        """State written with the ``"pending"`` key older stores carry
+        (always empty lists) reads back to the same answers."""
+        root = str(tmp_path / "pinned")
+        _pinned_store(root)
+        for path, data in _store_files(root, "state.bin").items():
+            header, blobs = _split_state(data)
+            header["pending"] = {"10s": [], "2m": []}
+            encoded = json.dumps(header, sort_keys=True).encode("utf-8")
+            with open(os.path.join(root, path), "wb") as handle:
+                handle.write(
+                    b"RTST1\n" + struct.pack("<I", len(encoded)) + encoded + blobs
+                )
+        assert _digest(_state_digests(root)) == PINNED["states"]
+        assert _digest(_answers(root)) == PINNED["answers"]
 
 
 class TestRetention:
@@ -989,6 +1113,28 @@ class TestServiceStore:
         names = TSDB(store).names()
         for name in ("serve_published_total", "serve_nodes_fresh"):
             assert name in names, names
+
+    def test_serve_persists_the_tail_after_its_last_tick(self, tmp_path, capsys):
+        """Without ``--serve-for`` the run ends before any housekeeping
+        tick folds; the shutdown publishes every accepted sample and
+        folds once more, so the store holds every published sample (it
+        used to hold no metric at all)."""
+        from repro.cli import main
+
+        store = str(tmp_path / "s")
+        code = main([
+            "serve", "--replay", "gcc", "--nodes", "1", "--shards", "1",
+            "--port", "0", "--store", store, "--duration", "20",
+            "--tick-ms", "50", "--seed", "7",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        accepted = int(re.search(r"replay offered .*accepted (\d+)", out)[1])
+        assert accepted > 0
+        db = TSDB(store)
+        assert "serve_published_total" in db.names()
+        (series,) = db.select("serve_published_total")
+        assert sum(value for _, value in series["points"]) == accepted
 
     def test_datacenter_report_persist(self, tmp_path):
         from repro.dc.datacenter import DatacenterReport
