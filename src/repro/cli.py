@@ -1,33 +1,38 @@
-"""Command-line interface: ``repro-power <experiment>``.
+"""Command-line interface: ``repro-power <command>``.
 
 Commands::
 
-    repro-power table1|table2|table3|table4     # paper tables
-    repro-power fig1|fig2|fig3|fig4|fig5|fig6|fig7
-    repro-power equations                        # fitted models
-    repro-power report [-o EXPERIMENTS.md]       # full paper-vs-measured
-    repro-power run <workload>                   # one instrumented run
-    repro-power list                             # available workloads
-    repro-power export <workload> -o trace.csv   # trace to CSV
-    repro-power select <subsystem>               # greedy event selection
-    repro-power billing                          # per-process energy bill
-    repro-power obs [DIR]                        # last run's telemetry
-    repro-power obs --store DIR [--range 5m]     # summary of a TSDB store
-    repro-power monitor --workload gcc           # live run + HTTP endpoint
-    repro-power query METRIC --store DIR         # instant/range TSDB query
-    repro-power sweep [gcc,mcf,...] [--resume]   # fault-tolerant bulk sweep
-    repro-power explain [mcf]                    # per-term power attribution
-    repro-power datacenter [--dc-zones 3]        # multi-zone EP scenario
-    repro-power explain --bundle PATH            # print a flight bundle
+    repro-power table1                      # paper tables: table1..table4
+    repro-power fig2                        # paper figures: fig1..fig7
+    repro-power equations                   # fitted models
+    repro-power report -o EXPERIMENTS.md    # full paper-vs-measured record
+    repro-power run gcc                     # one instrumented run
+    repro-power list                        # available workloads
+    repro-power export gcc -o trace.csv     # trace to CSV
+    repro-power select cpu                  # greedy event selection
+    repro-power billing                     # per-process energy bill
+    repro-power obs out/                    # last run's telemetry
+    repro-power obs --store DIR --range 5m  # summary of a TSDB store
+    repro-power monitor --workload gcc      # live run + HTTP endpoint
+    repro-power serve --replay gcc          # streaming estimation service
+    repro-power query drift_error_pct --store DIR   # TSDB query
+    repro-power sweep gcc,mcf --resume      # fault-tolerant bulk sweep
+    repro-power explain mcf                 # per-term power attribution
+    repro-power explain --bundle DIR        # print a flight bundle
+    repro-power datacenter --dc-zones 3     # multi-zone EP scenario
 
-Common options: ``--seed``, ``--duration`` (seconds per workload),
-``--tick-ms`` (simulation resolution), ``--cache-dir`` (run cache),
-``--workers`` (parallel sweep processes), ``--telemetry DIR`` (dump
-``metrics.prom``/``metrics.json``/``trace.jsonl`` after the command;
-``repro-power obs`` pretty-prints them), ``--flight-dir DIR`` (arm the
-flight recorder: post-mortem bundles land in DIR on drift alerts,
-sweep failures or crashes).  ``REPRO_LOG_LEVEL`` controls log
-verbosity.
+Each command has its own parser: ``repro-power <command> --help`` lists
+the options that command takes, and a flag it does not take, or a value
+out of its range, exits 2 with usage before anything trains, binds or
+creates a directory.  The commands that simulate share the run settings
+``--seed``, ``--duration`` (simulated seconds per run), ``--tick-ms``
+(simulation resolution), ``--cache-dir`` (run cache) and ``--workers``
+(parallel sweep processes), and every command but ``obs`` and ``query``
+takes ``--telemetry DIR`` (dump ``metrics.prom``/``metrics.json``/
+``trace.jsonl`` after the command; ``repro-power obs`` pretty-prints
+them) and ``--flight-dir DIR`` (arm the flight recorder: post-mortem
+bundles land in DIR on drift alerts, sweep failures or crashes).
+``REPRO_LOG_LEVEL`` controls log verbosity.
 
 ``explain`` reproduces the paper's Section 5 diagnosis style for any
 workload: it decomposes each subsystem's estimate into per-term watts
@@ -80,24 +85,43 @@ import json
 import math
 import os
 import sys
+import threading
 
 from repro import obs
 from repro.analysis import experiments as ex
 from repro.analysis.plots import ascii_chart, residual_summary
 from repro.analysis.tables import format_table, format_trace_summary, sparkline
 from repro.core.events import SUBSYSTEMS, render_propagation_diagram
-from repro.simulator.config import SystemConfig
-from repro.workloads.registry import PAPER_WORKLOADS, get_workload
+from repro.core.selection import EventSelector
+from repro.core.training import PAPER_RECIPE
+from repro.simulator.config import MeasurementConfig, SystemConfig
+from repro.workloads.registry import PAPER_WORKLOADS, get_workload, list_workloads
 
 
 def _context(args: argparse.Namespace) -> ex.ExperimentContext:
-    return ex.ExperimentContext(
-        config=SystemConfig(tick_s=args.tick_ms / 1000.0),
+    """The run settings as an experiment context, once ``--duration``
+    holds the warm-up windows the context drops, ``args.windows`` more
+    and one for the sampling jitter, each as long as the ticks that
+    close one sampling period."""
+    config = SystemConfig(tick_s=args.tick_ms / 1000.0)
+    context = ex.ExperimentContext(
+        config=config,
         seed=args.seed,
         duration_s=args.duration,
         cache_dir=args.cache_dir,
         n_workers=args.workers,
     )
+    period = config.measurement.sample_period_s
+    window_s = math.ceil(period / config.tick_s - 1e-9) * config.tick_s
+    floor = (context.warmup_windows + args.windows + 1) * window_s
+    if args.duration < floor:
+        args.error(
+            f"--duration must be at least {floor:g} s here: "
+            f"{context.warmup_windows} warm-up windows, {args.windows} to "
+            f"{'simulate' if args.windows == _SIMULATE else 'train'} and one "
+            f"spare, of {window_s:g} s at --tick-ms {args.tick_ms:g}"
+        )
+    return context
 
 
 def _print_table(result: "ex.TableResult") -> None:
@@ -138,372 +162,486 @@ def _print_figure(result: "ex.FigureResult") -> None:
         print(f"  (paper quotes ~{result.paper_error_pct:g}% for this figure)")
 
 
+def _print_series(result: "ex.SeriesResult") -> None:
+    print(result.title)
+    for label, series in result.series.items():
+        print(f"  {label:13}|{sparkline(series)}|  last={series[-1]:.0f}/Mcycle")
+
+
 #: Where ``--telemetry`` dumps (and ``obs`` reads) when no directory is
 #: given explicitly.
 DEFAULT_TELEMETRY_DIR = ".repro-telemetry"
 
+#: Sampling windows a command needs after the warm-up ones: one to
+#: simulate; to train, one per parameter of the recipe's largest model.
+_SIMULATE = 1
+_TRAIN = max(spec.n_parameters for spec in PAPER_RECIPE.specs)
 
-def main(argv: "list[str] | None" = None) -> int:
+
+# -- typed options -------------------------------------------------------
+
+
+class _Checked(argparse.Action):
+    """Stores the converted value once every ``(test, phrase)`` rule
+    holds; the first that fails exits 2 with usage and "OPTION PHRASE"
+    (an Action sees the option string; a ``type=`` callable does not)."""
+
+    def __init__(self, option_strings, dest, rules=(), **kwargs):
+        super().__init__(option_strings, dest, **kwargs)
+        self.rules = rules
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        for test, phrase in self.rules:
+            if not test(value):
+                parser.error(f"{option_string} {phrase}")
+        setattr(namespace, self.dest, value)
+
+
+def _checked(kind, *rules) -> dict:
+    """``add_argument`` keywords: convert with ``kind``, then check."""
+    return {"type": kind, "action": _Checked, "rules": rules}
+
+
+def _span(text: str) -> float:
+    """``90``, ``5m``, ``2h`` -> seconds; NaN (which no rule passes)
+    when it does not parse."""
+    from repro.obs.tsdb import parse_duration
+
+    try:
+        return parse_duration(text)
+    except ValueError:
+        return math.nan
+
+
+def _lanes(text: str) -> "tuple[int, ...] | None":
+    """``5,21`` -> lane indices; None (which no rule passes) unless every
+    part is a non-negative integer."""
+    parts = [part.strip() for part in text.split(",") if part.strip()]
+    if parts and all(part.isdigit() for part in parts):
+        return tuple(int(part) for part in parts)
+    return None
+
+
+def _workload(name: str) -> str:
+    if name not in list_workloads():
+        raise argparse.ArgumentTypeError(
+            f"unknown workload {name!r} (see repro-power list)"
+        )
+    return name
+
+
+def _workloads(text: str) -> "list[str]":
+    """``gcc,mcf`` -> workload names."""
+    names = [_workload(name) for name in text.split(",") if name]
+    if not names:
+        raise argparse.ArgumentTypeError("names no workload")
+    return names
+
+
+def _divides_second(ms: float) -> bool:
+    ticks = 1000.0 / ms
+    return math.isfinite(ticks) and math.isclose(round(ticks) * ms, 1000.0)
+
+
+_PERIOD_MS = 1000.0 * MeasurementConfig().sample_period_s
+_IS_FINITE = (math.isfinite, "must be finite")
+_IS_POSITIVE_FINITE = (
+    lambda x: x > 0 and math.isfinite(x), "must be positive and finite"
+)
+_SECONDS = _checked(float, _IS_POSITIVE_FINITE)
+_FINITE = _checked(float, _IS_FINITE)
+_NOT_NEGATIVE = _checked(
+    float, (lambda x: x >= 0 and math.isfinite(x), "must be finite and not negative")
+)
+_COUNT = _checked(int, (lambda n: n >= 1, "must be positive"))
+_PORT = _checked(
+    int, (lambda n: 0 <= n <= 65535, "must be a port number, 0-65535")
+)
+_SPAN = _checked(
+    _span, (_IS_POSITIVE_FINITE[0], "must be a positive, finite span (90, 5m, 2h)")
+)
+_LANES = _checked(
+    _lanes,
+    (lambda v: v is not None, "must be a comma-separated list of lane indices"),
+)
+_TICK_RULES = (
+    _IS_POSITIVE_FINITE,
+    (
+        lambda ms: ms <= _PERIOD_MS,
+        f"must not exceed the {_PERIOD_MS:g} ms sample period",
+    ),
+)
+_TICK = _checked(float, *_TICK_RULES)
+#: For the commands that count a simulated second in ticks.
+_WHOLE_TICK = _checked(
+    float, *_TICK_RULES,
+    (_divides_second, "must divide one second (e.g. 10, 50, 250)"),
+)
+
+
+# -- the parser ------------------------------------------------------------
+
+
+def _parent() -> argparse.ArgumentParser:
+    return argparse.ArgumentParser(add_help=False)
+
+
+def _run_settings(duration: dict, tick: dict) -> argparse.ArgumentParser:
+    """The run settings; ``--duration`` and ``--tick-ms`` take the typed
+    keywords ``duration`` and ``tick``, which differ by command."""
+    parent = _parent()
+    group = parent.add_argument_group("run settings")
+    group.add_argument("--seed", type=int, default=7)
+    group.add_argument(
+        "--duration", default=300.0, metavar="SECONDS",
+        help="simulated seconds per run (default 300)", **duration,
+    )
+    group.add_argument(
+        "--tick-ms", default=10.0, metavar="MS",
+        help="simulation tick (default 10)", **tick,
+    )
+    group.add_argument("--cache-dir", default=None, metavar="DIR", help="run cache")
+    group.add_argument(
+        "--workers", default=None,
+        help="worker processes for multi-workload sweeps "
+        "(default: REPRO_SWEEP_WORKERS or the CPU count)", **_COUNT,
+    )
+    return parent
+
+
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-power",
         description="Reproduce Bircher & John (ISPASS 2007) tables and figures.",
     )
-    parser.add_argument(
-        "command",
-        help="table1..table4, fig1..fig7, equations, report, run, list, "
-        "obs, monitor, serve, query, sweep, explain, datacenter",
+    commands = parser.add_subparsers(
+        dest="command", metavar="<command>", required=True
     )
-    parser.add_argument(
-        "workload",
-        nargs="?",
-        help="workload name (for 'run'), or metric name (for 'query')",
-    )
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--duration", type=float, default=300.0)
-    parser.add_argument("--tick-ms", type=float, default=10.0)
-    parser.add_argument("--cache-dir", default=None)
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes for multi-workload sweeps "
-        "(default: REPRO_SWEEP_WORKERS or the CPU count)",
-    )
-    parser.add_argument(
-        "--telemetry",
-        metavar="DIR",
-        nargs="?",
-        const=DEFAULT_TELEMETRY_DIR,
-        default=None,
+
+    telemetry = _parent()
+    group = telemetry.add_argument_group("telemetry")
+    group.add_argument(
+        "--telemetry", metavar="DIR", nargs="?", const=DEFAULT_TELEMETRY_DIR,
         help="collect telemetry and dump metrics.prom/metrics.json/"
-        f"trace.jsonl into DIR (default {DEFAULT_TELEMETRY_DIR}) "
-        "after the command",
+        f"trace.jsonl into DIR (default {DEFAULT_TELEMETRY_DIR}) after the "
+        "command",
     )
-    parser.add_argument("-o", "--output", default=None, help="write report here")
-    parser.add_argument(
-        "--flight-dir",
-        metavar="DIR",
-        dest="flight_dir",
-        default=None,
+    group.add_argument(
+        "--flight-dir", metavar="DIR",
         help="arm the flight recorder: keep a ring of recent windows/"
         "attribution and dump post-mortem bundles into DIR on drift "
         "alerts, sweep failures, crashes or /flightrecorder?dump=1",
     )
-    explain_group = parser.add_argument_group("explain options")
-    explain_group.add_argument(
-        "--bundle",
-        metavar="PATH",
-        default=None,
-        help="pretty-print a flight-recorder bundle (directory or "
-        "bundle.json) instead of simulating a workload",
+    simulate = _run_settings(_SECONDS, _TICK)
+    endpoint = _parent()
+    group = endpoint.add_argument_group("endpoint")
+    group.add_argument(
+        "--port", default=0, help="TCP port for the observability endpoint "
+        "(0 = ephemeral)", **_PORT,
     )
-    sweep_group = parser.add_argument_group("sweep options")
-    sweep_group.add_argument(
-        "--resume",
-        action="store_true",
-        help="continue an interrupted sweep from its run-cache "
-        "checkpoints (needs --cache-dir or REPRO_CACHE_DIR)",
+    group.add_argument(
+        "--refresh", default=5.0, help="seconds between summary lines "
+        "(default 5)", **_SECONDS,
     )
-    sweep_group.add_argument(
-        "--max-attempts",
-        type=int,
-        default=3,
-        help="attempts per spec before it is reported as permanently "
-        "failed (default 3)",
+    group.add_argument(
+        "--window", default=5.0, help="windowed-telemetry aggregation width "
+        "in seconds (default 5)", **_SECONDS,
     )
-    sweep_group.add_argument(
-        "--retry-delay",
-        type=float,
-        default=0.1,
-        metavar="SECONDS",
-        help="base delay of the capped exponential retry backoff "
-        "(default 0.1)",
+    group.add_argument(
+        "--slo", default=None, help="drift SLO in percent (default: the "
+        "paper's 9%% bound)", **_SECONDS,
     )
-    sweep_group.add_argument(
-        "--task-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-task result timeout; a timed-out task counts as a "
-        "failed attempt (default: wait forever)",
+    persist = _parent()
+    persist.add_argument(
+        "--store", metavar="DIR", help="persist the run's telemetry into an "
+        "embedded time-series store at DIR",
     )
-    monitor = parser.add_argument_group("monitor options")
-    monitor.add_argument(
-        "--workload",
-        dest="workload_opt",
-        default=None,
-        help="workload for 'monitor' (alternative to the positional)",
+    reader = _parent()
+    group = reader.add_argument_group("store")
+    group.add_argument(
+        "--range", dest="range_s", metavar="SPAN", help="span to read, back "
+        "from the newest point (or the query's end), e.g. 90, 5m, 2h",
+        **_SPAN,
     )
-    monitor.add_argument(
-        "--port",
-        type=int,
-        default=0,
-        help="TCP port for the observability endpoint (0 = ephemeral)",
+    group.add_argument(
+        "--tier", default="auto", choices=("auto", "raw", "10s", "2m"),
+        help="storage tier to answer from (default auto: the finest still "
+        "covering the range)",
     )
-    monitor.add_argument(
-        "--refresh",
-        type=float,
-        default=5.0,
-        help="simulated seconds between summary lines (default 5)",
+
+    def command(name, handler, text, *parents, windows=_SIMULATE):
+        sub = commands.add_parser(
+            name, parents=parents, help=text.replace("%", "%%"),
+            description=text,
+        )
+        sub.set_defaults(handler=handler, error=sub.error, windows=windows)
+        return sub
+
+    for name, experiment, windows, show in (
+        ("table1", ex.table1_average_power, _SIMULATE, _print_table),
+        ("table2", ex.table2_power_stddev, _SIMULATE, _print_table),
+        ("table3", ex.table3_integer_errors, _TRAIN, _print_table),
+        ("table4", ex.table4_fp_errors, _TRAIN, _print_table),
+        ("fig2", ex.figure2_cpu_model, _TRAIN, _print_figure),
+        ("fig3", ex.figure3_memory_l3, _TRAIN, _print_figure),
+        ("fig4", ex.figure4_prefetch_bus, _SIMULATE, _print_series),
+        ("fig5", ex.figure5_memory_bus, _TRAIN, _print_figure),
+        ("fig6", ex.figure6_disk_model, _TRAIN, _print_figure),
+        ("fig7", ex.figure7_io_model, _TRAIN, _print_figure),
+    ):
+        command(
+            name, _cmd_experiment, experiment.__doc__.split("\n")[0],
+            simulate, telemetry, windows=windows,
+        ).set_defaults(experiment=experiment, show=show)
+    command(
+        "fig1", _cmd_fig1, "Figure 1: the trickle-down event diagram",
+        telemetry,
     )
-    monitor.add_argument(
-        "--window",
-        type=float,
-        default=5.0,
-        help="windowed-telemetry aggregation width in seconds (default 5)",
+    command("list", _cmd_list, "the available workloads", telemetry)
+    command(
+        "equations", _cmd_equations, "the fitted models", simulate,
+        telemetry, windows=_TRAIN,
     )
-    monitor.add_argument(
-        "--slo",
-        type=float,
-        default=None,
-        help="drift SLO in percent (default: the paper's 9%% bound)",
+    command(
+        "report", _cmd_report, "the full paper-vs-measured record", simulate,
+        telemetry, windows=_TRAIN,
+    ).add_argument("-o", "--output", help="write the report here")
+    sub = command("run", _cmd_run, "one instrumented run", simulate, telemetry)
+    sub.add_argument("workload", type=_workload)
+    sub = command(
+        "export", _cmd_export, "one run's trace as CSV", simulate, telemetry
     )
-    monitor.add_argument(
-        "--perturb",
-        type=float,
-        default=None,
-        metavar="FACTOR",
-        help="scale the estimator's coefficients by FACTOR "
-        "(deliberate mis-calibration; demonstrates drift alerts)",
+    sub.add_argument("workload", type=_workload)
+    sub.add_argument("-o", "--output", required=True, help="the CSV file")
+    selector = EventSelector()
+    sub = command(
+        "select", _cmd_select, "greedy event selection for one subsystem",
+        simulate, telemetry,
+        windows=1 + selector.degree * selector.max_features,
     )
-    monitor.add_argument(
-        "--restore-at",
-        type=float,
-        default=None,
-        dest="restore_at",
-        metavar="SECONDS",
-        help="swap the calibrated suite back at this simulated time "
-        "(with --perturb; alerts then resolve)",
+    sub.add_argument("subsystem", choices=[s.value for s in SUBSYSTEMS])
+    command(
+        "billing", _cmd_billing, "a per-process energy bill", simulate,
+        telemetry, windows=_TRAIN,
     )
-    monitor.add_argument(
-        "--nodes",
-        type=int,
-        default=0,
-        help="monitor a power-managed cluster of N nodes instead of "
-        "a single workload run",
+
+    sub = command(
+        "obs", _cmd_obs, "print a run's telemetry or a store's summary",
+        reader,
     )
-    monitor.add_argument(
-        "--fleet",
-        type=int,
-        default=0,
-        metavar="WIDTH",
-        help="monitor a vectorized fleet of WIDTH lanes instead of a "
-        "single server (per-lane drift drill-down on /fleet*)",
+    sub.add_argument("dir", nargs="?", metavar="DIR", help="telemetry directory")
+    sub.add_argument("--telemetry", metavar="DIR", help="telemetry directory")
+    sub.add_argument(
+        "--cache-dir", metavar="DIR", help="also report this run cache"
     )
-    monitor.add_argument(
-        "--perturb-lanes",
-        default=None,
-        dest="perturb_lanes",
-        metavar="LANES",
-        help="with --fleet and --perturb: comma-separated lane indices "
-        "to mis-calibrate (default: every lane)",
+    sub.add_argument("--store", metavar="DIR", help="summarise the store at DIR")
+
+    sub = command(
+        "query", _cmd_query, "an instant or range query of a store", reader
     )
-    serve = parser.add_argument_group("serve options")
-    serve.add_argument(
-        "--shards",
-        type=int,
-        default=2,
-        help="estimator worker shards for 'serve' (default 2)",
+    sub.add_argument("metric")
+    sub.add_argument(
+        "--store", metavar="DIR", required=True, help="the store to read"
     )
-    serve.add_argument(
-        "--socket-port",
-        type=int,
-        default=None,
-        dest="socket_port",
-        metavar="PORT",
-        help="also accept the raw socket line protocol on PORT "
-        "(0 = ephemeral; default: HTTP ingest only)",
+    sub.add_argument(
+        "--label", action="append", metavar="K=V",
+        help="label matcher (repeatable; k=v exact or k=~regex)",
     )
-    serve.add_argument(
-        "--replay",
-        metavar="WORKLOAD",
-        default=None,
-        help="simulate WORKLOAD on --nodes nodes and stream their "
-        "counter windows through the service (with truth watts, so "
-        "drift and the error SLO score live)",
+    sub.add_argument(
+        "--at", metavar="SECONDS", help="instant query: newest point at or "
+        "before this timestamp (default: newest overall)", **_FINITE,
     )
-    serve.add_argument(
-        "--queue-depth",
-        type=int,
-        default=256,
-        dest="queue_depth",
-        help="per-shard ingest queue bound, in batches (default 256)",
+    sub.add_argument(
+        "--start", metavar="SECONDS", help="range start (default 0)",
+        **_FINITE,
     )
-    serve.add_argument(
-        "--stale-after",
-        type=float,
-        default=10.0,
-        dest="stale_after",
-        metavar="SECONDS",
-        help="a node with no accepted sample for this long is stale "
-        "and flips /healthz to 503 (default 10)",
+    sub.add_argument(
+        "--end", metavar="SECONDS", help="range end (default: newest in "
+        "the store)", **_FINITE,
     )
-    serve.add_argument(
-        "--attribute",
-        action="store_true",
+    sub.add_argument(
+        "--step", metavar="SPAN", help="range bucket width (e.g. 10, 1m; "
+        "default: raw points)", **_SPAN,
+    )
+    sub.add_argument(
+        "--agg", default="mean",
+        choices=("mean", "min", "max", "sum", "count", "last"),
+        help="range bucket aggregation (default mean)",
+    )
+    sub.add_argument(
+        "--by", metavar="LABELS", help="collapse series onto these "
+        "comma-separated labels (empty string = one fleet-wide series)",
+    )
+    sub.add_argument("--csv", action="store_true", help="print CSV, not a table")
+
+    sub = command(
+        "monitor", _cmd_monitor, "a live run with the HTTP endpoint up",
+        _run_settings(_SECONDS, _WHOLE_TICK), endpoint, persist, telemetry,
+        windows=_TRAIN,
+    )
+    sub.add_argument("workload", nargs="?", type=_workload)
+    sub.add_argument(
+        "--workload", dest="workload_opt", type=_workload,
+        help="alternative to the positional",
+    )
+    sub.add_argument(
+        "--perturb", metavar="FACTOR", help="scale the estimator's "
+        "coefficients by FACTOR (deliberate mis-calibration)", **_FINITE,
+    )
+    sub.add_argument(
+        "--restore-at", metavar="SECONDS", help="swap the calibrated suite "
+        "back at this simulated time (with --perturb)", **_FINITE,
+    )
+    mode = sub.add_mutually_exclusive_group()
+    mode.add_argument(
+        "--nodes", default=0, help="monitor a power-managed cluster of N "
+        "nodes instead of one server", **_COUNT,
+    )
+    mode.add_argument(
+        "--fleet", default=0, metavar="WIDTH", help="monitor a vectorized "
+        "fleet of WIDTH lanes (per-lane drift drill-down on /fleet*)",
+        **_COUNT,
+    )
+    sub.add_argument(
+        "--perturb-lanes", metavar="LANES", help="with --fleet and "
+        "--perturb: the lanes to mis-calibrate (default: every lane)",
+        **_LANES,
+    )
+
+    sub = command(
+        "serve", _cmd_serve, "the streaming estimation service", simulate,
+        endpoint, persist, telemetry, windows=_TRAIN,
+    )
+    sub.add_argument(
+        "--nodes", default=4, help="nodes --replay simulates (default 4)",
+        **_COUNT,
+    )
+    sub.add_argument(
+        "--shards", default=2, help="estimator worker shards (default 2)",
+        **_COUNT,
+    )
+    sub.add_argument(
+        "--socket-port", metavar="PORT", help="also accept the raw socket "
+        "line protocol on PORT (0 = ephemeral)", **_PORT,
+    )
+    sub.add_argument(
+        "--replay", metavar="WORKLOAD", type=_workload, help="simulate "
+        "WORKLOAD on --nodes nodes and stream their counter windows, with "
+        "truth watts, through the service",
+    )
+    sub.add_argument(
+        "--queue-depth", default=256, help="per-shard ingest queue bound, "
+        "in batches (default 256)", **_COUNT,
+    )
+    sub.add_argument(
+        "--stale-after", default=10.0, metavar="SECONDS", help="a node with "
+        "no accepted sample for this long is stale (default 10)", **_SECONDS,
+    )
+    sub.add_argument(
+        "--attribute", action="store_true",
         help="publish per-term watt attribution per node on /nodes/<id>",
     )
-    serve.add_argument(
-        "--chaos",
-        action="store_true",
-        help="enable the destructive POST /service/kill_shard chaos "
-        "hook (chaos tests only; off by default)",
+    sub.add_argument(
+        "--chaos", action="store_true",
+        help="enable the destructive POST /service/kill_shard chaos hook",
     )
-    serve.add_argument(
-        "--rate",
-        type=float,
-        default=0.0,
-        help="replay pacing in samples/s across all nodes "
-        "(0 = as fast as possible)",
+    sub.add_argument(
+        "--rate", default=0.0, help="replay pacing in samples/s across all "
+        "nodes (0 = as fast as possible)", **_NOT_NEGATIVE,
     )
-    serve.add_argument(
-        "--serve-for",
-        type=float,
-        default=0.0,
-        dest="serve_for",
-        metavar="SECONDS",
-        help="keep serving this long after the replay drains "
-        "(without --replay: 0 = serve until interrupted)",
+    sub.add_argument(
+        "--serve-for", default=0.0, metavar="SECONDS", help="keep serving "
+        "this long after the replay drains (without --replay: 0 = until "
+        "interrupted)", **_NOT_NEGATIVE,
     )
-    dc_group = parser.add_argument_group("datacenter options")
-    dc_group.add_argument(
-        "--dc-zones",
-        type=int,
-        default=3,
-        dest="dc_zones",
-        help="availability zones for 'datacenter' (default 3)",
-    )
-    dc_group.add_argument(
-        "--nodes-per-zone",
-        type=int,
-        default=16,
-        dest="nodes_per_zone",
-        help="nodes in each zone (default 16)",
-    )
-    dc_group.add_argument(
-        "--cap-w",
-        type=float,
-        default=0.0,
-        dest="cap_w",
-        help="datacenter power cap in Watts "
-        "(0 = --cap-frac of the calibrated full-on peak)",
-    )
-    dc_group.add_argument(
-        "--cap-frac",
-        type=float,
-        default=0.6,
-        dest="cap_frac",
-        help="auto cap as a fraction of the calibrated full-on peak "
-        "(default 0.6)",
-    )
-    dc_group.add_argument(
-        "--no-static",
-        action="store_true",
-        dest="no_static",
-        help="skip the static all-on baseline run",
-    )
-    dc_group.add_argument(
-        "--no-regret",
-        action="store_true",
-        dest="no_regret",
-        help="skip the ground-truth-sensor run (no regret numbers)",
-    )
-    dc_group.add_argument(
-        "--json",
-        action="store_true",
-        dest="json_output",
-        help="print the datacenter scenario document as JSON",
-    )
-    store_group = parser.add_argument_group("store / query options")
-    store_group.add_argument(
-        "--store",
-        metavar="DIR",
-        default=None,
-        help="durable telemetry: persist (monitor/serve/datacenter) or "
-        "read (query, obs) an embedded time-series store at DIR",
-    )
-    store_group.add_argument(
-        "--label",
-        action="append",
-        default=None,
-        metavar="K=V",
-        help="label matcher for 'query' (repeatable; k=v exact or "
-        "k=~regex)",
-    )
-    store_group.add_argument(
-        "--at",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="instant query: newest point at or before this timestamp "
-        "(default: newest overall)",
-    )
-    store_group.add_argument(
-        "--start",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="range query start timestamp (default 0)",
-    )
-    store_group.add_argument(
-        "--end",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="range query end timestamp (default: newest in the store)",
-    )
-    store_group.add_argument(
-        "--range",
-        dest="range_s",
-        default=None,
-        metavar="SPAN",
-        help="range query span ending at --end or the newest point, "
-        "e.g. 90, 5m, 2h (also the 'obs --store' summary span)",
-    )
-    store_group.add_argument(
-        "--step",
-        default=None,
-        metavar="SPAN",
-        help="range query bucket width (e.g. 10, 1m; default: raw points)",
-    )
-    store_group.add_argument(
-        "--agg",
-        default="mean",
-        choices=("mean", "min", "max", "sum", "count", "last"),
-        help="range query bucket aggregation (default mean)",
-    )
-    store_group.add_argument(
-        "--by",
-        default=None,
-        metavar="LABELS",
-        help="collapse series onto these comma-separated labels "
-        "(empty string = one fleet-wide series)",
-    )
-    store_group.add_argument(
-        "--tier",
-        default="auto",
-        choices=("auto", "raw", "10s", "2m"),
-        help="storage tier to answer from (default auto: the finest "
-        "still covering the range)",
-    )
-    store_group.add_argument(
-        "--csv",
-        action="store_true",
-        help="print query results as CSV instead of a table",
-    )
-    args = parser.parse_args(argv)
-    obs.log.configure()
 
-    if args.command in ("obs", "query"):
+    sub = command(
+        "sweep", _cmd_sweep, "a fault-tolerant bulk sweep", simulate, telemetry
+    )
+    sub.add_argument(
+        "workloads", nargs="?", type=_workloads, metavar="WORKLOADS",
+        help="comma-separated (default: the twelve paper workloads)",
+    )
+    sub.add_argument(
+        "--resume", action="store_true", help="continue an interrupted "
+        "sweep from its run-cache checkpoints (needs a cache directory)",
+    )
+    sub.add_argument(
+        "--max-attempts", default=3, help="attempts per spec before it "
+        "fails permanently (default 3)", **_COUNT,
+    )
+    sub.add_argument(
+        "--retry-delay", default=0.1, metavar="SECONDS", help="base delay "
+        "of the capped exponential retry backoff (default 0.1)",
+        **_NOT_NEGATIVE,
+    )
+    sub.add_argument(
+        "--task-timeout", metavar="SECONDS", help="per-task result timeout "
+        "(default: wait forever)", **_checked(float, _IS_POSITIVE_FINITE, (
+            lambda s: s <= threading.TIMEOUT_MAX,
+            f"must not exceed {threading.TIMEOUT_MAX:g}",
+        )),
+    )
+
+    sub = command(
+        "explain", _cmd_explain, "per-term power attribution of one workload",
+        simulate, telemetry, windows=_TRAIN,
+    )
+    sub.add_argument("workload", nargs="?", type=_workload, help="default mcf")
+    sub.add_argument(
+        "--workload", dest="workload_opt", type=_workload,
+        help="alternative to the positional",
+    )
+    sub.add_argument(
+        "--bundle", metavar="PATH", help="pretty-print a flight-recorder "
+        "bundle (directory or bundle.json) instead",
+    )
+
+    sub = command(
+        "datacenter", _cmd_datacenter, "the multi-zone energy-"
+        "proportionality scenario (at least 30 simulated seconds)",
+        _run_settings(_FINITE, _WHOLE_TICK), persist, telemetry,
+    )
+    sub.add_argument(
+        "--dc-zones", default=3, help="availability zones (default 3)",
+        **_COUNT,
+    )
+    sub.add_argument(
+        "--nodes-per-zone", default=16, help="nodes per zone (default 16)",
+        **_COUNT,
+    )
+    sub.add_argument(
+        "--cap-w", default=0.0, help="power cap in Watts (0 = --cap-frac of "
+        "the calibrated full-on peak)", **_checked(float, (
+            lambda w: w >= 0, "must not be negative (0 = use --cap-frac)",
+        ), _IS_FINITE),
+    )
+    sub.add_argument(
+        "--cap-frac", default=0.6, help="auto cap as a fraction of the "
+        "calibrated full-on peak (default 0.6)",
+        **_checked(float, (lambda f: f > 0, "must be positive"), _IS_FINITE),
+    )
+    sub.add_argument(
+        "--no-static", action="store_true",
+        help="skip the static all-on baseline",
+    )
+    sub.add_argument(
+        "--no-regret", action="store_true",
+        help="skip the ground-truth-sensor run",
+    )
+    sub.add_argument(
+        "--json", action="store_true", dest="json_output",
+        help="print the scenario document as JSON",
+    )
+    return parser
+
+
+def main(argv: "list[str] | None" = None) -> int:
+    args = _parser().parse_args(argv)
+    obs.log.configure()
+    if "flight_dir" not in args:  # obs and query only read
         try:
-            if args.command == "query":
-                return _cmd_query(args, parser)
-            if args.store:
-                return _cmd_obs_store(args, parser)
-            return _print_telemetry(
-                args.telemetry or args.workload or DEFAULT_TELEMETRY_DIR,
-                args.cache_dir,
-            )
+            return args.handler(args)
         except BrokenPipeError:
             # Reader (e.g. `| head`) closed the pipe: not an error, but
             # stdout is now unusable — hand it /dev/null so interpreter
@@ -518,8 +656,12 @@ def main(argv: "list[str] | None" = None) -> int:
 
         recorder = flight_mod.FlightRecorder(out_dir=args.flight_dir)
         previous_recorder = flight_mod.set_global(recorder)
+    dump = bool(args.telemetry)
     try:
-        return _dispatch(args, parser)
+        return args.handler(args)
+    except SystemExit:
+        dump = False  # a usage error: nothing ran
+        raise
     except Exception as error:
         if recorder is not None:
             recorder.trigger(
@@ -535,7 +677,7 @@ def main(argv: "list[str] | None" = None) -> int:
                     f"flight: wrote {len(recorder.bundles)} bundle(s) to "
                     f"{args.flight_dir}"
                 )
-        if args.telemetry:
+        if dump:
             paths = obs.dump(args.telemetry)
             print(
                 f"telemetry: wrote {', '.join(sorted(paths))} to "
@@ -543,154 +685,133 @@ def main(argv: "list[str] | None" = None) -> int:
             )
 
 
-def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    command = args.command
-    if command == "list":
-        for name in PAPER_WORKLOADS:
-            print(f"{name:10} {get_workload(name).description}")
-        return 0
-    if command == "fig1":
-        print(render_propagation_diagram())
-        return 0
-    if command == "explain" and args.bundle:
-        return _cmd_explain_bundle(args.bundle)
+# -- the commands ----------------------------------------------------------
+
+
+def _cmd_experiment(args: argparse.Namespace) -> int:
+    """A paper table or figure."""
+    args.show(args.experiment(_context(args)))
+    return 0
+
+
+def _cmd_fig1(args: argparse.Namespace) -> int:
+    print(render_propagation_diagram())
+    return 0
+
+
+def _cmd_list(args: argparse.Namespace) -> int:
+    for name in PAPER_WORKLOADS:
+        print(f"{name:10} {get_workload(name).description}")
+    return 0
+
+
+def _cmd_equations(args: argparse.Namespace) -> int:
+    from repro.core.events import Subsystem
 
     context = _context(args)
-    if command == "datacenter":
-        return _cmd_datacenter(args, parser, context)
-    if command == "monitor":
-        return _cmd_monitor(args, parser, context)
-    if command == "serve":
-        return _cmd_serve(args, parser, context)
-    if command == "sweep":
-        return _cmd_sweep(args, parser, context)
-    if command == "explain":
-        return _cmd_explain(args, parser, context)
-    tables = {
-        "table1": ex.table1_average_power,
-        "table2": ex.table2_power_stddev,
-        "table3": ex.table3_integer_errors,
-        "table4": ex.table4_fp_errors,
-    }
-    figures = {
-        "fig2": ex.figure2_cpu_model,
-        "fig3": ex.figure3_memory_l3,
-        "fig5": ex.figure5_memory_bus,
-        "fig6": ex.figure6_disk_model,
-        "fig7": ex.figure7_io_model,
-    }
-    if command in tables:
-        _print_table(tables[command](context))
-        return 0
-    if command in figures:
-        _print_figure(figures[command](context))
-        return 0
-    if command == "fig4":
-        result = ex.figure4_prefetch_bus(context)
-        print(result.title)
-        for label, series in result.series.items():
-            print(f"  {label:13}|{sparkline(series)}|  last={series[-1]:.0f}/Mcycle")
-        return 0
-    if command == "equations":
-        print(context.paper_suite().describe())
-        print("\nAblation (rejected Equation 2 analogue):")
-        from repro.core.events import Subsystem
+    print(context.paper_suite().describe())
+    print("\nAblation (rejected Equation 2 analogue):")
+    print("  memory-l3:", context.l3_suite().model(Subsystem.MEMORY).describe())
+    return 0
 
-        print("  memory-l3:", context.l3_suite().model(Subsystem.MEMORY).describe())
-        return 0
-    if command == "report":
-        from repro.analysis.report import build_report
 
-        text = build_report(context)
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(text)
-            print(f"wrote {args.output}")
-        else:
-            print(text)
-        return 0
-    if command == "export":
-        if not args.workload:
-            parser.error("'export' needs a workload name")
-        if not args.output:
-            parser.error("'export' needs -o <file.csv>")
-        from repro.analysis.export import run_to_csv
+def _cmd_report(args: argparse.Namespace) -> int:
+    from repro.analysis.report import build_report
 
-        run = context.run(args.workload)
-        run_to_csv(run, args.output)
-        print(f"wrote {run.n_samples} windows to {args.output}")
-        return 0
-    if command == "select":
-        if not args.workload:
-            parser.error("'select' needs a subsystem (cpu|memory|io|disk)")
-        from repro.core.events import Subsystem
-        from repro.core.selection import EventSelector
-        from repro.core.training import PAPER_RECIPE
+    text = build_report(_context(args))
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        print(f"wrote {args.output}")
+    else:
+        print(text)
+    return 0
 
-        subsystem = Subsystem(args.workload)
-        train_name = PAPER_RECIPE.spec_for(subsystem).train_workload
-        validation = [
-            context.run(name)
-            for name in ("idle", "gcc", "mcf", "mesa", "DiskLoad")
+
+def _cmd_export(args: argparse.Namespace) -> int:
+    from repro.analysis.export import run_to_csv
+
+    run = _context(args).run(args.workload)
+    run_to_csv(run, args.output)
+    print(f"wrote {run.n_samples} windows to {args.output}")
+    return 0
+
+
+def _cmd_select(args: argparse.Namespace) -> int:
+    from repro.core.events import Subsystem
+
+    context = _context(args)
+    subsystem = Subsystem(args.subsystem)
+    train_name = PAPER_RECIPE.spec_for(subsystem).train_workload
+    validation = [
+        context.run(name)
+        for name in ("idle", "gcc", "mcf", "mesa", "DiskLoad")
+    ]
+    result = EventSelector().select(
+        subsystem, context.run(train_name), validation
+    )
+    print(result.describe())
+    print("final model:", result.model.describe())
+    return 0
+
+
+def _cmd_billing(args: argparse.Namespace) -> int:
+    from repro.core.accounting import bill_processes
+    from repro.simulator.system import Server
+    from repro.workloads.mixes import mix
+
+    context = _context(args)
+    suite = context.paper_suite()
+    spec = mix({"gcc": 2, "mcf": 2}, stagger_s=2.0)
+    server = Server(context.config, spec, seed=context.seed + 3)
+    run = server.run(min(context.duration_s, 150.0))
+    bills = bill_processes(suite, run.counters, server.process_stats)
+    rows = [
+        [
+            f"thread {bill.thread_id}",
+            bill.runtime_s,
+            bill.cpu_energy_j / 3600.0,
+            bill.induced_energy_j / 3600.0,
+            bill.total_energy_j / 3600.0,
         ]
-        result = EventSelector(max_features=3).select(
-            subsystem, context.run(train_name), validation
+        for bill in bills
+    ]
+    print(
+        format_table(
+            f"Per-process energy bill: {spec.name}",
+            ("process", "runtime s", "cpu Wh", "induced Wh", "total Wh"),
+            rows,
+            precision=3,
         )
-        print(result.describe())
-        print("final model:", result.model.describe())
-        return 0
-    if command == "billing":
-        from repro.core.accounting import bill_processes
-        from repro.simulator.system import Server
-        from repro.workloads.mixes import mix
-
-        suite = context.paper_suite()
-        spec = mix({"gcc": 2, "mcf": 2}, stagger_s=2.0)
-        server = Server(context.config, spec, seed=context.seed + 3)
-        run = server.run(min(context.duration_s, 150.0))
-        bills = bill_processes(suite, run.counters, server.process_stats)
-        rows = [
-            [
-                f"thread {bill.thread_id}",
-                bill.runtime_s,
-                bill.cpu_energy_j / 3600.0,
-                bill.induced_energy_j / 3600.0,
-                bill.total_energy_j / 3600.0,
-            ]
-            for bill in bills
-        ]
-        print(
-            format_table(
-                f"Per-process energy bill: {spec.name}",
-                ("process", "runtime s", "cpu Wh", "induced Wh", "total Wh"),
-                rows,
-                precision=3,
-            )
-        )
-        return 0
-    if command == "run":
-        if not args.workload:
-            parser.error("'run' needs a workload name")
-        run = context.run(args.workload)
-        rows = [
-            [s.value, run.power.mean(s), run.power.std(s)] for s in SUBSYSTEMS
-        ]
-        print(
-            format_table(
-                f"{args.workload}: measured power over {run.duration_s:.0f}s",
-                ("subsystem", "mean W", "std W"),
-                rows,
-                precision=3,
-            )
-        )
-        return 0
-    parser.error(f"unknown command {command!r}")
-    return 2
+    )
+    return 0
 
 
-def _cmd_datacenter(
-    args: argparse.Namespace, parser: argparse.ArgumentParser, context
-) -> int:
+def _cmd_run(args: argparse.Namespace) -> int:
+    run = _context(args).run(args.workload)
+    rows = [
+        [s.value, run.power.mean(s), run.power.std(s)] for s in SUBSYSTEMS
+    ]
+    print(
+        format_table(
+            f"{args.workload}: measured power over {run.duration_s:.0f}s",
+            ("subsystem", "mean W", "std W"),
+            rows,
+            precision=3,
+        )
+    )
+    return 0
+
+
+def _cmd_obs(args: argparse.Namespace) -> int:
+    if args.store:
+        return _cmd_obs_store(args)
+    return _print_telemetry(
+        args.telemetry or args.dir or DEFAULT_TELEMETRY_DIR, args.cache_dir
+    )
+
+
+def _cmd_datacenter(args: argparse.Namespace) -> int:
     """Run the multi-zone energy-proportionality scenario.
 
     Builds a diurnal + flash-crowd + failover traffic model over
@@ -710,25 +831,10 @@ def _cmd_datacenter(
         train_zone_bank,
     )
 
-    if args.dc_zones < 1:
-        parser.error("--dc-zones must be positive")
-    if args.nodes_per_zone < 1:
-        parser.error("--nodes-per-zone must be positive")
-    # ``not x > 0`` also rejects NaN.
-    if not args.cap_w >= 0:
-        parser.error("--cap-w must not be negative (0 = use --cap-frac)")
-    if not math.isfinite(args.cap_w):
-        parser.error("--cap-w must be finite")
-    if not args.cap_frac > 0:
-        parser.error("--cap-frac must be positive")
-    if not math.isfinite(args.cap_frac):
-        parser.error("--cap-frac must be finite")
-    if not math.isfinite(args.duration):
-        parser.error("--duration must be finite")
     duration = max(int(args.duration), 30)
     n_zones = args.dc_zones
     per_zone = args.nodes_per_zone
-    config = context.config
+    config = SystemConfig(tick_s=args.tick_ms / 1000.0)
     print(
         f"calibrating sensor bank "
         f"({len(config.cpu.dvfs_states)} pstates)...",
@@ -775,7 +881,7 @@ def _cmd_datacenter(
         args.cap_frac * calibration.reference_peak_w * total_nodes
     )
     if not math.isfinite(cap_w):
-        parser.error("--cap-frac overflows the cap")
+        args.error("--cap-frac overflows the cap")
     print(
         f"running {total_nodes} nodes / {n_zones} zones for {duration}s "
         f"under a {cap_w:.0f} W cap...",
@@ -874,19 +980,15 @@ def _cmd_datacenter(
     return 0 if doc["subsystem_estimated"]["cap_violations"] == 0 else 1
 
 
-def _cmd_explain(
-    args: argparse.Namespace,
-    parser: argparse.ArgumentParser,
-    context: "ex.ExperimentContext",
-) -> int:
-    """``repro-power explain``: per-term attribution of one workload."""
+def _cmd_explain(args: argparse.Namespace) -> int:
+    """``repro-power explain``: per-term attribution of one workload, or
+    with ``--bundle`` a flight bundle."""
     from repro.obs import attribution as attr_mod
 
+    if args.bundle:
+        return _cmd_explain_bundle(args.bundle)
     name = args.workload_opt or args.workload or "mcf"
-    try:
-        get_workload(name)
-    except KeyError:
-        parser.error(f"unknown workload {name!r}")
+    context = _context(args)
     print("explain: training trickle-down suite ...")
     suite = context.paper_suite()
     run = context.run(name)
@@ -1039,32 +1141,17 @@ def _cmd_explain_bundle(path: str) -> int:
     return 0
 
 
-def _cmd_sweep(
-    args: argparse.Namespace,
-    parser: argparse.ArgumentParser,
-    context: "ex.ExperimentContext",
-) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> int:
     """``repro-power sweep``: fault-tolerant bulk simulation."""
     from repro.exec import RetryPolicy, sweep_specs
 
-    names = (
-        [n for n in args.workload.split(",") if n]
-        if args.workload
-        else list(PAPER_WORKLOADS)
-    )
-    unknown = []
-    for name in names:
-        try:
-            get_workload(name)
-        except KeyError:
-            unknown.append(name)
-    if unknown:
-        parser.error(f"unknown workload(s): {', '.join(unknown)}")
+    context = _context(args)
+    names = args.workloads or list(PAPER_WORKLOADS)
     specs = [context.spec_for(name) for name in names]
     cache = context.cache
     if args.resume:
         if not cache.enabled:
-            parser.error("--resume needs --cache-dir or REPRO_CACHE_DIR")
+            args.error("--resume needs --cache-dir or REPRO_CACHE_DIR")
         done = sum(
             1
             for spec in specs
@@ -1124,24 +1211,6 @@ def _cmd_sweep(
     return 0
 
 
-def _check_live_args(
-    args: argparse.Namespace, parser: argparse.ArgumentParser
-) -> None:
-    """Usage errors of ``monitor`` and ``serve``, before anything binds.
-
-    ``not x > 0`` also rejects NaN, which ``<= 0`` lets through: a NaN
-    SLO switched drift alerting off and a NaN ``--restore-at`` never
-    restored.
-    """
-    for name in ("duration", "refresh", "window", "slo"):
-        value = getattr(args, name)
-        if value is not None and not (value > 0 and math.isfinite(value)):
-            parser.error(f"--{name} must be positive and finite")
-    for flag, value in (("--perturb", args.perturb), ("--restore-at", args.restore_at)):
-        if value is not None and not math.isfinite(value):
-            parser.error(f"{flag} must be finite")
-
-
 def _start_endpoint(args: argparse.Namespace, command: str, drift=None, chaos=False):
     """Telemetry on, then the flight recorder and the endpoint, bound and
     ``training``, whose alert manager watches ``drift``; then the
@@ -1192,48 +1261,27 @@ def _start_endpoint(args: argparse.Namespace, command: str, drift=None, chaos=Fa
     return endpoint
 
 
-def _cmd_monitor(
-    args: argparse.Namespace,
-    parser: argparse.ArgumentParser,
-    context: "ex.ExperimentContext",
-) -> int:
+def _cmd_monitor(args: argparse.Namespace) -> int:
     """``repro-power monitor``: live run with the HTTP endpoint up."""
     from repro.obs import drift as drift_mod
     from repro.obs.http import ObservabilityServer
 
     name = args.workload_opt or args.workload
-    if args.nodes <= 0 and args.fleet <= 0 and not name:
-        parser.error("'monitor' needs a workload (positional or --workload)")
-    if args.nodes < 0:
-        parser.error("--nodes must be positive")
-    if args.fleet < 0:
-        parser.error("--fleet must be positive")
-    if args.fleet > 0 and args.nodes > 0:
-        parser.error("--fleet and --nodes are mutually exclusive")
-    _check_live_args(args, parser)
-    perturb_lanes: "tuple[int, ...] | None" = None
-    if args.perturb_lanes is not None:
-        if args.fleet <= 0:
-            parser.error("--perturb-lanes needs --fleet")
+    if not (args.nodes or args.fleet or name):
+        args.error("'monitor' needs a workload (positional or --workload)")
+    perturb_lanes = args.perturb_lanes
+    if perturb_lanes is not None:
+        if not args.fleet:
+            args.error("--perturb-lanes needs --fleet")
         if args.perturb is None:
-            parser.error("--perturb-lanes needs --perturb")
-        try:
-            perturb_lanes = tuple(
-                int(part)
-                for part in args.perturb_lanes.split(",")
-                if part.strip()
-            )
-        except ValueError:
-            parser.error(
-                "--perturb-lanes must be a comma-separated list of "
-                "lane indices"
-            )
-        bad = [lane for lane in perturb_lanes if not 0 <= lane < args.fleet]
+            args.error("--perturb-lanes needs --perturb")
+        bad = [lane for lane in perturb_lanes if lane >= args.fleet]
         if bad:
-            parser.error(
+            args.error(
                 f"--perturb-lanes out of range for --fleet {args.fleet}: "
                 + ",".join(map(str, bad))
             )
+    context = _context(args)
 
     slo = drift_mod.DEFAULT_SLO_PCT if args.slo is None else args.slo
     if args.fleet > 0:
@@ -1292,11 +1340,7 @@ def _cmd_monitor(
     return 0
 
 
-def _cmd_serve(
-    args: argparse.Namespace,
-    parser: argparse.ArgumentParser,
-    context: "ex.ExperimentContext",
-) -> int:
+def _cmd_serve(args: argparse.Namespace) -> int:
     """``repro-power serve``: the long-lived streaming estimation service."""
     import signal
     from time import monotonic, sleep
@@ -1304,12 +1348,9 @@ def _cmd_serve(
     from repro.obs import drift as drift_mod
     from repro.serve import EstimationService, LineSocketServer, SLOEngine
 
-    if args.shards < 1:
-        parser.error("--shards must be >= 1")
     if args.replay is None and args.rate:
-        parser.error("--rate needs --replay")
-    _check_live_args(args, parser)
-    nodes = args.nodes if args.nodes > 0 else 4
+        args.error("--rate needs --replay")
+    context = _context(args)
     slo_pct = drift_mod.DEFAULT_SLO_PCT if args.slo is None else args.slo
     endpoint = _start_endpoint(args, "serve", chaos=args.chaos)
     if endpoint is None:
@@ -1364,7 +1405,7 @@ def _cmd_serve(
     code = 0
     try:
         if args.replay:
-            _serve_replay(args, context, service, nodes)
+            _serve_replay(args, context, service)
         deadline = (
             monotonic() + args.serve_for
             if args.serve_for > 0
@@ -1385,6 +1426,10 @@ def _cmd_serve(
         endpoint.phase = "done"
     finally:
         signal.signal(signal.SIGTERM, previous_sigterm)
+        if socket_server is not None:
+            socket_server.stop()
+        # Live shards publish their backlog before the last report.
+        service.stop()
         _print_serve_summary(endpoint)
         if args.telemetry:
             os.makedirs(args.telemetry, exist_ok=True)
@@ -1395,9 +1440,6 @@ def _cmd_serve(
                     default=str,
                 )
             print(f"serve: wrote service state to {service_path}")
-        if socket_server is not None:
-            socket_server.stop()
-        service.stop()
         if store is not None:
             # Every accepted sample is published and the housekeeping
             # thread has stopped: fold what its last tick missed, at the
@@ -1413,8 +1455,8 @@ def _cmd_serve(
     return code
 
 
-def _serve_replay(args, context, service, nodes: int) -> None:
-    """Simulate ``nodes`` runs and stream their windows into the service."""
+def _serve_replay(args, context, service) -> None:
+    """Simulate ``--nodes`` runs and stream their windows into the service."""
     from time import monotonic, sleep
 
     from repro.serve import frames_from_run
@@ -1422,11 +1464,11 @@ def _serve_replay(args, context, service, nodes: int) -> None:
 
     spec = get_workload(args.replay)
     print(
-        f"serve: replaying {args.replay} on {nodes} node(s) "
+        f"serve: replaying {args.replay} on {args.nodes} node(s) "
         f"({context.duration_s:g}s simulated each) ..."
     )
     streams = []
-    for i in range(nodes):
+    for i in range(args.nodes):
         run = simulate_workload(
             spec,
             config=context.config,
@@ -1533,8 +1575,9 @@ def _restore_note(args: argparse.Namespace) -> str:
 
 
 def _ticks_per_s(config: SystemConfig) -> int:
-    """The ticks every ``monitor`` mode runs per simulated second."""
-    return max(1, int(round(1.0 / config.tick_s)))
+    """The ticks every ``monitor`` mode runs per simulated second (the
+    parser lets only a tick that divides one second through)."""
+    return round(1.0 / config.tick_s)
 
 
 def _monitor_loop(
@@ -1873,16 +1916,11 @@ def _label_str(labels: dict) -> str:
     return "{" + ",".join(f"{k}={v}" for k, v in sorted(labels.items())) + "}"
 
 
-def _cmd_query(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_query(args: argparse.Namespace) -> int:
     """``repro-power query``: read a TSDB store from any process."""
-    from repro.obs.tsdb import TSDB, parse_duration, parse_matchers
+    from repro.obs.tsdb import TSDB, parse_matchers
 
-    if not args.store:
-        parser.error("'query' needs --store DIR")
-    name = args.workload
-    if not name:
-        parser.error("'query' needs a metric name (positional)")
-    span = _range_s(args, parser)
+    name = args.metric
     if not os.path.isdir(args.store):
         print(f"query: no store at {args.store!r}", file=sys.stderr)
         return 1
@@ -1890,7 +1928,7 @@ def _cmd_query(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     try:
         matchers = parse_matchers(args.label) or None
     except ValueError as error:
-        parser.error(str(error))
+        args.error(str(error))
     range_mode = any(
         value is not None
         for value in (args.start, args.end, args.range_s, args.step)
@@ -1899,7 +1937,7 @@ def _cmd_query(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         try:
             results = db.query(name, matchers, at_s=args.at)
         except ValueError as error:
-            parser.error(str(error))
+            args.error(str(error))
         if not results and not args.csv:
             print(f"query: no series matched {name}")
             return 1
@@ -1928,9 +1966,9 @@ def _cmd_query(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
     start = args.start
     end = args.end
-    if span is not None:
+    if args.range_s is not None:
         anchor = end if end is not None else (db.max_t_s() or 0.0)
-        start = anchor - span
+        start = anchor - args.range_s
         end = anchor
     by = None
     if args.by is not None:
@@ -1941,13 +1979,13 @@ def _cmd_query(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             matchers,
             start_s=start if start is not None else 0.0,
             end_s=end,
-            step_s=parse_duration(args.step) if args.step else None,
+            step_s=args.step,
             agg=args.agg,
             by=by,
             tier=args.tier,
         )
     except ValueError as error:
-        parser.error(str(error))
+        args.error(str(error))
     if args.csv:
         print("metric,labels,tier,t_s,value")
         for series in results:
@@ -1962,7 +2000,7 @@ def _cmd_query(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     print(
         format_table(
             f"{name} [{args.agg}"
-            + (f", step {args.step}" if args.step else "")
+            + (f", step {args.step:g}s" if args.step else "")
             + "]",
             _SUMMARY_COLUMNS,
             rows,
@@ -1970,26 +2008,6 @@ def _cmd_query(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         )
     )
     return 0
-
-
-def _range_s(
-    args: argparse.Namespace, parser: argparse.ArgumentParser
-) -> "float | None":
-    """``--range`` in seconds (None when absent); a span that does not
-    parse, is not finite or is not positive is a usage error."""
-    from repro.obs.tsdb import parse_duration
-
-    if args.range_s is None:
-        return None
-    try:
-        span = parse_duration(args.range_s)
-    except ValueError:
-        span = math.nan
-    if not (span > 0 and math.isfinite(span)):
-        parser.error(
-            f"--range must be a positive, finite span, got {args.range_s!r}"
-        )
-    return span
 
 
 _SUMMARY_COLUMNS = ("series", "tier", "points", "min", "mean", "max", "last")
@@ -2009,11 +2027,11 @@ def _summary_rows(name: str, results) -> "list[list]":
     return rows
 
 
-def _cmd_obs_store(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_obs_store(args: argparse.Namespace) -> int:
     """``repro-power obs --store``: per-metric summary of a TSDB store."""
     from repro.obs.tsdb import TSDB
 
-    span = _range_s(args, parser) or 300.0
+    span = args.range_s or 300.0
     if not os.path.isdir(args.store):
         print(
             f"no store at {args.store!r}; run monitor/serve/datacenter "

@@ -52,6 +52,13 @@ class ModelSpec:
         if self.form != "constant" and not self.feature_names:
             raise ValueError(f"{self.form} model needs features")
 
+    @property
+    def n_parameters(self) -> int:
+        """The fitted model's coefficients: an intercept, then one per
+        feature (linear) or two (quadratic)."""
+        per_feature = {"constant": 0, "linear": 1, "quadratic": 2}[self.form]
+        return 1 + per_feature * len(self.feature_names)
+
 
 @dataclass(frozen=True)
 class TrainingRecipe:

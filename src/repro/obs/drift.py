@@ -22,12 +22,16 @@ on the live ``/alerts`` endpoint.
 
 The monitor is deterministic: it owns no clock and no randomness, every
 timestamp comes from the caller (simulation time in practice), so a
-fixed-seed run produces the identical alert sequence.
+fixed-seed run produces the identical alert sequence.  One lock guards
+its state: :meth:`~DriftMonitor.observe` holds it and every read takes
+it, so an HTTP thread may read while the loop observes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 from collections import deque
 from dataclasses import dataclass
 
@@ -40,6 +44,17 @@ DEFAULT_SLO_PCT = 9.0
 
 #: Guard denominator for residuals against a near-zero true power.
 _EPS_W = 1.0e-9
+
+
+def locked(method):
+    """Run ``method`` holding its object's ``_lock`` (an ``RLock``)."""
+
+    @functools.wraps(method)
+    def holding(self, *args, **kwargs):
+        with self._lock:
+            return method(self, *args, **kwargs)
+
+    return holding
 
 
 @dataclass(frozen=True)
@@ -124,6 +139,7 @@ class DriftMonitor:
         self._history: "deque[DriftAlert]" = deque(maxlen=max_history)
         #: Every transition ever made; the history keeps the newest.
         self.n_transitions = 0
+        self._lock = threading.RLock()
 
     # -- observation ---------------------------------------------------
 
@@ -131,6 +147,7 @@ class DriftMonitor:
     def _name(subsystem) -> str:
         return getattr(subsystem, "value", None) or str(subsystem)
 
+    @locked
     def observe(
         self,
         timestamp_s,
@@ -282,12 +299,14 @@ class DriftMonitor:
     # -- inspection ----------------------------------------------------
 
     @property
+    @locked
     def firing(self) -> "tuple[str, ...]":
         """Names of streams currently in the firing state."""
         return tuple(
             sorted(name for name, s in self._streams.items() if s.firing)
         )
 
+    @locked
     def error_pct(self, subsystem) -> float:
         """Current EWMA error of one stream (NaN before any window)."""
         stream = self._streams.get(self._name(subsystem))
@@ -295,10 +314,12 @@ class DriftMonitor:
             return float("nan")
         return stream.ewma
 
+    @locked
     def history(self) -> "list[DriftAlert]":
         """Every recorded transition, oldest first."""
         return list(self._history)
 
+    @locked
     def unresolved(self) -> "list[DriftAlert]":
         """The latest *firing* transition of each currently-firing
         stream — what a ``/healthz`` 503 body lists."""
@@ -308,6 +329,7 @@ class DriftMonitor:
                 latest[alert.subsystem] = alert
         return [latest[name] for name in self.firing if name in latest]
 
+    @locked
     def to_json(self) -> dict:
         """The ``/alerts`` document: configuration, state, history."""
         return {

@@ -28,12 +28,16 @@ counterpart:
   cluster's per-node rollup.
 
 Everything is clocked by the caller (simulation time), so fixed seeds
-give identical windows, EWMAs and alerts.
+give identical windows, EWMAs and alerts.  :class:`FleetDriftMonitor`
+and :class:`FleetMonitor` each hold one lock while they update and take
+it for every read, so the ``/fleet*`` and ``/alerts`` routes may read
+while the loop flushes.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from collections import deque
 from dataclasses import dataclass
 
@@ -41,7 +45,7 @@ import numpy as np
 
 from repro import obs
 from repro.core.events import SUBSYSTEMS
-from repro.obs.drift import DEFAULT_SLO_PCT, DriftAlert, _EPS_W
+from repro.obs.drift import DEFAULT_SLO_PCT, DriftAlert, _EPS_W, locked
 
 #: Cross-lane aggregate labels published by :func:`publish_lane_aggregates`.
 AGGREGATES = ("min", "mean", "p50", "p95", "max")
@@ -152,6 +156,7 @@ class FleetDriftMonitor:
         #: keeps the newest.
         self.n_transitions = 0
         self.n_by_state = {"firing": 0, "resolved": 0}
+        self._lock = threading.RLock()
 
     # -- observation ---------------------------------------------------
 
@@ -159,6 +164,7 @@ class FleetDriftMonitor:
     def _name(subsystem) -> str:
         return getattr(subsystem, "value", None) or str(subsystem)
 
+    @locked
     def observe(
         self,
         timestamp_s,
@@ -307,6 +313,7 @@ class FleetDriftMonitor:
     # -- inspection ----------------------------------------------------
 
     @property
+    @locked
     def firing(self) -> "tuple[str, ...]":
         """``"<subsystem>[<lane>]"`` labels of every firing cell."""
         labels = []
@@ -315,6 +322,7 @@ class FleetDriftMonitor:
                 labels.append(f"{name}[{int(lane)}]")
         return tuple(sorted(labels))
 
+    @locked
     def firing_lanes(self) -> "tuple[int, ...]":
         """Lanes with at least one firing stream, ascending."""
         mask = np.zeros(self.width, dtype=bool)
@@ -322,6 +330,7 @@ class FleetDriftMonitor:
             mask |= stream.firing
         return tuple(int(lane) for lane in np.nonzero(mask)[0])
 
+    @locked
     def error_pct(self, subsystem) -> np.ndarray:
         """Per-lane EWMA error of one stream (NaN before any window)."""
         stream = self._streams.get(self._name(subsystem))
@@ -331,6 +340,7 @@ class FleetDriftMonitor:
             out[seen] = stream.ewma[seen]
         return out
 
+    @locked
     def lane_state(self, lane: int) -> dict:
         """One lane's per-stream state, scalar-``to_json``-shaped."""
         if not 0 <= lane < self.width:
@@ -344,10 +354,12 @@ class FleetDriftMonitor:
             for name, stream in sorted(self._streams.items())
         }
 
+    @locked
     def history(self) -> "list[LaneDriftAlert]":
         """Every recorded transition, oldest first."""
         return list(self._history)
 
+    @locked
     def unresolved(self) -> "list[LaneDriftAlert]":
         """Latest firing transition of each currently-firing cell."""
         latest: "dict[tuple[str, int], LaneDriftAlert]" = {}
@@ -362,6 +374,7 @@ class FleetDriftMonitor:
                     out.append(alert)
         return out
 
+    @locked
     def to_json(self) -> dict:
         """The ``/alerts`` document, with per-stream lane summaries."""
         return {
@@ -566,6 +579,7 @@ class FleetMonitor:
         self._pending_rounds: "np.ndarray | None" = None
         self._covered = 0
         self._scale: "dict[str, np.ndarray]" = {}
+        self._lock = threading.RLock()
 
     # -- attachment ----------------------------------------------------
 
@@ -663,6 +677,7 @@ class FleetMonitor:
 
     # -- the batched pass ----------------------------------------------
 
+    @locked
     def flush(self) -> "list[LaneDriftAlert]":
         """Run the deferred batched pass; returns drift transitions.
 
@@ -765,6 +780,7 @@ class FleetMonitor:
 
     # -- drill-down documents (the ``/fleet*`` routes) -----------------
 
+    @locked
     def fleet_document(self) -> dict:
         """The ``/fleet`` summary: width, aggregates, alert rollups."""
         board, drift = self.board, self.drift
@@ -784,6 +800,7 @@ class FleetMonitor:
             "alerts": {"total": drift.n_transitions, **drift.n_by_state},
         }
 
+    @locked
     def lanes_document(self, top: "int | None" = None) -> dict:
         """``/fleet/lanes``: lanes ranked worst-first by total-stream EWMA."""
         board, drift = self.board, self.drift
@@ -835,6 +852,7 @@ class FleetMonitor:
             "lanes": lanes,
         }
 
+    @locked
     def lane_document(self, lane: int) -> dict:
         """``/fleet/lane/<i>``: one lane's full drill-down.
 

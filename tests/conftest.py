@@ -9,6 +9,8 @@ loosely enough to hold at this fidelity.
 from __future__ import annotations
 
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -110,3 +112,32 @@ def paper_suite(training_runs):
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(TEST_SEED)
+
+
+def read_while_writing(write, *reads) -> "tuple[int, list]":
+    """Run ``write()`` here while a second thread calls each of
+    ``reads`` in turn until it returns, at a 1 µs switch interval;
+    returns the reads made and the exceptions they raised."""
+    stop, made, errors = threading.Event(), [0], []
+
+    def read():
+        while not stop.is_set():
+            for call in reads:
+                try:
+                    call()
+                except Exception as error:
+                    errors.append(error)
+                made[0] += 1
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    try:
+        write()
+    finally:
+        stop.set()
+        reader.join(timeout=10)
+        sys.setswitchinterval(interval)
+    assert not reader.is_alive()
+    return made[0], errors

@@ -31,7 +31,7 @@ from repro.simulator.config import fast_config
 from repro.simulator.fleet import FleetServer
 from repro.simulator.system import Server
 from repro.workloads.registry import get_workload
-from tests.conftest import TEST_SEED
+from tests.conftest import TEST_SEED, read_while_writing
 
 WIDTH = 6
 N_TICKS = 2000  # ~20 sampler windows per lane at the fast config
@@ -446,6 +446,54 @@ class TestFleetRoutes:
         assert len(full["windows"]) <= 12
         assert endpoint.payload("/windows", "last=0")[0] == 400
         assert endpoint.payload("/windows", "last=x")[0] == 400
+
+
+class TestReadsWhileFlushing:
+    """The routes read the fleet monitors while the loop writes them:
+    every read must succeed."""
+
+    def test_drift_reads_while_observing(self):
+        width, names = 8, ["cpu", "memory", "disk"]
+        drift = FleetDriftMonitor(width, alpha=1.0, min_windows=1, max_history=64)
+
+        def write():
+            for window in range(600):
+                estimate = 200.0 if window % 2 else 100.0
+                drift.observe(
+                    float(window),
+                    {name: np.full(width, estimate) for name in names},
+                    {name: np.full(width, 100.0) for name in names},
+                )
+
+        made, errors = read_while_writing(
+            write, drift.to_json, drift.unresolved, drift.firing_lanes,
+            lambda: drift.lane_state(3), lambda: drift.firing,
+        )
+        assert not errors, errors[:3]
+        assert made > 0
+        assert drift.n_transitions == 599 * width * (len(names) + 1)
+
+    def test_lane_routes_while_flushing(self, paper_suite):
+        fleet = FleetServer(
+            fast_config(tick_s=0.05), get_workload("gcc"), _fleet_seeds()
+        )
+        monitor = FleetMonitor(paper_suite)
+        fleet.attach_fleet_monitor(monitor)
+        monitor.perturb_lanes(PERTURB_FACTOR, PERTURBED_LANES)
+
+        def write():
+            for _ in range(60):
+                fleet.run_ticks(20)  # one simulated second
+                monitor.flush()
+
+        lane = PERTURBED_LANES[0]
+        made, errors = read_while_writing(
+            write, lambda: monitor.lane_document(lane), monitor.fleet_document,
+        )
+        assert not errors, errors[:3]
+        assert made > 0
+        assert monitor.lanes_document(top=1)["lanes"][0]["firing"]
+        assert monitor.n_windows >= 50 * WIDTH
 
 
 class TestGaugeValueHelper:

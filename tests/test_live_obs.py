@@ -35,7 +35,7 @@ from repro.obs.tracing import Tracer
 from repro.simulator.config import fast_config
 from repro.simulator.system import Server
 from repro.workloads.registry import get_workload
-from tests.conftest import TEST_SEED
+from tests.conftest import TEST_SEED, read_while_writing
 
 
 @pytest.fixture(autouse=True)
@@ -628,6 +628,30 @@ def _drift_streams(draw):
         "slo_pct": draw(st.sampled_from([9.0, 15.0, 30.0])),
     }
     return settings_, times, estimated_w, true_w, [0, *cuts, n]
+
+
+class TestDriftMonitorReads:
+    def test_reads_while_observing(self):
+        """The routes read a monitor the loop is observing into: every
+        read must succeed while each window flips every stream."""
+        monitor = DriftMonitor(alpha=1.0, min_windows=1, max_history=64)
+        names = [s.value for s in Subsystem]
+
+        def write():
+            for window in range(3000):
+                estimate = 200.0 if window % 2 else 100.0
+                monitor.observe(
+                    float(window), dict.fromkeys(names, estimate),
+                    dict.fromkeys(names, 100.0),
+                )
+
+        made, errors = read_while_writing(
+            write, monitor.to_json, monitor.unresolved, monitor.history,
+            lambda: monitor.firing,
+        )
+        assert not errors, errors[:3]
+        assert made > 0
+        assert monitor.n_transitions == 2999 * len(names + ["total"])
 
 
 class TestDriftMonitorFrames:

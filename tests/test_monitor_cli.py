@@ -314,10 +314,96 @@ class TestLiveArguments:
     def test_exit_2_before_binding(self, capsys, command, flags, message):
         from repro.cli import main
 
+        if command[0] == "serve" and flags[0] == "--perturb":
+            # serve never perturbs: its parser has no such flag.
+            message = "unrecognized arguments: --perturb"
         with pytest.raises(SystemExit) as exit_info:
             main([*command, "--tick-ms", "50", *flags])
         assert exit_info.value.code == 2
         assert message in capsys.readouterr().err
+
+
+class _Reached(Exception):
+    """A stub was called: the arguments passed every check."""
+
+
+class TestRunSettings:
+    """``--duration`` and ``--tick-ms`` are checked against what each
+    command runs, with exit 2, before anything simulates, trains,
+    calibrates or binds."""
+
+    @pytest.fixture(autouse=True)
+    def stubs(self, monkeypatch):
+        def reached(*args, **kwargs):
+            raise _Reached
+
+        for target in (
+            "repro.obs.http.ObservabilityServer.start",
+            "repro.analysis.experiments.ExperimentContext.run",
+            "repro.analysis.experiments.ExperimentContext.runs",
+            "repro.analysis.experiments.ExperimentContext.paper_suite",
+            "repro.exec.sweep_specs",
+            "repro.dc.train_zone_bank",
+        ):
+            monkeypatch.setattr(target, reached)
+
+    @pytest.mark.parametrize(
+        "argv, floor",
+        [
+            # 3 warm-up windows, 1 to simulate and a spare one.
+            (["run", "gcc"], 5),
+            (["sweep", "gcc"], 5),
+            (["table1"], 5),
+            (["run", "gcc", "--tick-ms", "700"], 7),  # 1.4 s windows
+            # 3 warm-up windows, 5 for the largest model and a spare.
+            (["monitor", "gcc"], 9),
+            (["serve"], 9),
+            (["explain", "gcc"], 9),
+            (["table3"], 9),
+            (["select", "cpu"], 11),  # up to 7 parameters
+        ],
+    )
+    def test_duration_floor(self, capsys, argv, floor):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--duration", str(floor - 0.5)])
+        assert exit_info.value.code == 2
+        assert f"--duration must be at least {floor} s" in capsys.readouterr().err
+        with pytest.raises(_Reached):
+            main([*argv, "--duration", str(floor)])
+
+    @pytest.mark.parametrize("tick", ["700", "30", "0.3"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["monitor", "gcc"], ["monitor", "--fleet", "2"],
+            ["monitor", "--nodes", "2"], ["datacenter"],
+        ],
+        ids=["server", "fleet", "cluster", "datacenter"],
+    )
+    def test_a_counted_second_is_one_second(self, capsys, argv, tick):
+        """These commands count a second in ticks: at 700 ms a 30 s
+        monitor run used to end at t=21 s, at 30 ms at t=29.7 s."""
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--tick-ms", tick])
+        assert exit_info.value.code == 2
+        assert "--tick-ms must divide one second" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tick", ["700", "30", "0.3", "1000"])
+    def test_other_commands_take_any_tick_up_to_the_period(self, capsys, tick):
+        from repro.cli import main
+
+        with pytest.raises(_Reached):
+            main(["run", "gcc", "--tick-ms", tick])
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "gcc", "--tick-ms", "1000.5"])
+        assert exit_info.value.code == 2
+        assert "--tick-ms must not exceed the 1000 ms sample period" in (
+            capsys.readouterr().err
+        )
 
 
 class TestAlertLog:

@@ -1689,6 +1689,37 @@ class TestServeCli:
         assert "replay offered" in out
         assert "status=" in out
 
+    def test_reports_every_sample_after_the_shards_drain(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """The last status line and ``--telemetry``'s ``service.json``
+        count every accepted sample.  The shard publishes nothing until
+        the service stops, so a report made before ``stop()`` drained
+        the queues would say 0."""
+        from repro.cli import main
+        from repro.serve import EstimationService
+
+        process = EstimationService._process
+
+        def held_until_stop(self, shard, batches):
+            self._stop.wait(timeout=60)
+            process(self, shard, batches)
+
+        monkeypatch.setattr(EstimationService, "_process", held_until_stop)
+        telemetry = tmp_path / "telemetry"
+        code = main([
+            "serve", "--replay", "gcc", "--nodes", "2", "--shards", "1",
+            "--port", "0", "--telemetry", str(telemetry), *self.COMMON,
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        accepted = int(re.search(r"replay offered .*accepted (\d+)", out)[1])
+        reported = int(re.findall(r"status=.* samples=(\d+)", out)[-1])
+        document = json.loads((telemetry / "service.json").read_text())
+        assert accepted > 0
+        assert reported == document["counters"]["samples_total"] == accepted
+        assert document["running"] is False
+
     def test_endpoint_windows_back_routes_bundles_and_store(
         self, tmp_path, monkeypatch
     ):
