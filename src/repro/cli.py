@@ -1497,11 +1497,14 @@ def _serve_replay(args, context, service) -> None:
         accepted += receipt["accepted"]
         shed += receipt["shed"]
         if args.rate > 0:
-            # Open-loop pacing: sleep to the schedule, never faster.
+            # Open-loop pacing: sleep to the schedule, never faster, a
+            # second at a time, since a tiny rate's schedule lies past
+            # what one sleep can wait for.
             due = started + total / args.rate
             delay = due - monotonic()
-            if delay > 0:
-                sleep(delay)
+            while delay > 0:
+                sleep(min(delay, 1.0))
+                delay = due - monotonic()
     elapsed = monotonic() - started
     print(
         f"serve: replay offered {total} sample(s) in {elapsed:.1f}s "
@@ -1974,7 +1977,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     if args.by is not None:
         by = tuple(part for part in args.by.split(",") if part)
     try:
-        results = db.query_range(
+        results = (db.query_range if args.csv else db.summary)(
             name,
             matchers,
             start_s=start if start is not None else 0.0,
@@ -2013,18 +2016,13 @@ def _cmd_query(args: argparse.Namespace) -> int:
 _SUMMARY_COLUMNS = ("series", "tier", "points", "min", "mean", "max", "last")
 
 
-def _summary_rows(name: str, results) -> "list[list]":
-    """One ``_SUMMARY_COLUMNS`` row per range-query series with points."""
-    rows = []
-    for series in results:
-        values = [value for _, value in series["points"]]
-        if values:
-            rows.append([
-                name + _label_str(series["labels"]), series["tier"],
-                len(values), min(values), sum(values) / len(values),
-                max(values), values[-1],
-            ])
-    return rows
+def _summary_rows(name: str, summaries) -> "list[list]":
+    """One ``_SUMMARY_COLUMNS`` row per :meth:`TSDB.summary` entry."""
+    return [
+        [name + _label_str(entry["labels"])]
+        + [entry[column] for column in _SUMMARY_COLUMNS[1:]]
+        for entry in summaries
+    ]
 
 
 def _cmd_obs_store(args: argparse.Namespace) -> int:
@@ -2046,7 +2044,7 @@ def _cmd_obs_store(args: argparse.Namespace) -> int:
     newest = db.max_t_s() or 0.0
     rows = []
     for name in names:
-        rows += _summary_rows(name, db.query_range(
+        rows += _summary_rows(name, db.summary(
             name, start_s=newest - span, end_s=newest, tier=args.tier
         ))
     print(

@@ -3,32 +3,27 @@
 A :class:`RecordingRule` names a derived series (Prometheus-style
 ``source:agg_window`` naming, e.g. ``drift_error_pct:mean_5m``),
 the source metric it reads, a lookback window, an aggregation and an
-optional ``by`` label grouping.  A :class:`RuleEngine` holds a list of
-rules and is attached to a :class:`~repro.obs.tsdb.TSDB` via
-``db.attach_rules(engine)`` — every ``db.flush(now_s)`` then evaluates
-each rule over ``[now - window, now]`` and appends one sample per
-group at ``now`` back into the store, so dashboards and alerts read a
-cheap precomputed series instead of re-aggregating raw points.
-
-Rule dict syntax (the shape ``/rules`` serves and docs describe)::
+optional ``by`` label grouping.  A :class:`RuleEngine` is attached to
+a :class:`~repro.obs.tsdb.TSDB` via ``db.attach_rules(engine)`` — every
+``db.flush(now_s)`` then evaluates each of :data:`DEFAULT_RULES` over
+``[now - window, now]`` on the raw tier (one
+:meth:`~repro.obs.tsdb.TSDB.query_range` bucket) and appends one
+sample per group at ``now`` back into the store, so dashboards and
+alerts read a cheap precomputed series instead of re-aggregating raw
+points.  ``/rules`` serves each rule as::
 
     {"record": "drift_error_pct:mean_5m",
      "source": "drift_error_pct",
-     "window": "5m",          # parse_duration: s/m/h/d suffixes
-     "agg": "mean",           # mean|min|max|sum|count|last|rate|p<NN>
-     "by": ["subsystem"]}     # optional grouping; omit = one series
-
-``agg="rate"`` uses the store's reset-aware counter rate;
-``agg="p95"``-style quantiles use ``quantile_over_time``.
+     "window_s": 300.0,
+     "agg": "mean",           # mean|min|max|sum|count|last
+     "by": ["subsystem"]}     # grouping; empty = one series
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.obs.tsdb import parse_duration
-
-_SIMPLE_AGGS = ("mean", "min", "max", "sum", "count", "last")
+from repro.obs.tsdb import _AGGS
 
 
 @dataclass(frozen=True)
@@ -40,35 +35,14 @@ class RecordingRule:
     window_s: float
     agg: str = "mean"
     by: "tuple[str, ...]" = ()
-    matchers: "dict[str, str]" = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.record or not self.source:
             raise ValueError("rule record and source names are required")
         if self.window_s <= 0:
             raise ValueError("rule window must be positive")
-        agg = self.agg
-        if agg not in _SIMPLE_AGGS and agg != "rate" and not (
-            agg.startswith("p") and agg[1:].isdigit()
-        ):
-            raise ValueError(
-                f"agg must be one of {_SIMPLE_AGGS}, 'rate' or 'pNN': {agg!r}"
-            )
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "RecordingRule":
-        if "window_s" in doc:
-            window_s = float(doc["window_s"])
-        else:
-            window_s = parse_duration(doc.get("window", "5m"))
-        return cls(
-            record=doc["record"],
-            source=doc["source"],
-            window_s=window_s,
-            agg=doc.get("agg", "mean"),
-            by=tuple(doc.get("by", ())),
-            matchers=dict(doc.get("matchers", {})),
-        )
+        if self.agg not in _AGGS:
+            raise ValueError(f"agg must be one of {_AGGS}: {self.agg!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -77,12 +51,11 @@ class RecordingRule:
             "window_s": self.window_s,
             "agg": self.agg,
             "by": list(self.by),
-            "matchers": dict(self.matchers),
         }
 
 
-#: Rules the CLI installs by default when ``--store`` is given: the
-#: series the drift/SLO/dc post-mortems actually read.
+#: The rules every ``--store`` run records: the series the
+#: drift/SLO/dc post-mortems actually read.
 DEFAULT_RULES: "tuple[RecordingRule, ...]" = (
     RecordingRule(
         "drift_error_pct:mean_5m", "drift_error_pct", 300.0,
@@ -104,17 +77,14 @@ DEFAULT_RULES: "tuple[RecordingRule, ...]" = (
 
 
 class RuleEngine:
-    """Evaluates recording rules against a store at flush time.
+    """Evaluates :data:`DEFAULT_RULES` against a store at flush time.
 
     Evaluation is idempotent per timestamp: a flush at the same (or an
     older) ``now_s`` as the previous one skips, so repeated flushes of
     a quiet store do not stack duplicate samples.
     """
 
-    def __init__(self, rules: "list[RecordingRule] | None" = None) -> None:
-        self.rules: "list[RecordingRule]" = list(
-            rules if rules is not None else DEFAULT_RULES
-        )
+    def __init__(self) -> None:
         self.evaluations = 0
         self.samples_recorded = 0
         self._last_eval_s = float("-inf")
@@ -125,85 +95,25 @@ class RuleEngine:
             return 0
         self._last_eval_s = now_s
         recorded = 0
-        for rule in self.rules:
-            recorded += self._evaluate_rule(db, rule, now_s)
+        for rule in DEFAULT_RULES:
+            for entry in db.query_range(
+                rule.source, None, now_s - rule.window_s, now_s,
+                step_s=rule.window_s, agg=rule.agg, by=rule.by, tier="raw",
+            ):
+                if entry["points"]:
+                    db.append(
+                        rule.record, entry["labels"], now_s,
+                        entry["points"][-1][1],
+                    )
+                    recorded += 1
         self.evaluations += 1
         self.samples_recorded += recorded
-        return recorded
-
-    def _evaluate_rule(self, db, rule: RecordingRule, now_s: float) -> int:
-        start_s = now_s - rule.window_s
-        if rule.agg == "rate":
-            results = [
-                {"labels": entry["labels"], "value": entry["rate"]}
-                for entry in db.rate(
-                    rule.source, rule.matchers or None, start_s, now_s
-                )
-            ]
-            results = _group(results, rule.by, "mean")
-        elif rule.agg.startswith("p") and rule.agg != "p":
-            q = int(rule.agg[1:]) / 100.0
-            results = [
-                entry
-                for entry in db.quantile_over_time(
-                    rule.source, q, rule.matchers or None, start_s, now_s
-                )
-                if entry["value"] == entry["value"]
-            ]
-            results = _group(results, rule.by, "mean")
-        else:
-            results = [
-                {
-                    "labels": entry["labels"],
-                    "value": entry["points"][-1][1]
-                    if entry["points"] else None,
-                }
-                for entry in db.query_range(
-                    rule.source,
-                    rule.matchers or None,
-                    start_s,
-                    now_s,
-                    step_s=rule.window_s,
-                    agg=rule.agg,
-                    by=rule.by,
-                    tier="raw",
-                )
-            ]
-        recorded = 0
-        for entry in results:
-            if entry["value"] is None:
-                continue
-            db.append(rule.record, entry["labels"], now_s, entry["value"])
-            recorded += 1
         return recorded
 
     def document(self) -> dict:
         """The ``/rules`` payload."""
         return {
-            "rules": [rule.to_dict() for rule in self.rules],
+            "rules": [rule.to_dict() for rule in DEFAULT_RULES],
             "evaluations": self.evaluations,
             "samples_recorded": self.samples_recorded,
         }
-
-
-def _group(results, by, fold):
-    """Collapse per-series scalars onto ``by`` labels (mean fold)."""
-    if not by:
-        if not results:
-            return []
-        values = [entry["value"] for entry in results]
-        return [{"labels": {}, "value": sum(values) / len(values)}]
-    groups: "dict[tuple, list]" = {}
-    labels_for: "dict[tuple, dict]" = {}
-    for entry in results:
-        group_labels = {label: entry["labels"].get(label, "") for label in by}
-        key = tuple(sorted(group_labels.items()))
-        groups.setdefault(key, []).append(entry["value"])
-        labels_for[key] = group_labels
-    return [
-        {
-            "labels": labels_for[key],
-            "value": sum(values) / len(values),
-        }
-        for key, values in sorted(groups.items())
-    ]

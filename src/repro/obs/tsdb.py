@@ -47,11 +47,17 @@ the same function, :func:`_fold_cells`.  Retention is per tier
 appended timestamp — the caller's clock, so fixed-seed runs prune
 deterministically.
 
-Queries — :meth:`select` (raw points), :meth:`select_cells` (rollup
-cells), :meth:`query` (instant), :meth:`query_range` (step-aligned
-aggregation with label grouping), :meth:`rate` and
-:meth:`quantile_over_time`.  Label matchers are exact (``{"k": "v"}``)
-or regular expressions (``{"k": "=~cpu|mem"}``).
+Queries — :meth:`select` (raw points), :meth:`query` (instant) and
+:meth:`query_range` (step-aligned aggregation with label grouping, on
+any tier), with :meth:`summary` summarising a range answer per series
+from the cells behind it for the CLI.  Every tier answers a range with
+cells ``(t, mean, min, max, sum, count)``: a raw sample is the
+one-sample cell ``(t, v, v, v, v, 1)``, a rollup cell is what its tier
+stored.  A bucket folds its cells exactly (min of mins, max of maxes,
+sums of sums and counts), so a rollup answer at a step that is a
+multiple of the tier's width equals the raw one for every aggregation
+but ``last``, the newest cell's mean.  Label matchers are exact
+(``{"k": "v"}``) or regular expressions (``{"k": "=~cpu|mem"}``).
 
 Timestamps must be non-decreasing **per series** (the windowed
 registries guarantee it); out-of-order appends are dropped and
@@ -549,16 +555,24 @@ class _Shard:
         )
         return out
 
-    def rollup_cells(
+    def read_cells(
         self, series: _Series, tier: str, start_ms: int, end_ms: int
-    ) -> "list[tuple[int, float, float, float, int]]":
-        """Sealed and open cells of one series inside the range.
+    ) -> "list[tuple[float, float, float, float, float, int]]":
+        """One series' cells ``(t_s, mean, min, max, sum, count)`` in the
+        range; the mean comes second so that cells sort as ``(t, value)``
+        points do.
 
-        The open raw block's tail has not been folded into cells yet, so
-        it is folded on the fly, into a copy of the open cell — queries
-        see every appended sample at every tier, not just the sealed
-        ones.
+        A raw sample is the one-sample cell ``(t, v, v, v, v, 1)``.  A
+        rollup tier's sealed cells are read as stored; the open raw
+        block's tail has not been folded into cells yet, so it is folded
+        on the fly, into a copy of the open cell — queries see every
+        appended sample at every tier, not just the sealed ones.
         """
+        if tier == "raw":
+            return [
+                (t / 1000.0, v, v, v, v, 1)
+                for t, v in self.raw_points(series, start_ms, end_ms)
+            ]
         width = TIER_WIDTH_MS[tier]
         cells: "list" = []
         for block, data, base in self._blocks(
@@ -577,7 +591,7 @@ class _Shard:
         if last is not None:
             cells.append(last)
         return [
-            tuple(cell)
+            (cell[0] / 1000.0, cell[3] / cell[4], *cell[1:])
             for cell in cells
             if start_ms - width < cell[0] <= end_ms
         ]
@@ -733,15 +747,6 @@ class TSDB:
                 pass
             return sorted(names)
 
-    def series(self, name: str) -> "list[dict[str, str]]":
-        """The label sets recorded under one metric name."""
-        with self._lock:
-            shard = self._shard(name)
-            return [
-                dict(key[1])
-                for key in sorted(shard.series, key=lambda k: shard.series[k].sid)
-            ]
-
     # -- writes --------------------------------------------------------
 
     def appender(
@@ -866,37 +871,6 @@ class TSDB:
                 })
             return out
 
-    def select_cells(
-        self,
-        name: str,
-        matchers: "dict[str, str] | None" = None,
-        start_s: float = 0.0,
-        end_s: "float | None" = None,
-        tier: str = "10s",
-    ) -> "list[dict]":
-        """Rollup cells per matching series.
-
-        Each cell is ``(start_s, min, max, mean, count)`` — the exact
-        min/max/mean/count of the raw samples in its window.
-        """
-        if tier not in TIER_WIDTH_MS:
-            raise ValueError(f"tier must be one of {tuple(TIER_WIDTH_MS)}")
-        with self._lock:
-            shard = self._shard(name)
-            end_ms = _to_ms_ceiling(end_s, shard)
-            start_ms = int(math.floor(start_s * 1000.0))
-            out = []
-            for series in self._matching(shard, matchers):
-                cells = shard.rollup_cells(series, tier, start_ms, end_ms)
-                out.append({
-                    "labels": dict(series.key[1]),
-                    "cells": [
-                        (start / 1000.0, vmin, vmax, vsum / count, count)
-                        for start, vmin, vmax, vsum, count in cells
-                    ],
-                })
-            return out
-
     def query(
         self,
         name: str,
@@ -933,54 +907,106 @@ class TSDB:
     ) -> "list[dict]":
         """Step-aligned range query with aggregation and label grouping.
 
-        Without ``step_s``, returns the raw (or rollup-mean) points.
-        With it, points bucket into ``[start + k*step, start + (k+1)*step)``
-        and ``agg`` (one of mean/min/max/sum/count/last) folds each
-        bucket.  ``by=("subsystem",)`` first merges series sharing those
-        label values.  ``tier="auto"`` answers from raw while raw data
-        covers ``start_s`` and falls back to 10 s then 2 min rollups.
+        Without ``step_s``, returns each cell's mean: the raw points, or
+        the rollup cells' means.  With it, cells bucket by their start
+        into ``[start + k*step, start + (k+1)*step)`` and ``agg`` (one of
+        mean/min/max/sum/count/last) folds each bucket's cells exactly
+        (:func:`_fold`).  ``by=("subsystem",)`` first merges series
+        sharing those label values.  ``tier="auto"`` answers from raw
+        while raw data covers ``start_s`` and falls back to 10 s then
+        2 min rollups.
         """
+        with self._lock:
+            chosen, groups = self._answer_cells(
+                name, matchers, start_s, end_s, step_s, agg, by, tier
+            )
+            return [
+                {
+                    "labels": labels,
+                    "points": [cell[:2] for cell in cells],
+                    "tier": chosen,
+                }
+                for labels, cells in groups
+            ]
+
+    def summary(
+        self,
+        name: str,
+        matchers: "dict[str, str] | None" = None,
+        start_s: float = 0.0,
+        end_s: "float | None" = None,
+        step_s: "float | None" = None,
+        agg: str = "mean",
+        by: "tuple[str, ...] | list[str] | None" = None,
+        tier: str = "auto",
+    ) -> "list[dict]":
+        """:meth:`query_range`'s answer summarised per group with points:
+        ``{"labels", "tier", "points", "min", "mean", "max", "last"}``.
+        ``points`` counts the answer's points and ``last`` is the newest
+        one.  ``min``, ``mean`` and ``max`` fold what lies behind the
+        points: without a step the cells, so on a rollup tier they are
+        its samples', not its cell means'; with one the bucket values.
+        """
+        with self._lock:
+            chosen, groups = self._answer_cells(
+                name, matchers, start_s, end_s, step_s, agg, by, tier
+            )
+            return [
+                {
+                    "labels": labels,
+                    "tier": chosen,
+                    "points": len(cells),
+                    **{
+                        fold: _fold(fold, cells)
+                        for fold in ("min", "mean", "max", "last")
+                    },
+                }
+                for labels, cells in groups
+                if cells
+            ]
+
+    def _answer_cells(
+        self, name, matchers, start_s, end_s, step_s, agg, by, tier
+    ) -> "tuple[str, list[tuple[dict, list]]]":
+        """The tier answering a range query and, per group in label
+        order, the cells behind its points, in time order: the series'
+        cells, or with a step each bucket's value as the one-value cell
+        ``(lo, v, v, v, v, 1)``."""
         if agg not in _AGGS:
             raise ValueError(f"agg must be one of {_AGGS}")
         _check_finite(start_s=start_s, end_s=end_s, step_s=step_s)
         if step_s is not None and step_s <= 0:
             raise ValueError(f"step_s must be positive, got {step_s}")
-        with self._lock:
-            shard = self._shard(name)
-            if end_s is None:
-                end = shard.max_ms / 1000.0 if shard.max_ms else start_s
-            else:
-                end = float(end_s)
-            chosen = self._choose_tier(shard, tier, start_s)
-            groups: "dict[tuple, dict]" = {}
-            for series in self._matching(shard, matchers):
-                labels = dict(series.key[1])
-                if by is None:
-                    group_key = tuple(sorted(labels.items()))
-                    group_labels = labels
-                else:
-                    group_labels = {
-                        label: labels.get(label, "") for label in by
-                    }
-                    group_key = tuple(sorted(group_labels.items()))
-                points = self._series_points(
-                    shard, series, chosen, start_s, end
-                )
-                group = groups.setdefault(
-                    group_key, {"labels": group_labels, "points": []}
-                )
-                group["points"].extend(points)
-            out = []
-            for _, group in sorted(groups.items()):
-                points = sorted(group["points"])
-                if step_s is not None:
-                    points = _bucket(points, start_s, end, float(step_s), agg)
-                out.append({
-                    "labels": group["labels"],
-                    "points": points,
-                    "tier": chosen,
-                })
-            return out
+        shard = self._shard(name)
+        if end_s is None:
+            end = shard.max_ms / 1000.0 if shard.max_ms else start_s
+        else:
+            end = float(end_s)
+        chosen = self._choose_tier(shard, tier, start_s)
+        start_ms = int(math.floor(start_s * 1000.0))
+        end_ms = int(math.ceil(end * 1000.0))
+        groups: "dict[tuple, tuple[dict, list]]" = {}
+        for series in self._matching(shard, matchers):
+            labels = dict(series.key[1])
+            if by is not None:
+                labels = {label: labels.get(label, "") for label in by}
+            _, cells = groups.setdefault(
+                tuple(sorted(labels.items())), (labels, [])
+            )
+            cells.extend(shard.read_cells(series, chosen, start_ms, end_ms))
+        answer = []
+        for key in sorted(groups):
+            labels, cells = groups[key]
+            cells.sort()
+            if step_s is not None:
+                cells = [
+                    (lo, value, value, value, value, 1)
+                    for lo, value in _bucket(
+                        cells, start_s, end, float(step_s), agg
+                    )
+                ]
+            answer.append((labels, cells))
+        return chosen, answer
 
     def _choose_tier(self, shard: _Shard, tier: str, start_s: float) -> str:
         if tier != "auto":
@@ -994,74 +1020,6 @@ class TSDB:
         if start_ms >= shard.max_ms - self.retention_s["10s"] * 1000.0:
             return "10s"
         return "2m"
-
-    def _series_points(self, shard, series, tier, start_s, end_s):
-        start_ms = int(math.floor(start_s * 1000.0))
-        end_ms = int(math.ceil(end_s * 1000.0))
-        if tier == "raw":
-            return [
-                (t / 1000.0, v)
-                for t, v in shard.raw_points(series, start_ms, end_ms)
-            ]
-        return [
-            (start / 1000.0, vsum / count)
-            for start, _vmin, _vmax, vsum, count in shard.rollup_cells(
-                series, tier, start_ms, end_ms
-            )
-        ]
-
-    def rate(
-        self,
-        name: str,
-        matchers: "dict[str, str] | None" = None,
-        start_s: float = 0.0,
-        end_s: "float | None" = None,
-    ) -> "list[dict]":
-        """Counter increase per second over the range, reset-aware.
-
-        The increase is the sum of positive deltas between consecutive
-        points (a drop is a process restart, not a negative rate),
-        divided by the observed time span.
-        """
-        out = []
-        for entry in self.select(name, matchers, start_s, end_s):
-            points = entry["points"]
-            if len(points) < 2:
-                out.append({"labels": entry["labels"], "rate": 0.0})
-                continue
-            increase = sum(
-                max(0.0, b[1] - a[1]) for a, b in zip(points, points[1:])
-            )
-            span = points[-1][0] - points[0][0]
-            out.append({
-                "labels": entry["labels"],
-                "rate": increase / span if span > 0 else 0.0,
-            })
-        return out
-
-    def quantile_over_time(
-        self,
-        name: str,
-        q: float,
-        matchers: "dict[str, str] | None" = None,
-        start_s: float = 0.0,
-        end_s: "float | None" = None,
-    ) -> "list[dict]":
-        """Exact ``q``-quantile of each series' raw values in the range."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        out = []
-        for entry in self.select(name, matchers, start_s, end_s):
-            values = sorted(v for _, v in entry["points"])
-            if not values:
-                out.append({"labels": entry["labels"], "value": float("nan")})
-                continue
-            position = q * (len(values) - 1)
-            lo = int(math.floor(position))
-            hi = int(math.ceil(position))
-            value = values[lo] + (values[hi] - values[lo]) * (position - lo)
-            out.append({"labels": entry["labels"], "value": value})
-        return out
 
     # -- introspection -------------------------------------------------
 
@@ -1104,32 +1062,37 @@ def _to_ms_ceiling(end_s: "float | None", shard: _Shard) -> int:
     return int(math.ceil(end_s * 1000.0))
 
 
-def _fold(agg: str, values: "list[float]") -> float:
-    if agg == "mean":
-        return sum(values) / len(values)
+def _fold(agg: str, cells: list) -> float:
+    """Fold one bucket's cells ``(t_s, mean, min, max, sum, count)``:
+    min of mins, max of maxes, the sums, the counts, sum over count for
+    the mean, and the newest cell's mean for ``last``.  On one-sample
+    raw cells each is the plain aggregate of the values."""
     if agg == "min":
-        return min(values)
+        return min(cell[2] for cell in cells)
     if agg == "max":
-        return max(values)
+        return max(cell[3] for cell in cells)
+    if agg == "last":
+        return cells[-1][1]
+    total = sum(cell[4] for cell in cells)
     if agg == "sum":
-        return sum(values)
-    if agg == "count":
-        return float(len(values))
-    return values[-1]  # last
+        return total
+    count = sum(cell[5] for cell in cells)
+    return float(count) if agg == "count" else total / count
 
 
-def _bucket(points, start_s, end_s, step_s, agg):
-    """Fold sorted ``(t_s, v)`` points into step-aligned buckets.
+def _bucket(cells, start_s, end_s, step_s, agg):
+    """Fold time-ordered cells ``(t_s, mean, min, max, sum, count)``
+    into step-aligned buckets.
 
     Bucket ``k`` is ``[lo, lo + step)`` with ``lo = start + k*step``,
     except the last, which closes at ``end_s`` inclusively so the
-    newest sample is never orphaned.  A point lands in the first bucket
-    whose upper edge lies above it and counts only if it is not below
-    that bucket's ``lo``; points past the last bucket are dropped.
-    Upper edges never decrease with ``k``, so a point past the current
-    bucket gallops then bisects forward to its own: the cost follows
-    the points and the log of the gaps between them, not the number of
-    (mostly empty) buckets.
+    newest sample is never orphaned.  A cell lands in the first bucket
+    whose upper edge lies above its start and counts only if it does not
+    start below that bucket's ``lo``; cells past the last bucket are
+    dropped.  Upper edges never decrease with ``k``, so a cell past the
+    current bucket gallops then bisects forward to its own: the cost
+    follows the cells and the log of the gaps between them, not the
+    number of (mostly empty) buckets.
     """
     span = (end_s - start_s) / step_s - 1e-9
     if not math.isfinite(span):
@@ -1146,12 +1109,13 @@ def _bucket(points, start_s, end_s, step_s, agg):
         return max(lo + step_s, end_s) + 1e-9
 
     out = []
-    k, lo, hi, values = -1, -math.inf, -math.inf, []
-    for t, v in points:
+    k, lo, hi, bucket = -1, -math.inf, -math.inf, []
+    for cell in cells:
+        t = cell[0]
         if t >= hi:
-            if values:
-                out.append((lo, _fold(agg, values)))
-                values = []
+            if bucket:
+                out.append((lo, _fold(agg, bucket)))
+                bucket = []
             # Every bucket below ``first`` ends at or before t; the
             # first one above t is at most ``last`` (or there is none).
             first, gap = k + 1, 1
@@ -1169,9 +1133,9 @@ def _bucket(points, start_s, end_s, step_s, agg):
                 break
             lo, hi = start_s + k * step_s, upper(k)
         if t >= lo:
-            values.append(v)
-    if values:
-        out.append((lo, _fold(agg, values)))
+            bucket.append(cell)
+    if bucket:
+        out.append((lo, _fold(agg, bucket)))
     return out
 
 

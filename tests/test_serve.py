@@ -1720,6 +1720,43 @@ class TestServeCli:
         assert reported == document["counters"]["samples_total"] == accepted
         assert document["running"] is False
 
+    def test_a_tiny_rate_sleeps_a_second_at_a_time_until_sigterm(
+        self, capsys, monkeypatch
+    ):
+        """``--rate 1e-300`` puts the end of the replay's schedule
+        ~2e301 s out.  The replay sleeps toward it at most a second at a
+        time, so SIGTERM ends the run cleanly; one sleep that long
+        overflowed ``time_t`` and ended in a traceback."""
+        import threading
+
+        from repro.cli import main
+
+        naps = []
+        real_sleep = time.sleep
+        outside = signal.getsignal(signal.SIGTERM)
+
+        def sleep(seconds):
+            # Only the main thread's sleeps while serve's SIGTERM handler
+            # is in place, so the signal cannot reach the test runner.
+            if (
+                threading.current_thread() is threading.main_thread()
+                and signal.getsignal(signal.SIGTERM) is not outside
+            ):
+                naps.append(seconds)
+                if len(naps) == 3:
+                    os.kill(os.getpid(), signal.SIGTERM)
+                seconds = min(seconds, 0.01)
+            real_sleep(seconds)
+
+        monkeypatch.setattr(time, "sleep", sleep)
+        code = main([
+            "serve", "--replay", "gcc", "--rate", "1e-300", "--nodes", "1",
+            "--shards", "1", "--port", "0", *self.COMMON,
+        ])
+        assert max(naps) <= 1.0, naps
+        assert code == 0 and len(naps) == 3
+        assert "serve: interrupted, shutting down" in capsys.readouterr().out
+
     def test_endpoint_windows_back_routes_bundles_and_store(
         self, tmp_path, monkeypatch
     ):

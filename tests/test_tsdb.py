@@ -5,9 +5,10 @@ the single-atomic-commit crash-safety protocol (restart, unflushed-tail
 loss, corrupt state, orphan segments), tiered downsampling with *exact*
 min/mean/max/count rollups across compaction and restart, per-tier
 retention, the query engine (matchers, instant, range, step
-aggregation, label grouping, tier selection, rate, quantiles),
-recording rules, the AlertManager folding drift/service/dc sources into
-one deduplicated plane with ``alerts_firing`` persistence, the
+aggregation folding rollup cells as exactly as raw samples, label
+grouping, tier selection, summaries), recording rules, the
+AlertManager folding drift/service/dc sources into one deduplicated
+plane with ``alerts_firing`` persistence, the
 ``WindowSink`` bridge, the HTTP query/alert routes, and the
 ``repro-power query`` / ``obs --store`` CLI.
 """
@@ -39,6 +40,7 @@ from repro.obs.rules import DEFAULT_RULES, RecordingRule, RuleEngine
 from repro.obs.tsdb import (
     _AGGS,
     DEFAULT_RETENTION_S,
+    TIER_WIDTH_MS,
     TSDB,
     WindowSink,
     _bucket,
@@ -162,14 +164,32 @@ class TestCrashSafety:
         assert os.path.exists(os.path.join(shard_dir, "state.bin"))
 
 
+def _rollup_cells(db, name, tier, matchers=None):
+    """One series' rollup cells as ``(start_s, min, max, mean, count)``,
+    read as ``query_range`` buckets one cell wide from 0 s to the first
+    cell edge past the store's newest sample."""
+    width = TIER_WIDTH_MS[tier] / 1000.0
+    end_s = (db.max_t_s() // width + 1) * width
+    columns = []
+    for agg in ("min", "max", "mean", "count"):
+        (answer,) = db.query_range(
+            name, matchers, 0.0, end_s, step_s=width, agg=agg, tier=tier
+        )
+        columns.append(answer["points"])
+    return [
+        (vmin[0], vmin[1], vmax[1], mean[1], count[1])
+        for vmin, vmax, mean, count in zip(*columns)
+    ]
+
+
 class TestRollups:
     def test_rollup_cells_exact_against_raw(self, store):
         points = _fill(store, n=1000, dt=0.5, f=lambda i: (i * 37) % 101 - 50.0)
         for tier, width in (("10s", 10.0), ("2m", 120.0)):
-            (series,) = store.select_cells("power_watts", tier=tier)
-            assert series["cells"], tier
+            cells = _rollup_cells(store, "power_watts", tier)
+            assert cells, tier
             total = 0
-            for start_s, vmin, vmax, mean, count in series["cells"]:
+            for start_s, vmin, vmax, mean, count in cells:
                 raw = [v for t, v in points if start_s <= t < start_s + width]
                 assert count == len(raw)
                 assert vmin == min(raw)
@@ -192,8 +212,9 @@ class TestRollups:
         reopened = TSDB(str(tmp_path / "s"))
         (raw,) = reopened.select("power_watts")
         assert [v for _, v in raw["points"]] == [v for _, v in points]
-        (cells,) = reopened.select_cells("power_watts", tier="10s")
-        for start_s, vmin, vmax, mean, count in cells["cells"]:
+        for start_s, vmin, vmax, mean, count in _rollup_cells(
+            reopened, "power_watts", "10s"
+        ):
             window = [v for t, v in points if start_s <= t < start_s + 10.0]
             assert (vmin, vmax, count) == (min(window), max(window), len(window))
             assert mean == pytest.approx(sum(window) / len(window), rel=1e-12)
@@ -202,17 +223,97 @@ class TestRollups:
         # Nothing sealed, nothing flushed: rollup queries still see
         # every appended sample (the unfolded open-raw tail).
         _fill(store, n=25)
-        (series,) = store.select_cells("power_watts", tier="10s")
-        assert sum(cell[4] for cell in series["cells"]) == 25
+        (series,) = store.query_range(
+            "power_watts", start_s=0.0, end_s=30.0, step_s=30.0, agg="count",
+            tier="10s",
+        )
+        assert series["points"] == [(0.0, 25.0)]
+
+
+#: One series' samples: seconds since the previous sample, then the
+#: value (small integers repeat; both kinds go negative).
+_SERIES = st.lists(
+    st.tuples(
+        st.integers(1, 5),
+        st.one_of(st.integers(-3, 3).map(float), st.floats(-1.0e3, 1.0e3)),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+class TestRollupExactness:
+    """At a step that is a multiple of the tier's width, over a range
+    whose ends are cell edges, a rollup tier answers as the raw tier:
+    min, max and count exactly, sum and mean within 1e-12 of the
+    magnitudes summed (the tiers add the same values in another
+    order)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        samples=st.lists(_SERIES, min_size=1, max_size=2),
+        tier=st.sampled_from(("10s", "2m")),
+        first_cell=st.integers(0, 3),
+        cells_per_step=st.integers(1, 3),
+        flush_every=st.integers(5, 40),
+    )
+    def test_rollup_answers_equal_the_raw_tier(
+        self, tmp_path_factory, samples, tier, first_cell, cells_per_step,
+        flush_every,
+    ):
+        width = TIER_WIDTH_MS[tier] / 1000.0
+        start = first_cell * width
+        # Every flush seals, so the cells come from sealed segments and,
+        # after the last flush, from the open tail.
+        db = TSDB(str(tmp_path_factory.mktemp("exact") / "s"), seal_bytes=1)
+        appenders = [
+            db.appender("m", {"node": node, "dc": "x"})
+            for node, _ in zip("ab", samples)
+        ]
+        clocks = [start - 1.0] * len(samples)
+        for i in range(max(map(len, samples))):
+            for k, series in enumerate(samples):
+                if i < len(series):
+                    gap, value = series[i]
+                    clocks[k] += gap
+                    assert appenders[k].append(clocks[k], value)
+            if i % flush_every == flush_every - 1:
+                db.flush()
+        end = (max(clocks) // width + 1) * width
+        scale = 1e-12 * max(1.0, sum(abs(v) for s in samples for _, v in s))
+        for by in (None, ("dc",)):
+            for agg in ("min", "max", "count", "sum", "mean"):
+                raw, rolled = (
+                    db.query_range(
+                        "m", None, start, end, step_s=cells_per_step * width,
+                        agg=agg, by=by, tier=answering,
+                    )
+                    for answering in ("raw", tier)
+                )
+                assert [e["labels"] for e in rolled] == [e["labels"] for e in raw]
+                for want, got in zip(raw, rolled):
+                    assert got["tier"] == tier
+                    assert [t for t, _ in got["points"]] == [
+                        t for t, _ in want["points"]
+                    ]
+                    for (_, w), (_, g) in zip(want["points"], got["points"]):
+                        if agg in ("min", "max", "count"):
+                            assert g == w, (agg, by)
+                        else:
+                            assert abs(g - w) <= scale, (agg, by, g, w)
 
 
 #: sha256 of the pinned store's segment files, of its ``state.bin``
 #: files without the ``"pending"`` header key older stores carry, and
-#: of a fresh reader's answers (see :func:`_pinned_store`).
+#: of a fresh reader's two kinds of answers (see :func:`_pinned_store`
+#: and :func:`_answers`).  The rollup tiers' stepped answers fold each
+#: cell's min, max, sum and count; every other answer is what it was
+#: when the tiers folded only cell means.
 PINNED = {
     "segments": "d331d3dbefa5f3e6a05653b7a793bed5bdb5fa65cd7c26e596061f32e54a5f16",
     "states": "180eca17e0d21d8dd0da0e40ae0cdd338d7529b6eaa98b977ef0360edabd7d36",
-    "answers": "365675f5b5ca691a0aab9e2940f0783d477f6cc9d8a6ec4b04c0bbc4098c7533",
+    "answers": "b75fc84da11c36963c6671d0c0f563482ee304fb192d6277047ab66a87c24b4c",
+    "stepped_rollups": "dffce774a520e87535fe08dfaa43ce496ad164cd301bd8185bcc8a8cda429357",
 }
 
 
@@ -269,28 +370,33 @@ def _state_digests(root: str) -> "dict[str, str]":
     return digests
 
 
-def _answers(root: str) -> list:
-    """Every query a fresh reader offers, over ranges that cut segments."""
+def _answers(root: str) -> "tuple[list, list]":
+    """Every query a fresh reader offers, over ranges that cut segments:
+    first the answers that read raw samples or take no step, then the
+    stepped answers of the 10 s and 2 min tiers, which fold cells."""
     db = TSDB(root)
-    out = []
+    fixed, stepped_rollups = [], []
     for name in db.names():
-        out.append(db.series(name))
         for start_s, end_s in ((0.0, None), (123.4, 456.7)):
-            out.append(db.select(name, None, start_s, end_s))
-            for tier in ("10s", "2m"):
-                out.append(db.select_cells(name, None, start_s, end_s, tier))
-            out.append(db.rate(name, None, start_s, end_s))
-            out.append(db.quantile_over_time(name, 0.9, None, start_s, end_s))
-        out.append(db.query(name))
-        out.append(db.query(name, {"node": "=~a|b"}, at_s=321.0))
+            fixed.append(db.select(name, None, start_s, end_s))
+        fixed.append(db.query(name))
+        fixed.append(db.query(name, {"node": "=~a|b"}, at_s=321.0))
         for tier in ("raw", "10s", "2m", "auto"):
-            out.append(db.query_range(name, None, 100.0, 700.0, tier=tier))
+            for by in (None, ("kind",)):
+                fixed.append(
+                    db.query_range(name, None, 100.0, 700.0, by=by, tier=tier)
+                )
+            out = fixed if tier in ("raw", "auto") else stepped_rollups
             for agg in _AGGS:
                 out.append(db.query_range(
                     name, None, 30.0, 990.0, step_s=45.0, agg=agg, tier=tier
                 ))
-        out.append(db.query_range(name, step_s=60.0, agg="sum", by=("kind",)))
-    return out
+                out.append(db.query_range(
+                    name, None, 120.0, 960.0, step_s=240.0, agg=agg,
+                    by=("kind",), tier=tier,
+                ))
+        fixed.append(db.query_range(name, step_s=60.0, agg="sum", by=("kind",)))
+    return fixed, stepped_rollups
 
 
 class TestPinnedStore:
@@ -307,7 +413,9 @@ class TestPinnedStore:
             for path, data in segments.items()
         }) == PINNED["segments"]
         assert _digest(_state_digests(root)) == PINNED["states"]
-        assert _digest(_answers(root)) == PINNED["answers"]
+        fixed, stepped_rollups = _answers(root)
+        assert _digest(fixed) == PINNED["answers"]
+        assert _digest(stepped_rollups) == PINNED["stepped_rollups"]
 
     def test_a_retired_pending_key_moves_no_answer(self, tmp_path):
         """State written with the ``"pending"`` key older stores carry
@@ -323,7 +431,9 @@ class TestPinnedStore:
                     b"RTST1\n" + struct.pack("<I", len(encoded)) + encoded + blobs
                 )
         assert _digest(_state_digests(root)) == PINNED["states"]
-        assert _digest(_answers(root)) == PINNED["answers"]
+        fixed, stepped_rollups = _answers(root)
+        assert _digest(fixed) == PINNED["answers"]
+        assert _digest(stepped_rollups) == PINNED["stepped_rollups"]
 
 
 class TestRetention:
@@ -342,9 +452,12 @@ class TestRetention:
         # Sealed raw segments older than 30s are gone (the open block
         # and still-covered segments remain).
         assert raw["points"][0][0] > 0.0
-        # The 10s tier kept the full run.
-        (cells,) = db.select_cells("power_watts", tier="10s")
-        assert sum(cell[4] for cell in cells["cells"]) == 200
+        # The 10s tier kept the full run, and counts its samples.
+        (cells,) = db.query_range(
+            "power_watts", start_s=0.0, end_s=200.0, step_s=200.0,
+            agg="count", tier="10s",
+        )
+        assert cells["points"] == [(0.0, 200.0)]
         # Pruned files are actually unlinked.
         listing = os.listdir(os.path.join(db.root, "power_watts"))
         manifest = db.document()["shards"]["power_watts"]["segments"]
@@ -418,21 +531,6 @@ class TestQueryEngine:
         )
         assert forced[0]["tier"] == "2m"
 
-    def test_rate_reset_aware(self, store):
-        appender = store.appender("reqs_total", None)
-        for t, value in enumerate([0, 10, 20, 30, 5, 15, 25, 35, 45, 55]):
-            appender.append(float(t), float(value))
-        (series,) = store.rate("reqs_total", start_s=0, end_s=9)
-        # Positive deltas only: 30 before the reset + 50 after, over 9s.
-        assert series["rate"] == pytest.approx((30.0 + 50.0) / 9.0)
-
-    def test_quantile_over_time(self, store):
-        _fill(store, n=100, f=float)
-        (series,) = store.quantile_over_time("power_watts", 0.5, start_s=0, end_s=99)
-        assert series["value"] == pytest.approx(49.5)
-        (p100,) = store.quantile_over_time("power_watts", 1.0, start_s=0, end_s=99)
-        assert p100["value"] == 99.0
-
     def test_empty_end_defaults_to_newest(self, store):
         _fill(store, n=10, f=float)
         (series,) = store.query_range("power_watts", start_s=0.0)
@@ -469,12 +567,10 @@ def _tree(root) -> dict:
 def _read_everything(db, name) -> None:
     """Every read the store offers, on one metric name."""
     db.query(name, at_s=1.0)
-    db.query_range(name, start_s=0.0, end_s=10.0, step_s=1.0)
+    for tier in ("auto", "raw", "10s", "2m"):
+        db.query_range(name, start_s=0.0, end_s=10.0, step_s=1.0, tier=tier)
+        db.summary(name, tier=tier)
     db.select(name)
-    db.select_cells(name)
-    db.series(name)
-    db.rate(name)
-    db.quantile_over_time(name, 0.5)
     db.max_t_s()
     db.document()
 
@@ -536,39 +632,41 @@ class TestReadsNeverWrite:
         assert _tree(root) == before
 
 
-def _bucket_by_scan(points, start_s, end_s, step_s, agg):
+def _bucket_by_scan(cells, start_s, end_s, step_s, agg):
     """The bucket-by-bucket scan ``_bucket`` replaced: the oracle.
 
     It visits every bucket between ``start_s`` and ``end_s``, so it
-    only finishes on ranges with few buckets.
+    only finishes on ranges with few buckets.  Each bucket folds its
+    cells ``(t, mean, min, max, sum, count)`` as a store does.
     """
     out = []
-    if not points or step_s <= 0:
+    if not cells or step_s <= 0:
         return out
     n_buckets = max(1, int(math.ceil((end_s - start_s) / step_s - 1e-9)))
     index = 0
     for k in range(n_buckets):
         lo = start_s + k * step_s
         hi = lo + step_s if k < n_buckets - 1 else max(lo + step_s, end_s) + 1e-9
-        values = []
-        while index < len(points) and points[index][0] < hi:
-            if points[index][0] >= lo:
-                values.append(points[index][1])
+        bucket = []
+        while index < len(cells) and cells[index][0] < hi:
+            if cells[index][0] >= lo:
+                bucket.append(cells[index])
             index += 1
-        if not values:
+        if not bucket:
             continue
+        _, means, mins, maxes, sums, counts = zip(*bucket)
         if agg == "mean":
-            value = sum(values) / len(values)
+            value = sum(sums) / sum(counts)
         elif agg == "min":
-            value = min(values)
+            value = min(mins)
         elif agg == "max":
-            value = max(values)
+            value = max(maxes)
         elif agg == "sum":
-            value = sum(values)
+            value = sum(sums)
         elif agg == "count":
-            value = float(len(values))
-        else:  # last
-            value = values[-1]
+            value = float(sum(counts))
+        else:  # last: the newest cell's mean
+            value = means[-1]
         out.append((lo, value))
     return out
 
@@ -589,21 +687,28 @@ class TestBucketWalk:
             ),
             max_size=40,
         ),
-        values=st.lists(st.floats(-1.0e6, 1.0e6), min_size=40, max_size=40),
+        folds=st.lists(
+            st.tuples(st.floats(-1.0e6, 1.0e6), st.integers(1, 50)),
+            min_size=40,
+            max_size=40,
+        ),
         agg=st.sampled_from(_AGGS),
     )
     @settings(max_examples=300, deadline=None)
     def test_matches_the_bucket_scan(
-        self, start, step, n_steps, offsets, values, agg
+        self, start, step, n_steps, offsets, folds, agg
     ):
         end = start + n_steps * step
-        # Offsets count steps, so integer offsets land on bucket edges.
-        points = sorted(
-            (start + offset * step, value)
-            for offset, value in zip(offsets, values)
+        # Offsets count steps, so integer offsets land on bucket edges;
+        # each cell's mean, min, max and sum differ, so a fold reading
+        # the wrong one shows.
+        cells = sorted(
+            (start + offset * step, value, value - 1.0, value + 1.0,
+             value * count, count)
+            for offset, (value, count) in zip(offsets, folds)
         )
-        assert _bucket(points, start, end, step, agg) == _bucket_by_scan(
-            points, start, end, step, agg
+        assert _bucket(cells, start, end, step, agg) == _bucket_by_scan(
+            cells, start, end, step, agg
         )
 
     def test_collapsed_edges_match_the_scan(self):
@@ -612,10 +717,13 @@ class TestBucketWalk:
         start, step = 1.0e9, 7.0e-8
         edges = {start + k * step for k in range(50)}
         assert len(edges) < 50
-        points = [(start + i * 3.0e-7, float(i)) for i in range(20)]
-        end = points[-1][0]
-        got = _bucket(points, start, end, step, "sum")
-        assert got == _bucket_by_scan(points, start, end, step, "sum")
+        cells = [
+            (start + i * 3.0e-7, float(i), float(i), float(i), float(i), 1)
+            for i in range(20)
+        ]
+        end = cells[-1][0]
+        got = _bucket(cells, start, end, step, "sum")
+        assert got == _bucket_by_scan(cells, start, end, step, "sum")
         assert got
 
 
@@ -625,10 +733,9 @@ class TestRecordingRules:
             RecordingRule(record="", source="x", window_s=60.0)
         with pytest.raises(ValueError):
             RecordingRule(record="r", source="x", window_s=0.0)
-        with pytest.raises(ValueError):
-            RecordingRule(record="r", source="x", window_s=60.0, agg="bogus")
-        rule = RecordingRule(record="r", source="x", window_s=60.0, agg="p95")
-        assert RecordingRule.from_dict(rule.to_dict()) == rule
+        for agg in ("bogus", "rate", "p95"):
+            with pytest.raises(ValueError):
+                RecordingRule(record="r", source="x", window_s=60.0, agg=agg)
 
     def test_rules_evaluate_on_flush(self, store):
         for sub in ("cpu", "disk"):
@@ -658,25 +765,6 @@ class TestRecordingRules:
         assert engine.evaluate(store, 58.0) == 0  # never goes back
         (series,) = store.select("drift_error_pct:mean_5m")
         assert len(series["points"]) == 1
-
-    def test_custom_rate_and_quantile_rules(self, store):
-        appender = store.appender("reqs_total", {"node": "a"})
-        for t in range(61):
-            appender.append(float(t), float(t * 2))
-        engine = RuleEngine((
-            RecordingRule(
-                record="reqs:rate_1m", source="reqs_total", window_s=60.0,
-                agg="rate",
-            ),
-            RecordingRule(
-                record="reqs:p50_1m", source="reqs_total", window_s=60.0,
-                agg="p50",
-            ),
-        ))
-        assert engine.evaluate(store, 60.0) == 2
-        (rate,) = store.select("reqs:rate_1m")
-        assert rate["points"][0][1] == pytest.approx(2.0)
-        assert store.select("reqs:p50_1m")
 
     def test_default_rules_document(self):
         doc = RuleEngine().document()
@@ -1022,6 +1110,68 @@ class TestCLI:
     def test_obs_store_empty(self, tmp_path, capsys):
         assert main(["obs", "--store", str(tmp_path / "missing")]) == 1
 
+    def test_summaries_fold_rollup_cells(self, tmp_path, capsys):
+        """``obs --store`` and a stepless ``query`` summarise a rollup
+        tier from its cells' min, sum/count and max: one 1000 W second
+        among 100 W ones is the 10 s tier's max, as it is the raw
+        tier's (summaries of the cell means said 190)."""
+        root = str(tmp_path / "store")
+        db = TSDB(root)
+        _fill(db, n=120, f=lambda i: 1000.0 if i == 57 else 100.0)
+        db.close()
+        for command in (["obs"], ["query", "power_watts"]):
+            for tier, points in (("10s", "12.000"), ("raw", "120.000")):
+                assert main([
+                    *command, "--store", root, "--range", "120", "--tier", tier,
+                ]) == 0
+                (row,) = [
+                    line.split()
+                    for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("power_watts{node=a}")
+                ]
+                assert row[1:] == [
+                    tier, points, "100.000", "107.500", "1000.000", "100.000",
+                ], command
+
+    def test_stepped_max_from_the_10s_tier_is_the_raw_max(
+        self, tmp_path, capsys
+    ):
+        """Two hours of 5 s drift samples at 4 %, one of them 40 %: a 2 h
+        range answers from the 10 s tier, whose 600 s maxima fold the
+        cells' maxima and find the 40 % the raw tier holds (folding the
+        cell means said 22 %)."""
+        root = str(tmp_path / "store")
+        db = TSDB(root)
+        _fill(
+            db, name="drift_error_pct", labels={"subsystem": "total"},
+            n=1440, dt=5.0, f=lambda i: 40.0 if i == 700 else 4.0,
+        )
+        db.close()
+        answers = {}
+        for tier in ("auto", "raw"):
+            assert main([
+                "query", "drift_error_pct", "--store", root, "--range", "2h",
+                "--step", "600", "--agg", "max", "--tier", tier, "--csv",
+            ]) == 0
+            rows = capsys.readouterr().out.splitlines()[1:]
+            answers[tier] = [row.split(",")[2:] for row in rows]
+        assert {tier for tier, _, _ in answers["auto"]} == {"10s"}
+        assert [point for _, *point in answers["auto"]] == [
+            point for _, *point in answers["raw"]
+        ]
+        assert max(float(value) for *_, value in answers["auto"]) == 40.0
+        # The table reports the same twelve maxima.
+        assert main([
+            "query", "drift_error_pct", "--store", root, "--range", "2h",
+            "--step", "600", "--agg", "max",
+        ]) == 0
+        (row,) = [
+            line.split()
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("drift_error_pct{subsystem=total}")
+        ]
+        assert row[1:3] == ["10s", "12.000"] and row[5] == "40.000"
+
 
 class TestStoreCli:
     def test_monitored_run_queries_back_and_rolls_up_exactly(
@@ -1083,9 +1233,9 @@ class TestStoreCli:
         for name in ("drift_error_pct", "live_total_power_watts:mean"):
             for series in db.select(name):
                 raw = series["points"]
-                (cells,) = db.select_cells(name, series["labels"], tier="10s")
-                assert sum(c[4] for c in cells["cells"]) == len(raw), name
-                for start, vmin, vmax, mean, count in cells["cells"]:
+                cells = _rollup_cells(db, name, "10s", series["labels"])
+                assert sum(c[4] for c in cells) == len(raw), name
+                for start, vmin, vmax, mean, count in cells:
                     window = [v for t, v in raw if start <= t < start + 10.0]
                     assert count == len(window), (name, start)
                     assert vmin == min(window) and vmax == max(window), (
