@@ -20,7 +20,7 @@ and without a :class:`~repro.obs.fleet.FleetMonitor` attached
 (telemetry off in both halves) — the fleet monitor's batched
 snapshot-and-flush pass must fit the same budget.  A fifth pairing
 runs the monitor loop with and without a durable ``--store`` attached
-(window sink + recording rules + per-second flush into the TSDB) —
+(window sink + per-second flush into the TSDB) —
 the persistence path must also stay within the budget.  A gate failure
 dumps a flight-recorder bundle (via ``REPRO_FLIGHT_DIR`` when set) so
 CI failures come with a post-mortem.
@@ -236,8 +236,8 @@ class _StoreRig:
     folds the registry into a windowed aggregate — exactly what the
     ``repro-power monitor`` loop does with or without ``--store``.  The
     store half additionally pays the durable path per second: window
-    eviction into the :class:`~repro.obs.tsdb.WindowSink`, recording-
-    rule evaluation and the atomic state flush.
+    eviction into the :class:`~repro.obs.tsdb.WindowSink` and the atomic
+    state flush.
     """
 
     def __init__(self, server, windows, db=None) -> None:
@@ -251,7 +251,7 @@ class _StoreRig:
         self._now_s += 1.0
         self.windows.ingest(self._now_s, obs.registry())
         if self.db is not None:
-            self.db.flush(self._now_s)
+            self.db.flush()
 
 
 def _store_pair(config, workload, store_dir: str):
@@ -262,7 +262,6 @@ def _store_pair(config, workload, store_dir: str):
     ``--store`` write path itself.
     """
     from repro.obs.live import WindowedRegistry
-    from repro.obs.rules import RuleEngine
     from repro.obs.tsdb import TSDB, WindowSink
 
     rig_off = _StoreRig(
@@ -270,7 +269,6 @@ def _store_pair(config, workload, store_dir: str):
         WindowedRegistry(window_s=5.0),
     )
     db = TSDB(store_dir)
-    db.attach_rules(RuleEngine())
     rig_on = _StoreRig(
         _monitored_server(config, workload, seed=9, attribute=True),
         WindowedRegistry(window_s=5.0, on_evict=WindowSink(db)),
@@ -343,7 +341,7 @@ def main(argv: "list[str] | None" = None) -> int:
     obs.reset()
 
     # Durable-store gate: the monitor loop with and without the TSDB
-    # write path (window sink + recording rules + per-second flush);
+    # write path (window sink + per-second flush);
     # telemetry stays on in both halves.
     import shutil
     import tempfile

@@ -68,14 +68,14 @@ exactly those lanes.
 ``--store DIR`` (on ``monitor``, ``serve`` and ``datacenter``) persists
 the run's telemetry into an embedded time-series store
 (:mod:`repro.obs.tsdb`): windowed metrics land as one sample per
-window, recording rules distill 5-minute rollup series on every flush,
-and alert firing/resolved transitions are stored as an
+window, and alert firing/resolved transitions are stored as an
 ``alerts_firing`` series.  ``repro-power query`` reads the store back
 from any later process — instant (``--at``) or range
 (``--start``/``--end``/``--range``, ``--step``, ``--agg``, ``--by``,
 ``--tier``), with ``--label k=v`` / ``--label k=~regex`` matchers and
-``--csv`` for machine consumption.  ``repro-power obs --store DIR``
-prints a per-metric summary of the store's recent span.
+``--csv`` for machine consumption; a five-minute aggregate is one
+bucket, ``--end T --range 5m --step 300``.  ``repro-power obs --store
+DIR`` prints a per-metric summary of the store's recent span.
 """
 
 from __future__ import annotations
@@ -519,10 +519,6 @@ def _parser() -> argparse.ArgumentParser:
     sub.add_argument(
         "--shards", default=2, help="estimator worker shards (default 2)",
         **_COUNT,
-    )
-    sub.add_argument(
-        "--socket-port", metavar="PORT", help="also accept the raw socket "
-        "line protocol on PORT (0 = ephemeral)", **_PORT,
     )
     sub.add_argument(
         "--replay", metavar="WORKLOAD", type=_workload, help="simulate "
@@ -1214,8 +1210,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _start_endpoint(args: argparse.Namespace, command: str, drift=None, chaos=False):
     """Telemetry on, then the flight recorder and the endpoint, bound and
     ``training``, whose alert manager watches ``drift``; then the
-    ``--store`` store with its rules, which also records alert
-    transitions.
+    ``--store`` store, which also records alert transitions.
 
     The endpoint owns the process's only ``--window``-wide windowed
     registry: it backs ``/windows`` and the flight recorder's bundles,
@@ -1250,12 +1245,9 @@ def _start_endpoint(args: argparse.Namespace, command: str, drift=None, chaos=Fa
         print(f"{command}: {error.strerror or error}", file=sys.stderr)
         return None
     if args.store:
-        from repro.obs.rules import RuleEngine
         from repro.obs.tsdb import TSDB, WindowSink
 
         endpoint.store = endpoint.alerts.store = TSDB(args.store)
-        endpoint.rules = RuleEngine()
-        endpoint.store.attach_rules(endpoint.rules)
         windows.on_evict = WindowSink(endpoint.store)
         print(f"{command}: persisting telemetry to {args.store}")
     return endpoint
@@ -1346,7 +1338,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from time import monotonic, sleep
 
     from repro.obs import drift as drift_mod
-    from repro.serve import EstimationService, LineSocketServer, SLOEngine
+    from repro.serve import EstimationService, SLOEngine
 
     if args.replay is None and args.rate:
         args.error("--rate needs --replay")
@@ -1379,17 +1371,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # a replay that keeps this thread busy cannot stall them.
     service.windows = endpoint.windows
     service.start()
-    socket_server = None
-    if args.socket_port is not None:
-        socket_server = LineSocketServer(service, port=args.socket_port)
-        try:
-            port = socket_server.start()
-        except OSError as error:
-            print(f"serve: {error}", file=sys.stderr)
-            endpoint.stop()
-            service.stop()
-            return 2
-        print(f"serve: socket line-protocol ingest on 127.0.0.1:{port}")
     print(
         f"serve: {args.shards} shard(s), queue depth {args.queue_depth}, "
         f"stale after {args.stale_after:g}s, drift SLO {slo_pct:g}%"
@@ -1402,7 +1383,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     signal.signal(signal.SIGTERM, _sigterm)
     endpoint.phase = "running"
-    code = 0
     try:
         if args.replay:
             _serve_replay(args, context, service)
@@ -1426,8 +1406,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         endpoint.phase = "done"
     finally:
         signal.signal(signal.SIGTERM, previous_sigterm)
-        if socket_server is not None:
-            socket_server.stop()
         # Live shards publish their backlog before the last report.
         service.stop()
         _print_serve_summary(endpoint)
@@ -1443,16 +1421,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if store is not None:
             # Every accepted sample is published and the housekeeping
             # thread has stopped: fold what its last tick missed, at the
-            # service's clock, then drain the endpoint's windows, commit
-            # and record the final alert state.
+            # service's clock, then drain the endpoint's windows, record
+            # the final alert state and commit.
             endpoint.windows.ingest(service.staleness.now(), obs.registry())
             endpoint.windows.drain()
-            store.flush()
             _store_tick(endpoint, monotonic())
-            store.close()
             print(f"serve: store committed to {args.store}")
         endpoint.stop()
-    return code
+    return 0
 
 
 def _serve_replay(args, context, service) -> None:
@@ -1559,16 +1535,17 @@ def _report_alerts(drift, seen: int) -> int:
 
 
 def _store_tick(endpoint, now_s: float) -> None:
-    """Periodic upkeep: record alert transitions, then flush the store.
+    """Periodic upkeep: record alert transitions at ``now_s``, then
+    flush the store.
 
-    The flush evaluates recording rules at ``now_s`` and commits
-    everything appended so far, so a killed run loses at most one
-    refresh interval.  Windows are folded by the clock's owner, not
-    here: :func:`_monitor_loop`, or ``serve``'s housekeeping tick.
+    The flush commits everything appended so far, so a killed run loses
+    at most one refresh interval.  Windows are folded by the clock's
+    owner, not here: :func:`_monitor_loop`, or ``serve``'s housekeeping
+    tick.
     """
     endpoint.alerts.evaluate(now_s)
     if endpoint.store is not None:
-        endpoint.store.flush(now_s)
+        endpoint.store.flush()
 
 
 def _restore_note(args: argparse.Namespace) -> str:

@@ -93,7 +93,6 @@ __all__ = [
     "read_jsonl",
     "registry",
     "reset",
-    "rules",
     "snapshot",
     "span",
     "tracer",
@@ -283,7 +282,7 @@ def __getattr__(name: str):
     # as cheap as the batch telemetry alone.
     if name in (
         "live", "drift", "fleet", "http", "attribution", "flight",
-        "tsdb", "rules", "alertmgr",
+        "tsdb", "alertmgr",
     ):
         import importlib
 

@@ -160,8 +160,9 @@ class DriftMonitor:
 
         ``estimated_w`` and ``true_w`` map subsystems (enum members or
         plain strings) to Watts; only subsystems present in **both**
-        dicts are compared.  A synthetic ``total`` stream over the
-        summed power of the shared subsystems is always maintained.
+        dicts are compared.  A ``total`` stream is always maintained,
+        once per window: the caller's own ``total`` when both dicts
+        carry one, else the summed power of the shared subsystems.
 
         A frame passes ``timestamp_s`` as a length-n sequence and every
         watt value as a length-n column.  It is n single-window calls
@@ -184,6 +185,8 @@ class DriftMonitor:
         names = [name for name in true if name in estimated]
         if not names or not times.size:
             return []
+        # The total stream comes last: the caller's own, or summed below.
+        names.sort(key=lambda name: name == "total")
         est = np.asarray([estimated[name] for name in names], dtype=float)
         act = np.asarray([true[name] for name in names], dtype=float)
         if not est.shape == act.shape == (len(names),) + times.shape:
@@ -191,13 +194,15 @@ class DriftMonitor:
                 "every watt value must match timestamp_s in shape "
                 f"{times.shape}"
             )
-        # The total stream adds the shared subsystems one by one in
-        # shared order (accumulate is sequential), the float
-        # association of a per-window sum() over them.
-        names.append("total")
+        if names[-1] != "total":
+            # The summed total adds the shared subsystems one by one in
+            # shared order (accumulate is sequential), the float
+            # association of a per-window sum() over them.
+            names.append("total")
+            est = np.concatenate([est, np.add.accumulate(est)[-1:]])
+            act = np.concatenate([act, np.add.accumulate(act)[-1:]])
         rows = (len(names), times.size)
-        est = np.concatenate([est, np.add.accumulate(est)[-1:]]).reshape(rows)
-        act = np.concatenate([act, np.add.accumulate(act)[-1:]]).reshape(rows)
+        est, act = est.reshape(rows), act.reshape(rows)
         errors = np.abs(est - act) / np.maximum(np.abs(act), _EPS_W) * 100.0
         top_terms: "list[tuple[tuple[str, float], ...]]" = [()] * len(names)
         if attribution is not None:

@@ -181,7 +181,9 @@ class FleetDriftMonitor:
         call (else :class:`ValueError`); feed successive windows of a
         lane through successive calls (the update order is what the
         scalar equivalence rests on).  A lane outside ``[0, width)``
-        raises :class:`IndexError`.
+        raises :class:`IndexError`.  The ``total`` stream is the
+        caller's own ``total`` when both dicts carry one, else the sum
+        of the shared subsystems; either way it updates once per call.
         """
         estimated = {
             self._name(s): np.asarray(w, dtype=float)
@@ -191,8 +193,10 @@ class FleetDriftMonitor:
             self._name(s): np.asarray(w, dtype=float) for s, w in true_w.items()
         }
         shared = [name for name in true if name in estimated]
-        pairs = [(name, estimated[name], true[name]) for name in shared]
-        if shared:
+        pairs = [(n, estimated[n], true[n]) for n in shared if n != "total"]
+        if "total" in shared:
+            pairs.append(("total", estimated["total"], true["total"]))
+        elif shared:
             # Sequential adds in shared order: the same float association
             # the scalar monitor's sum() over its pair list performs.
             est_total = pairs[0][1]

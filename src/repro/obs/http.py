@@ -15,8 +15,6 @@ route           payload
                 ``?name=...&label=k=v&at=T``
 /query_range    range query: ``?name=...&start=&end=&step=&agg=&by=``
                 (label matchers repeat ``label=k=v``; regex ``k=~re``)
-/rules          the recording-rule engine's rules + evaluation stats,
-                and the store's shard/segment summary
 /windows        the windowed registry's recent windows (when attached);
                 ``?last=N`` pages the newest N windows
 /healthz        liveness and the AlertManager's firing set: 503 while
@@ -39,11 +37,14 @@ route           payload
 /service/kill_shard  **POST** ``?shard=i``: the chaos hook CI uses;
                 403 unless the server opted in with ``chaos=True``
 /slo            error-budget burn state (short/long windows, fast burn)
-/ingest         **POST** newline-JSON counter samples into the service;
-                200 whenever anything was accepted (read the receipt's
-                ``accepted``/``shed``/``errors`` counts to decide what
-                to resend), 429 when everything shed, 400 when every
-                line was rejected
+/ingest         **POST** newline-JSON counter samples into the service,
+                the one network door for samples; 200 whenever anything
+                was accepted (read the receipt's ``accepted``/``shed``/
+                ``errors`` counts to decide what to resend), 429 when
+                everything shed, 400 when every line was rejected.
+                ``Content-Length`` is checked before any of the body is
+                read: 411 without it, 400 unless it is a non-negative
+                integer, 413 above :data:`MAX_INGEST_BYTES`
 =============== =======================================================
 
 Nothing is served unless :meth:`ObservabilityServer.start` is called
@@ -76,6 +77,10 @@ logger = logging.getLogger(__name__)
 #: Prometheus text exposition content type.
 _PROM_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
+#: The largest ``POST /ingest`` body read, in bytes.  The largest body a
+#: caller in this repository sends is one 64-sample frame, about 32 KB.
+MAX_INGEST_BYTES = 1 << 20
+
 
 class ObservabilityServer:
     """Serves live metrics, alerts and health from a background thread.
@@ -100,8 +105,6 @@ class ObservabilityServer:
         alerts: the :class:`~repro.obs.alertmgr.AlertManager` that
             answers ``/healthz`` and ``/alerts`` (default: a new one
             over ``drift``, ``service`` and ``dc``).
-        rules: a :class:`~repro.obs.rules.RuleEngine` served on
-            ``/rules`` next to the store summary (optional).
         dc: a :class:`~repro.dc.datacenter.Datacenter` (or any object
             with a ``document()``/``last_report``) for ``/dc``
             (optional).
@@ -119,7 +122,6 @@ class ObservabilityServer:
         "/alerts",
         "/query",
         "/query_range",
-        "/rules",
         "/windows",
         "/healthz",
         "/attribution",
@@ -147,7 +149,6 @@ class ObservabilityServer:
         dc=None,
         store=None,
         alerts=None,
-        rules=None,
         chaos: bool = False,
         host: str = "127.0.0.1",
         port: int = 0,
@@ -170,7 +171,6 @@ class ObservabilityServer:
             alerts.attach_service(service)
             alerts.attach_dc(dc)
         self.alerts = alerts
-        self.rules = rules
         self.chaos = bool(chaos)
         self.host = host
         self.port = int(port)
@@ -258,16 +258,6 @@ class ObservabilityServer:
             return self._query_route(query)
         if path == "/query_range":
             return self._query_range_route(query)
-        if path == "/rules":
-            document = {
-                "rules": (
-                    self.rules.document() if self.rules is not None else None
-                ),
-                "store": (
-                    self.store.document() if self.store is not None else None
-                ),
-            }
-            return 200, "application/json", _json_body(document)
         if path == "/windows":
             if self.windows is None:
                 return 200, "application/json", _json_body({"windows": []})
@@ -488,6 +478,44 @@ def _kill_shard(server: ObservabilityServer, query: str) -> "tuple[int, str]":
     return 200, _json_body(document)
 
 
+def _ingest(server: ObservabilityServer, headers, rfile) -> "tuple[int, str]":
+    """``POST /ingest``: check ``Content-Length``, then read that many
+    bytes and hand them to the service.
+
+    A missing length answers 411, one that is not a non-negative integer
+    400 and one above :data:`MAX_INGEST_BYTES` 413, before any of the
+    body is read.  Anything accepted was already enqueued and WILL be
+    processed (stopping the service drains the shard queues), so a
+    non-2xx would invite a whole-body retry that duplicates those
+    samples: 200 whenever something got in (clients resend from the
+    receipt's counts); 429 = fully shed, back off; 400 = every line
+    rejected.
+    """
+    declared = headers.get("Content-Length")
+    if declared is None:
+        return 411, _json_body({"error": "POST /ingest needs a Content-Length"})
+    digits = declared.strip()
+    if not (digits.isascii() and digits.isdigit()):
+        return 400, _json_body(
+            {"error": f"Content-Length {declared!r} is not a non-negative integer"}
+        )
+    # int() refuses very long digit strings; those are over the cap.
+    cap = str(MAX_INGEST_BYTES)
+    if len(digits.lstrip("0")) > len(cap) or int(digits) > MAX_INGEST_BYTES:
+        return 413, _json_body(
+            {"error": f"Content-Length {digits} exceeds {cap} bytes"}
+        )
+    try:
+        data = rfile.read(int(digits)).decode("utf-8")
+        receipt = server.service.ingest(data, transport="http")
+    except Exception:
+        logger.exception("ingest POST failed")
+        return 500, _json_body({"error": "internal error"})
+    if receipt["accepted"] or not (receipt["shed"] or receipt["errors"]):
+        return 200, _json_body(receipt)
+    return (429 if receipt["shed"] else 400), _json_body(receipt)
+
+
 def _make_handler(server: ObservabilityServer):
     class Handler(BaseHTTPRequestHandler):
         def do_GET(self) -> None:  # noqa: N802 (http.server API)
@@ -516,30 +544,7 @@ def _make_handler(server: ObservabilityServer):
                 body = _json_body({"error": f"cannot POST to {path!r}"})
                 status = 404
             else:
-                try:
-                    length = int(self.headers.get("Content-Length", 0))
-                    data = self.rfile.read(length).decode("utf-8")
-                    receipt = server.service.ingest(data, transport="http")
-                    # Anything accepted was already enqueued and WILL be
-                    # processed (stopping the service drains the shard
-                    # queues), so a non-2xx would invite a whole-body
-                    # retry that duplicates those samples.  200 whenever
-                    # something got in (clients resend from the receipt's
-                    # counts); 429 = fully shed, back off; 400 = every
-                    # line rejected.
-                    if receipt["accepted"] or not (
-                        receipt["shed"] or receipt["errors"]
-                    ):
-                        status = 200
-                    elif receipt["shed"]:
-                        status = 429
-                    else:
-                        status = 400
-                    body = _json_body(receipt)
-                except Exception:  # pragma: no cover - defensive
-                    logger.exception("ingest POST failed")
-                    status = 500
-                    body = _json_body({"error": "internal error"})
+                status, body = _ingest(server, self.headers, self.rfile)
             encoded = body.encode("utf-8")
             self.send_response(status)
             self.send_header("Content-Type", "application/json")

@@ -56,7 +56,11 @@ one-sample cell ``(t, v, v, v, v, 1)``, a rollup cell is what its tier
 stored.  A bucket folds its cells exactly (min of mins, max of maxes,
 sums of sums and counts), so a rollup answer at a step that is a
 multiple of the tier's width equals the raw one for every aggregation
-but ``last``, the newest cell's mean.  Label matchers are exact
+but ``last``, the newest cell's mean.  An aggregate over a trailing
+window is one bucket read at query time: the five-minute mean per
+subsystem at ``T`` is ``query_range(name, start_s=T - 300, end_s=T,
+step_s=300, by=("subsystem",))``.  A query reads each overlapping
+segment once, for every series it matches.  Label matchers are exact
 (``{"k": "v"}``) or regular expressions (``{"k": "=~cpu|mem"}``).
 
 Timestamps must be non-decreasing **per series** (the windowed
@@ -66,6 +70,7 @@ counted, never written.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import math
@@ -514,11 +519,11 @@ class _Shard:
 
     # -- reads ---------------------------------------------------------
 
-    def _blocks(self, tier: str, sid: int, start_ms: int, end_ms: int):
-        """Yield ``(block, data, base)`` for each sealed block of series
-        ``sid`` in the tier's segments that overlap the range; the
-        block's bytes start at ``data[base + block["offset"]]``.  A
-        segment that cannot be read is skipped with a warning."""
+    def _blocks(self, tier: str, sids, start_ms: int, end_ms: int):
+        """Yield ``(sid, blob, count)`` for each sealed block of the
+        series ``sids`` that overlaps the range, in manifest order.
+        Each segment the range overlaps is read once, for every series
+        asked for; one that cannot be read is skipped with a warning."""
         for entry in self.manifest[tier]:
             if entry["max_ms"] < start_ms or entry["min_ms"] > end_ms:
                 continue
@@ -531,36 +536,35 @@ class _Shard:
                                self.name, entry["file"], exc)
                 continue
             for block in header["series"]:
-                if block["sid"] == sid:
-                    yield block, data, base
+                if block["sid"] in sids and not (
+                    block["max_ms"] < start_ms or block["min_ms"] > end_ms
+                ):
+                    lo = base + block["offset"]
+                    yield (block["sid"], data[lo:lo + block["length"]],
+                           block["count"])
 
     def raw_points(
-        self, series: _Series, start_ms: int, end_ms: int
-    ) -> "list[tuple[int, float]]":
-        """All raw ``(t_ms, value)`` of one series inside the range."""
-        out: "list[tuple[int, float]]" = []
-        for block, data, base in self._blocks(
-            "raw", series.sid, start_ms, end_ms
+        self, series: "list[_Series]", start_ms: int, end_ms: int
+    ) -> "dict[int, list[tuple[int, float]]]":
+        """Each series' raw ``(t_ms, value)`` inside the range, by sid:
+        its sealed blocks', then its open block's."""
+        out: "dict[int, list[tuple[int, float]]]" = {s.sid: [] for s in series}
+        for sid, blob, count in itertools.chain(
+            self._blocks("raw", out, start_ms, end_ms),
+            ((one.sid, one.buf, one.count) for one in series),
         ):
-            if block["max_ms"] < start_ms or block["min_ms"] > end_ms:
-                continue
-            lo = base + block["offset"]
-            decoded = _decode_block(
-                data[lo:lo + block["length"]], block["count"]
+            out[sid].extend(
+                p for p in _decode_block(blob, count)
+                if start_ms <= p[0] <= end_ms
             )
-            out.extend(p for p in decoded if start_ms <= p[0] <= end_ms)
-        out.extend(
-            p for p in _decode_block(series.buf, series.count)
-            if start_ms <= p[0] <= end_ms
-        )
         return out
 
     def read_cells(
-        self, series: _Series, tier: str, start_ms: int, end_ms: int
-    ) -> "list[tuple[float, float, float, float, float, int]]":
-        """One series' cells ``(t_s, mean, min, max, sum, count)`` in the
-        range; the mean comes second so that cells sort as ``(t, value)``
-        points do.
+        self, series: "list[_Series]", tier: str, start_ms: int, end_ms: int
+    ) -> "dict[int, list[tuple[float, float, float, float, float, int]]]":
+        """Each series' cells ``(t_s, mean, min, max, sum, count)`` in the
+        range, by sid; the mean comes second so that cells sort as
+        ``(t, value)`` points do.
 
         A raw sample is the one-sample cell ``(t, v, v, v, v, 1)``.  A
         rollup tier's sealed cells are read as stored; the open raw
@@ -569,32 +573,31 @@ class _Shard:
         appended sample at every tier, not just the sealed ones.
         """
         if tier == "raw":
-            return [
-                (t / 1000.0, v, v, v, v, 1)
-                for t, v in self.raw_points(series, start_ms, end_ms)
-            ]
+            points = self.raw_points(series, start_ms, end_ms)
+            return {
+                sid: [(t / 1000.0, v, v, v, v, 1) for t, v in got]
+                for sid, got in points.items()
+            }
         width = TIER_WIDTH_MS[tier]
-        cells: "list" = []
-        for block, data, base in self._blocks(
-            tier, series.sid, start_ms, end_ms
-        ):
-            lo = base + block["offset"]
-            cells.extend(
-                _CELL.unpack_from(data, lo + i * _CELL.size)
-                for i in range(block["count"])
+        cells: "dict[int, list]" = {s.sid: [] for s in series}
+        for sid, blob, _ in self._blocks(tier, cells, start_ms, end_ms):
+            cells[sid].extend(_CELL.iter_unpack(blob))
+        for one in series:
+            open_cell = self.cells[tier].get(one.sid)
+            last = _fold_cells(
+                None if open_cell is None else list(open_cell),
+                _decode_block(one.buf, one.count), width, cells[one.sid],
             )
-        open_cell = self.cells[tier].get(series.sid)
-        last = _fold_cells(
-            None if open_cell is None else list(open_cell),
-            _decode_block(series.buf, series.count), width, cells,
-        )
-        if last is not None:
-            cells.append(last)
-        return [
-            (cell[0] / 1000.0, cell[3] / cell[4], *cell[1:])
-            for cell in cells
-            if start_ms - width < cell[0] <= end_ms
-        ]
+            if last is not None:
+                cells[one.sid].append(last)
+        return {
+            sid: [
+                (cell[0] / 1000.0, cell[3] / cell[4], *cell[1:])
+                for cell in got
+                if start_ms - width < cell[0] <= end_ms
+            ]
+            for sid, got in cells.items()
+        }
 
 
 def _fold_cells(cell, samples, width: int, closed: list):
@@ -695,7 +698,6 @@ class TSDB:
         if retention_s:
             self.retention_s.update(retention_s)
         self.seal_bytes = int(seal_bytes)
-        self.rules = None
         self._lock = threading.RLock()
         self._shards: "dict[str, _Shard]" = {}
         self._appenders: "dict[tuple, Appender]" = {}
@@ -776,20 +778,14 @@ class TSDB:
         """Convenience one-shot append (cached appender underneath)."""
         return self.appender(name, labels).append(t_s, value)
 
-    def flush(self, now_s: "float | None" = None) -> None:
-        """Evaluate recording rules, seal what is due, commit state.
+    def flush(self) -> None:
+        """Seal what is due, prune, commit state.
 
         This is the store's only commit point: everything since the
         previous flush becomes durable in one atomic ``state.bin``
-        replace per dirty shard.  ``now_s`` feeds the attached rule
-        engine (defaults to the newest appended timestamp).
+        replace per dirty shard.
         """
         with self._lock:
-            if self.rules is not None:
-                if now_s is None:
-                    now_s = self.max_t_s()
-                if now_s is not None:
-                    self.rules.evaluate(self, now_s)
             retention_ms = {
                 tier: seconds * 1000.0
                 for tier, seconds in self.retention_s.items()
@@ -831,10 +827,6 @@ class TSDB:
                 newest = max(newest, self._shard(name).max_ms)
             return newest / 1000.0 if newest else None
 
-    def attach_rules(self, engine) -> None:
-        """Recording rules evaluated at the top of every :meth:`flush`."""
-        self.rules = engine
-
     # -- queries -------------------------------------------------------
 
     @staticmethod
@@ -862,14 +854,15 @@ class TSDB:
             shard = self._shard(name)
             end_ms = _to_ms_ceiling(end_s, shard)
             start_ms = int(math.floor(start_s * 1000.0))
-            out = []
-            for series in self._matching(shard, matchers):
-                points = shard.raw_points(series, start_ms, end_ms)
-                out.append({
+            matched = self._matching(shard, matchers)
+            points = shard.raw_points(matched, start_ms, end_ms)
+            return [
+                {
                     "labels": dict(series.key[1]),
-                    "points": [(t / 1000.0, v) for t, v in points],
-                })
-            return out
+                    "points": [(t / 1000.0, v) for t, v in points[series.sid]],
+                }
+                for series in matched
+            ]
 
     def query(
         self,
@@ -882,9 +875,11 @@ class TSDB:
         with self._lock:
             shard = self._shard(name)
             at_ms = _to_ms_ceiling(at_s, shard)
+            matched = self._matching(shard, matchers)
+            newest = shard.raw_points(matched, 0, at_ms)
             out = []
-            for series in self._matching(shard, matchers):
-                points = shard.raw_points(series, 0, at_ms)
+            for series in matched:
+                points = newest[series.sid]
                 if points:
                     t_ms, value = points[-1]
                     out.append({
@@ -985,15 +980,17 @@ class TSDB:
         chosen = self._choose_tier(shard, tier, start_s)
         start_ms = int(math.floor(start_s * 1000.0))
         end_ms = int(math.ceil(end * 1000.0))
+        matched = self._matching(shard, matchers)
+        read = shard.read_cells(matched, chosen, start_ms, end_ms)
         groups: "dict[tuple, tuple[dict, list]]" = {}
-        for series in self._matching(shard, matchers):
+        for series in matched:
             labels = dict(series.key[1])
             if by is not None:
                 labels = {label: labels.get(label, "") for label in by}
             _, cells = groups.setdefault(
                 tuple(sorted(labels.items())), (labels, [])
             )
-            cells.extend(shard.read_cells(series, chosen, start_ms, end_ms))
+            cells.extend(read[series.sid])
         answer = []
         for key in sorted(groups):
             labels, cells = groups[key]
@@ -1024,7 +1021,7 @@ class TSDB:
     # -- introspection -------------------------------------------------
 
     def document(self) -> dict:
-        """The ``/rules``-adjacent store summary (also for the CLI)."""
+        """The store's shard and segment summary (``obs --store``)."""
         with self._lock:
             shards = {}
             for name in self.names():

@@ -2,7 +2,7 @@
 
 :class:`EstimationService` inverts the repo's batch pipeline into a
 long-lived ingest loop.  Counter samples arrive as newline-JSON
-payloads (HTTP POST ``/ingest``, the socket line protocol, or replay),
+payloads (HTTP POST ``/ingest``, or in-process replay and inline calls),
 are decoded into :class:`~repro.serve.protocol.SampleBatch` items,
 routed to a shard by a stable hash of the node name (per-node order is
 preserved — one node always lands on one shard), and evaluated by the
@@ -193,8 +193,8 @@ class EstimationService:
         self._stage_exemplar: "dict[str, str]" = {}
         # Lifetime tallies kept outside the obs registry so the ingest
         # response and /service stay accurate with telemetry disabled.
-        # '+=' is not atomic and these run on HTTP handler, socket
-        # handler and shard worker threads alike, so they share a lock.
+        # '+=' is not atomic and these run on HTTP handler, replay and
+        # shard worker threads alike, so they share a lock.
         self._tally_lock = threading.Lock()
         self.samples_total = 0
         self.shed_samples_total = 0

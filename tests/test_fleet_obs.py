@@ -227,6 +227,39 @@ class TestFleetDriftMonitorUnit:
         resolved = {a.lane for a in fleet.history() if a.state == "resolved"}
         assert resolved == {1, 3}
 
+    def test_a_callers_total_counts_once_per_window(self):
+        """A ``total`` the caller passes (as ``Datacenter.run`` does) is
+        the total stream, updated once per window, so it arms after
+        ``min_windows`` = 3.  Both monitors summed it into a second
+        update: 2, 4, 6 windows, firing at t = 2."""
+        fleet = FleetDriftMonitor(1)
+        scalar = DriftMonitor()
+        fired = []
+        for t in (1.0, 2.0, 3.0):
+            alerts = fleet.observe(t, {"total": [112.0]}, {"total": [100.0]})
+            alerts += scalar.observe(t, {"total": 112.0}, {"total": 100.0})
+            fired += [(a.timestamp_s, a.window) for a in alerts]
+            assert fleet.lane_state(0)["total"]["windows"] == t
+            assert scalar.to_json()["streams"]["total"]["windows"] == t
+        assert fired == [(3.0, 3), (3.0, 3)]
+        # A frame of three windows, and a total beside a subsystem: the
+        # caller's total is scored as given, not summed with the rest.
+        frame = DriftMonitor()
+        frame.observe(
+            [1.0, 2.0, 3.0], {"total": [112.0] * 3}, {"total": [100.0] * 3}
+        )
+        assert frame.to_json()["streams"]["total"]["windows"] == 3
+        scalar = DriftMonitor()
+        scalar.observe(
+            1.0, {"cpu": 50.0, "total": 100.0}, {"cpu": 50.0, "total": 80.0}
+        )
+        fleet = FleetDriftMonitor(1)
+        fleet.observe(
+            1.0, {"cpu": [50.0], "total": [100.0]},
+            {"cpu": [50.0], "total": [80.0]},
+        )
+        assert scalar.error_pct("total") == fleet.error_pct("total")[0] == 25.0
+
     def test_lane_subsets_update_independently(self):
         fleet = FleetDriftMonitor(4)
         scalar = DriftMonitor()

@@ -5,8 +5,9 @@ round-trip, the bounded shard queues' shedding policy, staleness and
 SLO burn tracking with injected clocks, the service's streamed-equals-
 batch bit-identity guarantee (inline and threaded), the chaos
 ``kill_shard`` hook's degraded-but-serving semantics, the HTTP POST
-``/ingest`` + ``/nodes`` + ``/service`` + ``/slo`` routes, the socket
-line protocol, and the ``repro-power serve`` CLI — plus the satellites:
+``/ingest`` + ``/nodes`` + ``/service`` + ``/slo`` routes (``/ingest``
+checking ``Content-Length`` before it reads), and the ``repro-power
+serve`` CLI — plus the satellites:
 the clear address-in-use error, ``--port 0`` printing the bound
 ephemeral port, the windowed registry under wall-clock misbehaviour,
 and the ``obs`` pretty-printer's histogram quantile columns.
@@ -43,12 +44,11 @@ from repro.core.traces import CounterTrace
 from repro.obs.alertmgr import AlertManager, health_status
 from repro.obs.drift import DriftMonitor
 from repro.obs.flight import FlightRecorder, load_bundle
-from repro.obs.http import ObservabilityServer
+from repro.obs.http import MAX_INGEST_BYTES, ObservabilityServer
 from repro.obs.live import WindowedRegistry
 from repro.serve import (
     BoundedQueue,
     EstimationService,
-    LineSocketServer,
     ProtocolError,
     SampleBatch,
     SLOEngine,
@@ -135,6 +135,23 @@ def _post(url: str, body: str):
             return response.status, json.load(response)
     except urllib.error.HTTPError as error:
         return error.code, json.load(error)
+
+
+def _raw_ingest(endpoint, headers, body: bytes = b"") -> "tuple[int, dict]":
+    """POST ``/ingest`` with hand-written ``headers`` and ``body`` in one
+    write, shut the write side, and read the whole answer."""
+    head = "".join(
+        f"{line}\r\n"
+        for line in ("POST /ingest HTTP/1.1", "Host: 127.0.0.1", *headers)
+    )
+    with socket.create_connection(("127.0.0.1", endpoint.port), timeout=10.0) as conn:
+        conn.sendall(head.encode("latin-1") + b"\r\n" + body)
+        conn.shutdown(socket.SHUT_WR)
+        answer = b""
+        while chunk := conn.recv(65536):
+            answer += chunk
+    status_line, _, rest = answer.partition(b"\r\n")
+    return int(status_line.split()[1]), json.loads(rest.partition(b"\r\n\r\n")[2])
 
 
 def _labels(document: dict, name: str) -> "list[dict]":
@@ -1091,6 +1108,67 @@ class TestHttpRoutes:
         assert status == 400
         assert receipt["errors"]
 
+    @pytest.mark.parametrize("headers, body, status", [
+        pytest.param((), b"", 411, id="missing"),
+        pytest.param(("Content-Length: abc",), b"", 400, id="not-a-number"),
+        pytest.param(("Content-Length: -5",), b"", 400, id="negative"),
+        pytest.param(
+            ("Content-Length: 100000000000",), b"", 413, id="100-gb"
+        ),
+        # Just past the cap with a short body: reading it would answer.
+        pytest.param(
+            (f"Content-Length: {MAX_INGEST_BYTES + 1}",), b"x", 413,
+            id="past-the-cap",
+        ),
+    ])
+    def test_content_length_is_checked_before_the_body(
+        self, served, suite, gcc_run, monkeypatch, headers, body, status
+    ):
+        """A bad length answers a JSON error and the service sees
+        nothing; it used to answer 500 (``abc``, ``-5``), try to allocate
+        the declared length, or read and answer a body past the cap."""
+        service, endpoint, _ = served
+        real_ingest = service.ingest
+        bodies = []
+
+        def ingest(data, transport="http"):
+            bodies.append(data)
+            return real_ingest(data, transport=transport)
+
+        monkeypatch.setattr(service, "ingest", ingest)
+        got, document = _raw_ingest(endpoint, headers, body)
+        assert (got, bodies) == (status, [])
+        assert document["error"]
+        line = frames_from_run(
+            gcc_run, "n0", frame_samples=4, events=required_events(suite)
+        )[0]
+        got, receipt = _post(endpoint.url("/ingest"), line)
+        assert (got, receipt["accepted"]) == (200, 4)
+
+    def test_ingest_crash_answers_500_and_the_next_post_lands(
+        self, served, suite, gcc_run, monkeypatch
+    ):
+        service, endpoint, _ = served
+        line = frames_from_run(
+            gcc_run, "n0", frame_samples=4, events=required_events(suite)
+        )[0]
+        real_ingest = service.ingest
+        calls = []
+
+        def flaky_ingest(data, transport="http"):
+            calls.append(transport)
+            if len(calls) == 1:
+                raise RuntimeError("injected ingest bug")
+            return real_ingest(data, transport=transport)
+
+        monkeypatch.setattr(service, "ingest", flaky_ingest)
+        assert _post(endpoint.url("/ingest"), line) == (
+            500, {"error": "internal error"}
+        )
+        status, receipt = _post(endpoint.url("/ingest"), line)
+        assert (status, receipt["accepted"]) == (200, 4)
+        assert _wait_for(lambda: service.samples_total >= 4)
+
     def test_post_to_other_route_404(self, served):
         _, endpoint, _ = served
         assert _post(endpoint.url("/nodes"), "x")[0] == 404
@@ -1262,9 +1340,6 @@ class TestHttpRoutes:
             message = str(excinfo.value)
             assert f"cannot bind observability endpoint to 127.0.0.1:{first.port}" in message
             assert "--port 0" in message
-
-
-# -- socket transport --------------------------------------------------
 
 
 class TestOneAlertView:
@@ -1473,108 +1548,6 @@ class TestOneAlertView:
         assert len(list(flight.glob("flight-*-slo-fast-burn-*"))) == 2
         for name in ("error", "freshness"):
             assert obs.counter("slo_fast_burn_total", {"slo": name}) == 1.0
-
-
-class TestSocketTransport:
-    def test_line_protocol_with_acks(self, suite, gcc_run):
-        lines = frames_from_run(
-            gcc_run, "n0", frame_samples=16, events=required_events(suite)
-        )[:2]
-        with EstimationService(suite, shards=1, ops=False) as service:
-            transport = LineSocketServer(service, port=0)
-            port = transport.start()
-            assert port != 0
-            try:
-                with socket.create_connection(("127.0.0.1", port), timeout=10.0) as conn:
-                    stream = conn.makefile("rwb")
-                    stream.write(b"?ack\n")
-                    for line in lines:
-                        stream.write(line.encode("utf-8") + b"\n")
-                    stream.flush()
-                    receipts = [json.loads(stream.readline()) for _ in lines]
-                assert all(r["accepted"] == 16 for r in receipts)
-                assert _wait_for(lambda: service.samples_total >= 32)
-                assert service.node_document("n0")["n_samples"] == 32
-            finally:
-                transport.stop()
-
-    def test_fire_and_forget_without_handshake(self, suite, gcc_run):
-        line = frames_from_run(
-            gcc_run, "n0", frame_samples=16, events=required_events(suite)
-        )[0]
-        with EstimationService(suite, shards=1, ops=False) as service:
-            transport = LineSocketServer(service, port=0)
-            port = transport.start()
-            try:
-                with socket.create_connection(("127.0.0.1", port), timeout=10.0) as conn:
-                    conn.sendall(line.encode("utf-8") + b"\n")
-                assert _wait_for(lambda: service.samples_total >= 16)
-            finally:
-                transport.stop()
-
-    def test_oversize_line_rejected_and_connection_survives(self, suite, gcc_run):
-        line = frames_from_run(
-            gcc_run, "n0", frame_samples=4, events=required_events(suite)
-        )[0]
-        limit = 16384
-        assert len(line) < limit
-        with EstimationService(suite, shards=1, ops=False) as service:
-            transport = LineSocketServer(service, port=0, max_line_bytes=limit)
-            port = transport.start()
-            try:
-                with socket.create_connection(("127.0.0.1", port), timeout=10.0) as conn:
-                    stream = conn.makefile("rwb")
-                    stream.write(b"?ack\n")
-                    # One huge junk line, then a valid frame: the junk
-                    # must be drained and rejected without being
-                    # buffered whole, and the frame must still land.
-                    stream.write(b"x" * (3 * limit) + b"\n")
-                    stream.write(line.encode("utf-8") + b"\n")
-                    stream.flush()
-                    first = json.loads(stream.readline())
-                    second = json.loads(stream.readline())
-                assert first["accepted"] == 0
-                assert "exceeds" in first["errors"][0]
-                assert second["accepted"] == 4
-                assert _wait_for(lambda: service.samples_total >= 4)
-            finally:
-                transport.stop()
-
-    def test_ingest_crash_answers_error_receipt_and_continues(
-        self, suite, gcc_run, monkeypatch
-    ):
-        line = frames_from_run(
-            gcc_run, "n0", frame_samples=4, events=required_events(suite)
-        )[0]
-        with EstimationService(suite, shards=1, ops=False) as service:
-            real_ingest = service.ingest
-            calls = {"n": 0}
-
-            def flaky_ingest(data, transport="http"):
-                calls["n"] += 1
-                if calls["n"] == 1:
-                    raise RuntimeError("injected ingest bug")
-                return real_ingest(data, transport=transport)
-
-            monkeypatch.setattr(service, "ingest", flaky_ingest)
-            transport = LineSocketServer(service, port=0)
-            port = transport.start()
-            try:
-                with socket.create_connection(("127.0.0.1", port), timeout=10.0) as conn:
-                    stream = conn.makefile("rwb")
-                    stream.write(b"?ack\n")
-                    stream.write(line.encode("utf-8") + b"\n")
-                    stream.write(line.encode("utf-8") + b"\n")
-                    stream.flush()
-                    first = json.loads(stream.readline())
-                    second = json.loads(stream.readline())
-                # The handler thread survived the first line's failure.
-                assert first == {
-                    "accepted": 0, "shed": 0, "errors": ["internal error"]
-                }
-                assert second["accepted"] == 4
-            finally:
-                transport.stop()
 
 
 # -- windowed registry under wall-clock misbehaviour (satellite) -------

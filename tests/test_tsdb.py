@@ -6,7 +6,7 @@ loss, corrupt state, orphan segments), tiered downsampling with *exact*
 min/mean/max/count rollups across compaction and restart, per-tier
 retention, the query engine (matchers, instant, range, step
 aggregation folding rollup cells as exactly as raw samples, label
-grouping, tier selection, summaries), recording rules, the
+grouping, tier selection, summaries, one read per segment), the
 AlertManager folding drift/service/dc sources into one deduplicated
 plane with ``alerts_firing`` persistence, the
 ``WindowSink`` bridge, the HTTP query/alert routes, and the
@@ -36,7 +36,6 @@ from repro import obs
 from repro.cli import main
 from repro.obs.alertmgr import Alert, AlertManager, dedup_key
 from repro.obs.http import ObservabilityServer
-from repro.obs.rules import DEFAULT_RULES, RecordingRule, RuleEngine
 from repro.obs.tsdb import (
     _AGGS,
     DEFAULT_RETENTION_S,
@@ -44,6 +43,7 @@ from repro.obs.tsdb import (
     TSDB,
     WindowSink,
     _bucket,
+    _read_container,
     parse_duration,
     parse_matchers,
 )
@@ -632,6 +632,54 @@ class TestReadsNeverWrite:
         assert _tree(root) == before
 
 
+class TestOneReadPerSegment:
+    """A query reads each segment it overlaps once, for every series it
+    matches.  It used to read a segment once per matched series.
+    ``TestPinnedStore``'s answer digests hold the answers."""
+
+    LANES = 8
+    SUBSYSTEMS = ("cpu", "disk")
+
+    def _sealed(self, tmp_path) -> TSDB:
+        """Sixteen series sealed into one raw and one 10 s segment."""
+        db = TSDB(str(tmp_path / "store"), seal_bytes=1)
+        for lane in range(self.LANES):
+            for sub in self.SUBSYSTEMS:
+                _fill(
+                    db, name="drift_error_pct",
+                    labels={"lane": lane, "subsystem": sub}, n=60,
+                    f=lambda i, lane=lane: float((i + lane) % 7),
+                )
+        db.flush()
+        return TSDB(db.root)
+
+    @pytest.mark.parametrize("read, segment", [
+        (lambda db: db.select("drift_error_pct"), "raw"),
+        (lambda db: db.query("drift_error_pct"), "raw"),
+        (lambda db: db.query_range(
+            "drift_error_pct", by=("subsystem",), step_s=30, tier="raw"
+        ), "raw"),
+        (lambda db: db.query_range(
+            "drift_error_pct", by=("subsystem",), step_s=30, tier="10s"
+        ), "10s"),
+        (lambda db: db.summary("drift_error_pct", tier="10s"), "10s"),
+    ])
+    def test_each_segment_is_read_once(
+        self, tmp_path, monkeypatch, read, segment
+    ):
+        db = self._sealed(tmp_path)
+        reads = []
+
+        def counting(path, magic):
+            reads.append(os.path.basename(path).split("-")[0])
+            return _read_container(path, magic)
+
+        monkeypatch.setattr("repro.obs.tsdb._read_container", counting)
+        assert read(db)
+        # The shard's state.bin, then the one segment the range overlaps.
+        assert reads == ["state.bin", segment]
+
+
 def _bucket_by_scan(cells, start_s, end_s, step_s, agg):
     """The bucket-by-bucket scan ``_bucket`` replaced: the oracle.
 
@@ -725,53 +773,6 @@ class TestBucketWalk:
         got = _bucket(cells, start, end, step, "sum")
         assert got == _bucket_by_scan(cells, start, end, step, "sum")
         assert got
-
-
-class TestRecordingRules:
-    def test_rule_validation(self):
-        with pytest.raises(ValueError):
-            RecordingRule(record="", source="x", window_s=60.0)
-        with pytest.raises(ValueError):
-            RecordingRule(record="r", source="x", window_s=0.0)
-        for agg in ("bogus", "rate", "p95"):
-            with pytest.raises(ValueError):
-                RecordingRule(record="r", source="x", window_s=60.0, agg=agg)
-
-    def test_rules_evaluate_on_flush(self, store):
-        for sub in ("cpu", "disk"):
-            _fill(
-                store,
-                name="drift_error_pct",
-                labels={"subsystem": sub},
-                n=60,
-                f=lambda i: 4.0,
-            )
-        engine = RuleEngine()
-        store.attach_rules(engine)
-        store.flush()
-        results = store.select("drift_error_pct:mean_5m")
-        assert {tuple(r["labels"].items()) for r in results} == {
-            (("subsystem", "cpu"),),
-            (("subsystem", "disk"),),
-        }
-        for series in results:
-            assert series["points"][-1][1] == pytest.approx(4.0)
-
-    def test_evaluation_idempotent_per_timestamp(self, store):
-        _fill(store, name="drift_error_pct", labels={"subsystem": "cpu"}, n=60)
-        engine = RuleEngine()
-        assert engine.evaluate(store, 59.0) > 0
-        assert engine.evaluate(store, 59.0) == 0  # same instant: no-op
-        assert engine.evaluate(store, 58.0) == 0  # never goes back
-        (series,) = store.select("drift_error_pct:mean_5m")
-        assert len(series["points"]) == 1
-
-    def test_default_rules_document(self):
-        doc = RuleEngine().document()
-        assert len(doc["rules"]) == len(DEFAULT_RULES)
-        assert any(
-            rule["record"] == "drift_error_pct:mean_5m" for rule in doc["rules"]
-        )
 
 
 class _FakeDrift:
@@ -1013,16 +1014,6 @@ class TestHTTPRoutes:
             "drift:drift_slo_breach{subsystem=cpu}"
         ]
 
-    def test_rules_route(self, store):
-        engine = RuleEngine()
-        store.attach_rules(engine)
-        server = ObservabilityServer(store=store, rules=engine)
-        status, _, body = server.payload("/rules", "")
-        assert status == 200
-        doc = json.loads(body)
-        assert doc["rules"]["rules"]
-        assert doc["store"]["root"] == store.root
-
 
 class TestCLI:
     @pytest.fixture()
@@ -1213,9 +1204,18 @@ class TestStoreCli:
             "--range", "2m",
         )
         assert "drift_error_pct{subsystem=total}" in drift
-        # The recording rule materialised its derived series mid-run.
-        rule = cli("query", "drift_error_pct:mean_5m", "--range", "2m")
-        assert "drift_error_pct:mean_5m{subsystem=total}" in rule
+        # A five-minute mean is one bucket read at query time.
+        (total,) = TSDB(store).select("drift_error_pct", {"subsystem": "total"})
+        newest = total["points"][-1][0]
+        window = [v for t, v in total["points"] if t >= newest - 300.0]
+        (row,) = cli(
+            "query", "drift_error_pct", "--label", "subsystem=total",
+            "--end", f"{newest:g}", "--range", "5m", "--step", "300",
+            "--agg", "mean", "--csv",
+        ).splitlines()[1:]
+        assert row.split(",")[3:] == [
+            f"{newest - 300.0:g}", f"{sum(window) / len(window):g}",
+        ]
         # Instant and CSV range modes on the live power gauge.
         assert "live_total_power_watts:mean" in cli(
             "query", "live_total_power_watts:mean"
